@@ -23,27 +23,29 @@ type hotSpec struct {
 }
 
 // hotFuncs is the declared kernel list, keyed by effective package
-// path. Interpreted-oracle adapters that intentionally trade speed for
-// the shared evalKernel indirection carry //lint:allow annotations at
-// their closure sites instead of being exempted here.
+// path. Only production files are analyzed: the interpreted
+// differential oracles live in _test.go files and are not kernels.
 var hotFuncs = map[string]hotSpec{
 	"rescue/internal/sim": {
 		exact: map[string]bool{
-			"Run": true, "RunV": true, "RunWithFault": true,
-			"RunDualWithFault": true, "evalKernel": true, "RunBlock": true,
+			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
+			"RunDualWithFault": true, "RunBlock": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
 		// word and block evaluators (evalOpV/W/B and the *Vals forms).
-		prefix: []string{"RunCone", "EvalGate", "evalGate", "evalOp", "runConeEval", "mergeMask"},
+		prefix: []string{"RunCone", "EvalGate", "evalOp", "runConeEval", "mergeMask"},
 	},
 	"rescue/internal/faultsim": {
 		// The session's per-chunk stages are kernels end to end: the
 		// word-block loop, the wide snapshot/compute/merge stages and
-		// the detection recorder all run once per pattern chunk.
+		// the detection recorder all run once per pattern chunk. The
+		// time-frame engine's per-cycle step and latch run once per
+		// clock cycle of every injection.
 		exact: map[string]bool{
 			"Simulate": true, "simulateWordBlock": true, "simulateWideChunk": true,
 			"coneRange": true, "snapshotUndetected": true, "recordDetection": true,
+			"stepFrame": true, "latch": true,
 		},
 		prefix: []string{"RunCone"},
 	},

@@ -79,12 +79,6 @@ func (r *serverRun) info() RunInfo {
 	return in
 }
 
-func (r *serverRun) currentState() RunState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
-}
-
 // runQueue is the bounded admission queue between POST /runs and the
 // executor pool: offer rejects (backpressure) when the bound is
 // reached, take blocks until a run or shutdown, remove unqueues a run

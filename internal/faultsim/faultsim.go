@@ -1,9 +1,9 @@
 // Package faultsim implements fault simulation over netlists: a
 // parallel-pattern single-fault-propagation (PPSFP) engine for permanent
-// stuck-at faults, a sequential transient-fault injector for SEU/SET
-// analysis, and campaign drivers (exhaustive and statistical random
-// sampling with confidence intervals) reproducing the cost/accuracy
-// trade-off discussed in Section III.B of the RESCUE paper.
+// stuck-at faults, a compiled time-frame engine for sequential stuck-at
+// and SEU/SET injection, and campaign drivers (exhaustive and
+// statistical random sampling with confidence intervals) reproducing the
+// cost/accuracy trade-off discussed in Section III.B of the RESCUE paper.
 //
 // The stuck-at engine is cone-restricted and incremental: per 64-pattern
 // block the good machine is simulated once, and each faulty machine
@@ -82,11 +82,12 @@ func combGateCount(n *netlist.Netlist) int {
 
 // validateSite rejects fault sites that reference gates or pins outside
 // the circuit — previously these crashed or simulated silently wrong.
+// Only a stuck-at addresses a pin; transients flip a gate's value.
 func validateSite(n *netlist.Netlist, f fault.Fault) error {
 	if f.Gate < 0 || f.Gate >= n.NumGates() {
 		return fmt.Errorf("faultsim: fault references unknown gate id %d", f.Gate)
 	}
-	if f.Pin >= 0 && f.Pin >= len(n.Gate(f.Gate).Fanin) {
+	if f.Kind == fault.StuckAt && f.Pin >= 0 && f.Pin >= len(n.Gate(f.Gate).Fanin) {
 		return fmt.Errorf("faultsim: fault on gate %q pin %d out of range (fanin %d)",
 			n.Gate(f.Gate).Name, f.Pin, len(n.Gate(f.Gate).Fanin))
 	}
@@ -226,103 +227,41 @@ type Injection struct {
 	Cycle int
 }
 
-// goldenTrace is the fault-independent reference run: per-cycle primary
-// outputs and the final flip-flop state from reset. Campaigns compute it
-// once and share it across every injection instead of re-simulating the
-// golden machine O(faults × cycles) times.
-type goldenTrace struct {
-	outs  []string
-	state string
+// validateTransients rejects, before anything is simulated, any fault
+// that is not a transient or names a gate outside the circuit.
+func validateTransients(n *netlist.Netlist, faults fault.List) error {
+	for _, f := range faults {
+		if f.Kind != fault.SEU && f.Kind != fault.SET {
+			return fmt.Errorf("faultsim: transient injection needs SEU or SET, got %v", f.Kind)
+		}
+		if err := validateSite(n, f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func traceGolden(n *netlist.Netlist, stimuli []logic.Vector) (*goldenTrace, error) {
-	golden, err := sim.New(n)
-	if err != nil {
-		return nil, err
-	}
-	golden.ResetState(logic.Zero)
-	tr := &goldenTrace{outs: make([]string, len(stimuli))}
-	for c, in := range stimuli {
-		tr.outs[c] = golden.Step(in).String()
-	}
-	tr.state = golden.State().String()
-	return tr, nil
-}
-
-// InjectTransient runs the sequential circuit over the stimuli twice —
-// golden and faulty — flipping the target at the given cycle, and
-// classifies the outcome. SEU faults flip a flip-flop's state before the
-// cycle's evaluation; SET faults flip a combinational node's value after
-// evaluation and re-propagate it, modelling a latched glitch. The second
-// return value is the number of cycles actually simulated: an SDC stops
-// the run early, so campaigns charging cost must use it rather than
-// assuming len(stimuli) cycles.
+// InjectTransient runs the sequential circuit over the stimuli from
+// reset, flipping the target at the given cycle, and classifies the
+// outcome against the fault-free run. SEU faults flip a flip-flop's
+// state before the cycle's evaluation; SET faults flip a combinational
+// node's value after evaluation and re-propagate it, modelling a latched
+// glitch. The second return value is the number of cycles actually
+// simulated: an SDC stops the run early, so campaigns charging cost must
+// use it rather than assuming len(stimuli) cycles.
 func InjectTransient(n *netlist.Netlist, stimuli []logic.Vector, inj Injection) (TransientOutcome, int, error) {
-	tr, err := traceGolden(n, stimuli)
-	if err != nil {
+	if err := validateTransients(n, fault.List{inj.Fault}); err != nil {
 		return Masked, 0, err
 	}
-	return injectAgainstGolden(n, stimuli, inj, tr)
-}
-
-// injectAgainstGolden simulates only the faulty machine, comparing each
-// cycle against the precomputed golden trace.
-func injectAgainstGolden(n *netlist.Netlist, stimuli []logic.Vector, inj Injection, tr *goldenTrace) (TransientOutcome, int, error) {
 	if inj.Cycle < 0 || inj.Cycle >= len(stimuli) {
 		return Masked, 0, fmt.Errorf("faultsim: injection cycle %d out of range", inj.Cycle)
 	}
-	faulty, err := sim.New(n)
+	e, err := newTimeFrames(n, stimuli)
 	if err != nil {
 		return Masked, 0, err
 	}
-	faulty.ResetState(logic.Zero)
-	cycles := 0
-	for c, in := range stimuli {
-		var faultOut logic.Vector
-		if c == inj.Cycle {
-			switch inj.Fault.Kind {
-			case fault.SEU:
-				// Flip the FF state before evaluating this cycle.
-				cur := faulty.Value(inj.Fault.Gate)
-				faulty.SetValue(inj.Fault.Gate, logic.Not(cur))
-				faultOut = faulty.Step(in)
-			case fault.SET:
-				// Evaluate, then flip the node and re-propagate so the
-				// glitch can be latched by downstream DFFs.
-				faulty.SetInputs(in)
-				faulty.Run()
-				cur := faulty.Value(inj.Fault.Gate)
-				faulty.SetValue(inj.Fault.Gate, logic.Not(cur))
-				faulty.PropagateFrom(inj.Fault.Gate)
-				faultOut = faulty.Outputs()
-				latchAndAdvance(faulty)
-			default:
-				return Masked, cycles, fmt.Errorf("faultsim: InjectTransient needs SEU or SET, got %v", inj.Fault.Kind)
-			}
-		} else {
-			faultOut = faulty.Step(in)
-		}
-		cycles++
-		if faultOut.String() != tr.outs[c] {
-			return SDC, cycles, nil
-		}
-	}
-	if tr.state != faulty.State().String() {
-		return Latent, cycles, nil
-	}
-	return Masked, cycles, nil
-}
-
-// latchAndAdvance latches D pins into DFFs (the tail end of a Step).
-func latchAndAdvance(e *sim.Evaluator) {
-	n := e.N
-	next := make([]logic.V, len(n.DFFs))
-	for i, id := range n.DFFs {
-		next[i] = e.Value(n.Gate(id).Fanin[0])
-	}
-	for i, id := range n.DFFs {
-		e.SetValue(id, next[i])
-	}
+	out, cycles := e.run(inj.Fault, inj.Cycle)
+	return out, cycles, nil
 }
 
 // TransientReport summarises a transient campaign.
@@ -333,8 +272,8 @@ type TransientReport struct {
 	// actually stepped × combinational gates (one pass per cycle). SDC
 	// early exits charge only the cycles that ran. The single golden
 	// trace shared by all injections is not charged (it is amortised
-	// across the campaign), and a SET's re-propagation rides within its
-	// cycle's pass.
+	// across the campaign), and neither is a SET's re-run of its
+	// injection cycle.
 	GateEvals int64
 }
 
@@ -355,24 +294,29 @@ func (r *TransientReport) MaskRate() float64 {
 	return float64(r.Counts[Masked]) / float64(r.Injections)
 }
 
+// inject runs one injection on the engine and folds it into the report.
+func (r *TransientReport) inject(e *timeFrames, f fault.Fault, cycle int) {
+	out, cycles := e.run(f, cycle)
+	r.Counts[out]++
+	r.Injections++
+	r.GateEvals += int64(cycles) * int64(e.c.ScheduleLen())
+}
+
 // ExhaustiveTransient injects every fault in the list at every cycle.
 // Cost grows as |faults| × |cycles| × |gates| — the "ultimate in accuracy
 // but very cumbersome" method of Section III.B.
 func ExhaustiveTransient(n *netlist.Netlist, stimuli []logic.Vector, faults fault.List) (*TransientReport, error) {
-	tr, err := traceGolden(n, stimuli)
+	if err := validateTransients(n, faults); err != nil {
+		return nil, err
+	}
+	e, err := newTimeFrames(n, stimuli)
 	if err != nil {
 		return nil, err
 	}
 	rep := &TransientReport{Counts: make(map[TransientOutcome]int)}
 	for _, f := range faults {
 		for c := range stimuli {
-			out, cycles, err := injectAgainstGolden(n, stimuli, Injection{Fault: f, Cycle: c}, tr)
-			if err != nil {
-				return nil, err
-			}
-			rep.Counts[out]++
-			rep.Injections++
-			rep.GateEvals += int64(cycles) * int64(combGateCount(n))
+			rep.inject(e, f, c)
 		}
 	}
 	return rep, nil
@@ -381,22 +325,21 @@ func ExhaustiveTransient(n *netlist.Netlist, stimuli []logic.Vector, faults faul
 // RandomTransient samples N injections uniformly over faults × cycles
 // using the given seed — the statistical fault injection method.
 func RandomTransient(n *netlist.Netlist, stimuli []logic.Vector, faults fault.List, samples int, seed int64) (*TransientReport, error) {
-	rng := rand.New(rand.NewSource(seed))
-	tr, err := traceGolden(n, stimuli)
+	if err := validateTransients(n, faults); err != nil {
+		return nil, err
+	}
+	if samples > 0 && (len(faults) == 0 || len(stimuli) == 0) {
+		return nil, fmt.Errorf("faultsim: cannot sample %d injections from %d faults × %d cycles", samples, len(faults), len(stimuli))
+	}
+	e, err := newTimeFrames(n, stimuli)
 	if err != nil {
 		return nil, err
 	}
+	rng := rand.New(rand.NewSource(seed))
 	rep := &TransientReport{Counts: make(map[TransientOutcome]int)}
 	for i := 0; i < samples; i++ {
 		f := faults[rng.Intn(len(faults))]
-		c := rng.Intn(len(stimuli))
-		out, cycles, err := injectAgainstGolden(n, stimuli, Injection{Fault: f, Cycle: c}, tr)
-		if err != nil {
-			return nil, err
-		}
-		rep.Counts[out]++
-		rep.Injections++
-		rep.GateEvals += int64(cycles) * int64(combGateCount(n))
+		rep.inject(e, f, rng.Intn(len(stimuli)))
 	}
 	return rep, nil
 }
@@ -471,94 +414,157 @@ func (r *SequentialResult) Coverage() fault.Coverage {
 // sequential circuit: golden and faulty machines start from the all-zero
 // reset state and step through the stimuli; a fault is detected on the
 // first cycle a primary output differs. Both output-site and input-pin
-// faults are injected (pin faults were previously simulated fault-free
-// and silently reported Undetected); out-of-range sites error out.
+// faults are injected; out-of-range sites error out before anything is
+// simulated.
 func SequentialRun(n *netlist.Netlist, faults fault.List, stimuli []logic.Vector) (*SequentialResult, error) {
-	golden, err := sim.New(n)
+	for _, f := range faults {
+		if f.Kind != fault.StuckAt {
+			continue
+		}
+		if err := validateSite(n, f); err != nil {
+			return nil, err
+		}
+	}
+	e, err := newTimeFrames(n, stimuli)
 	if err != nil {
 		return nil, err
 	}
-	order, err := n.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	golden.ResetState(logic.Zero)
-	goldenOuts := make([]string, len(stimuli))
-	for c, in := range stimuli {
-		goldenOuts[c] = golden.Step(in).String()
-	}
-	comb := int64(combGateCount(n))
 	res := &SequentialResult{Status: make([]fault.Status, len(faults))}
 	for fi, f := range faults {
 		if f.Kind != fault.StuckAt {
 			res.Status[fi] = fault.NotSimulated
 			continue
 		}
-		if err := validateSite(n, f); err != nil {
-			return nil, fmt.Errorf("faultsim: SequentialRun: %v", err)
-		}
-		faulty, err := sim.New(n)
-		if err != nil {
-			return nil, err
-		}
-		faulty.ResetState(logic.Zero)
+		out, cycles := e.run(f, -1)
 		res.Status[fi] = fault.Undetected
-		for c, in := range stimuli {
-			out := stepWithStuckAt(faulty, order, f, in)
-			res.GateEvals += comb
-			if out.String() != goldenOuts[c] {
-				res.Status[fi] = fault.Detected
-				break
-			}
+		if out == SDC {
+			res.Status[fi] = fault.Detected
 		}
+		res.GateEvals += int64(cycles) * int64(e.c.ScheduleLen())
 	}
 	return res, nil
 }
 
-// stepWithStuckAt performs one synchronous cycle with a permanent
-// stuck-at fault forced during the combinational pass: an output-site
-// fault overrides the gate's (or input's/DFF's) value so every reader
-// sees it; an input-pin fault overrides exactly that pin of that gate,
-// including a DFF's D pin at latch time. order must be n.TopoOrder().
-func stepWithStuckAt(e *sim.Evaluator, order []int, f fault.Fault, in logic.Vector) logic.Vector {
-	e.SetInputs(in)
-	get := e.Value
-	for _, id := range order {
-		g := e.N.Gate(id)
-		if g.Type == netlist.Input || g.Type == netlist.DFF {
-			if id == f.Gate && f.Pin < 0 {
-				e.SetValue(id, f.Value) // stuck input / stuck Q
+// timeFrames is the compiled time-frame engine behind SequentialRun and
+// the transient injectors. It holds the golden per-cycle primary outputs
+// and final flip-flop state of one stimulus set, computed once, and one
+// reused faulty value array that every run restarts from the all-zero
+// reset state on the shared sim.Compiled.
+type timeFrames struct {
+	c       *sim.Compiled
+	n       *netlist.Netlist
+	stimuli []logic.Vector
+	outs    []logic.V // golden primary outputs, cycle-major
+	state   []logic.V // golden flip-flop state after the last cycle
+	vals    []logic.V // the faulty machine, indexed by gate ID
+	next    []logic.V // D values sampled at the clock edge
+	scratch []logic.V
+}
+
+// faultFree drives the golden machine: a transient that is never
+// injected leaves every cycle fault-free.
+var faultFree = fault.Fault{Kind: fault.SEU, Pin: -1}
+
+func newTimeFrames(n *netlist.Netlist, stimuli []logic.Vector) (*timeFrames, error) {
+	c, err := sim.Compile(n)
+	if err != nil {
+		return nil, err
+	}
+	e := &timeFrames{
+		c: c, n: n, stimuli: stimuli,
+		outs:    make([]logic.V, 0, len(stimuli)*len(n.Outputs)),
+		state:   make([]logic.V, len(n.DFFs)),
+		vals:    make([]logic.V, n.NumGates()),
+		next:    make([]logic.V, len(n.DFFs)),
+		scratch: c.NewValueScratch(),
+	}
+	e.reset()
+	for cyc := range stimuli {
+		e.stepFrame(faultFree, cyc, false)
+		for _, id := range n.Outputs {
+			e.outs = append(e.outs, e.vals[id])
+		}
+		e.latch(faultFree)
+	}
+	for i, id := range n.DFFs {
+		e.state[i] = e.vals[id]
+	}
+	return e, nil
+}
+
+// reset puts the faulty machine in its power-on state: flip-flops at
+// zero, every other gate X.
+func (e *timeFrames) reset() {
+	for i := range e.vals {
+		e.vals[i] = logic.X
+	}
+	for _, id := range e.n.DFFs {
+		e.vals[id] = logic.Zero
+	}
+}
+
+// run restarts the faulty machine from reset and clocks it through the
+// stimuli with f applied — a stuck-at in every cycle, an SEU or SET only
+// at cycle inj — stopping at the first output mismatch. It returns the
+// outcome and the number of cycles simulated.
+func (e *timeFrames) run(f fault.Fault, inj int) (TransientOutcome, int) {
+	e.reset()
+	width := len(e.n.Outputs)
+	for cyc := range e.stimuli {
+		e.stepFrame(f, cyc, cyc == inj)
+		for i, id := range e.n.Outputs {
+			if e.vals[id] != e.outs[cyc*width+i] {
+				return SDC, cyc + 1
 			}
-			continue
 		}
-		var v logic.V
-		if id == f.Gate && f.Pin >= 0 {
-			v = sim.EvalGateWithPin(g, get, f.Pin, f.Value)
+		e.latch(f)
+	}
+	for i, id := range e.n.DFFs {
+		if e.vals[id] != e.state[i] {
+			return Latent, len(e.stimuli)
+		}
+	}
+	return Masked, len(e.stimuli)
+}
+
+// stepFrame loads cycle cyc's inputs and evaluates the combinational
+// logic with f applied. An SEU flips its site before the inputs load (so
+// only held state keeps the flip); a SET re-runs the cycle with its site
+// forced to the inverse of the value it just settled to.
+func (e *timeFrames) stepFrame(f fault.Fault, cyc int, inject bool) {
+	v := e.vals
+	if inject && f.Kind == fault.SEU {
+		v[f.Gate] = logic.Not(v[f.Gate])
+	}
+	// Short vectors leave the remaining inputs untouched.
+	for i, x := range e.stimuli[cyc] {
+		if i >= len(e.n.Inputs) {
+			break
+		}
+		v[e.n.Inputs[i]] = x
+	}
+	switch {
+	case f.Kind == fault.StuckAt:
+		e.c.RunVWithFault(v, e.scratch, sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+	case inject && f.Kind == fault.SET:
+		e.c.RunV(v)
+		e.c.RunVWithFault(v, e.scratch, sim.FaultSite{Gate: f.Gate, Pin: -1, SA: logic.Not(v[f.Gate])})
+	default:
+		e.c.RunV(v)
+	}
+}
+
+// latch clocks every flip-flop simultaneously from its D pin; a stuck D
+// pin latches its stuck value regardless of its driver.
+func (e *timeFrames) latch(f fault.Fault) {
+	for i, id := range e.n.DFFs {
+		if f.Kind == fault.StuckAt && id == f.Gate && f.Pin == 0 {
+			e.next[i] = f.Value
 		} else {
-			v = sim.EvalGate(g, get)
-		}
-		if id == f.Gate && f.Pin < 0 {
-			v = f.Value
-		}
-		e.SetValue(id, v)
-	}
-	out := e.Outputs()
-	// Latch D pins into DFFs (Step's tail), honouring forced values: a
-	// stuck D pin latches the stuck value regardless of its driver.
-	n := e.N
-	next := make([]logic.V, len(n.DFFs))
-	for i, id := range n.DFFs {
-		if id == f.Gate && f.Pin == 0 {
-			next[i] = f.Value
-		} else {
-			next[i] = e.Value(n.Gate(id).Fanin[0])
+			e.next[i] = e.vals[e.n.Gate(id).Fanin[0]]
 		}
 	}
-	for i, id := range n.DFFs {
-		e.SetValue(id, next[i])
+	for i, id := range e.n.DFFs {
+		e.vals[id] = e.next[i]
 	}
-	if f.Pin < 0 {
-		e.SetValue(f.Gate, f.Value) // a stuck site stays stuck across cycles
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strings"
 	"testing"
 
 	"rescue/internal/circuits"
@@ -94,5 +95,79 @@ func TestTimeFramesMatchSeedDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != seedTimeFrameDigest {
 		t.Errorf("time-frame digest = %s, want %s", got, seedTimeFrameDigest)
+	}
+}
+
+// TestTimeFrameInjectionZeroAlloc pins the engine's steady state: once
+// the golden trace is built, an injection — stuck-at output, pin and
+// D-pin faults, SEU and SET — allocates nothing.
+func TestTimeFrameInjectionZeroAlloc(t *testing.T) {
+	n := circuits.S27()
+	e, err := newTimeFrames(n, RandomPatterns(n, 16, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb := -1 // a two-input combinational gate
+	for _, g := range n.Gates {
+		if comb < 0 && g.Type != netlist.DFF && len(g.Fanin) == 2 {
+			comb = g.ID
+		}
+	}
+	faults := fault.List{
+		{Kind: fault.StuckAt, Gate: comb, Pin: -1, Value: logic.One},
+		{Kind: fault.StuckAt, Gate: comb, Pin: 1, Value: logic.Zero},
+		{Kind: fault.StuckAt, Gate: n.DFFs[0], Pin: 0, Value: logic.One},
+		{Kind: fault.SEU, Gate: n.DFFs[1], Pin: -1},
+		{Kind: fault.SET, Gate: comb, Pin: -1},
+	}
+	for _, f := range faults {
+		if allocs := testing.AllocsPerRun(20, func() { e.run(f, 3) }); allocs != 0 {
+			t.Errorf("%s: warm injection allocated %.1f times per run, want 0", f.Describe(n), allocs)
+		}
+	}
+}
+
+// TestTransientsRejectBadSitesBeforeSimulating is the regression test
+// for injectors that panicked on unknown gates and rejected a stuck-at
+// only after simulating up to the injection cycle.
+func TestTransientsRejectBadSitesBeforeSimulating(t *testing.T) {
+	n := circuits.S27()
+	stimuli := RandomPatterns(n, 6, 1)
+	for _, f := range []fault.Fault{
+		{Kind: fault.SEU, Gate: -1},
+		{Kind: fault.SET, Gate: 999},
+		{Kind: fault.StuckAt, Gate: n.DFFs[0], Pin: -1, Value: logic.One},
+	} {
+		if _, cycles, err := InjectTransient(n, stimuli, Injection{Fault: f, Cycle: 3}); err == nil || cycles != 0 {
+			t.Errorf("InjectTransient(%+v) = %d cycles, err %v; want an error before any cycle", f, cycles, err)
+		}
+		if _, err := ExhaustiveTransient(n, stimuli, fault.List{f}); err == nil {
+			t.Errorf("ExhaustiveTransient(%+v) must error", f)
+		}
+		if _, err := RandomTransient(n, stimuli, fault.List{f}, 10, 1); err == nil {
+			t.Errorf("RandomTransient(%+v) must error", f)
+		}
+	}
+	_, err := SequentialRun(n, fault.List{{Kind: fault.StuckAt, Gate: 999, Pin: -1}}, stimuli)
+	if err == nil || strings.Count(err.Error(), "faultsim:") != 1 {
+		t.Errorf("SequentialRun error = %v, want one faultsim-prefixed error", err)
+	}
+}
+
+// TestRandomTransientRejectsEmptySpace is the regression test for the
+// Intn panic on an empty fault list or empty stimuli.
+func TestRandomTransientRejectsEmptySpace(t *testing.T) {
+	n := circuits.S27()
+	stimuli := RandomPatterns(n, 6, 1)
+	seus := fault.AllSEU(n)
+	if _, err := RandomTransient(n, stimuli, nil, 10, 1); err == nil {
+		t.Error("sampling from an empty fault list must error")
+	}
+	if _, err := RandomTransient(n, nil, seus, 10, 1); err == nil {
+		t.Error("sampling from empty stimuli must error")
+	}
+	rep, err := RandomTransient(n, nil, nil, 0, 1)
+	if err != nil || rep.Injections != 0 {
+		t.Errorf("zero samples = %+v, %v; want an empty report", rep, err)
 	}
 }

@@ -285,7 +285,7 @@ func (c *Compiled) evalOpVals(op opcode, vals []logic.Word) logic.Word {
 
 // evalOpV is the scalar mirror of evalOpW: one gate evaluated from the
 // four-valued value array by index. Kept concrete (not generic) so the
-// tiny logic ops inline into the switch — the generic evalKernel pays a
+// tiny logic ops inline into the switch — a generic kernel pays a
 // dictionary-dispatched call per operand, which is measurable in the
 // PODEM implication loop.
 func evalOpV(op opcode, fan []int32, vals []logic.V) logic.V {
@@ -357,15 +357,37 @@ func (c *Compiled) RunV(values []logic.V) {
 	}
 }
 
-// EvalGateV evaluates the single gate id from the scalar value array.
-// Input/DFF gates return their held value. Event-driven propagators
-// (Evaluator.PropagateFrom) use it for closure-free re-evaluation.
-func (c *Compiled) EvalGateV(id int, values []logic.V) logic.V {
-	op := c.code[id]
-	if op == opHold {
-		return values[id]
+// RunVWithFault is the scalar twin of RunWithFault: one pass over values
+// with a stuck-at fault injected. An output fault forces the
+// site's value (an Input/DFF site up front, since it is never
+// recomputed); a pin fault makes only the faulty gate observe the stuck
+// value on that pin. scratch must hold at least maxFanin values (use
+// NewValueScratch). A DFF D-pin fault acts only at latch time, which is
+// the caller's clocking.
+func (c *Compiled) RunVWithFault(values, scratch []logic.V, f FaultSite) {
+	fg := int32(f.Gate)
+	if f.Pin < 0 && c.code[fg] == opHold {
+		values[fg] = f.SA
 	}
-	return evalOpV(op, c.fanin[c.faninOff[id]:c.faninOff[id+1]], values)
+	fanin, off := c.fanin, c.faninOff
+	for _, id := range c.schedule {
+		fan := fanin[off[id]:off[id+1]]
+		var v logic.V
+		switch {
+		case id == fg && f.Pin >= 0:
+			vals := scratch[:len(fan)]
+			for i, fi := range fan {
+				vals[i] = values[fi]
+			}
+			vals[f.Pin] = f.SA
+			v = c.evalOpValsV(c.code[id], vals)
+		case id == fg:
+			v = f.SA
+		default:
+			v = evalOpV(c.code[id], fan, values)
+		}
+		values[id] = v
+	}
 }
 
 // EvalGateVals evaluates the single combinational gate id from
@@ -377,7 +399,7 @@ func (c *Compiled) EvalGateVals(id int, vals []logic.V) logic.V {
 }
 
 // NewValueScratch allocates the gather buffer EvalGateVals callers and
-// the dual-machine pass use for positional fanin values.
+// the scalar fault passes use for positional fanin values.
 func (c *Compiled) NewValueScratch() []logic.V { return make([]logic.V, c.maxFanin) }
 
 // RunDualWithFault performs the good/faulty scalar implication pass of
@@ -457,32 +479,6 @@ func (c *Compiled) RunWithFault(words, scratch []logic.Word, f FaultSite, mask u
 	}
 }
 
-// RunCone performs the fused incremental faulty pass over cone.Order:
-// only cone gates are evaluated into words, with out-of-cone fanins
-// taken from the good machine's word array. good must hold a completed
-// fault-free pass for the same pattern block; words is valid only for
-// cone gates afterwards. It returns the number of gates actually
-// evaluated — the exact cost of the pass.
-//
-// The pass first aligns the cone frontier — every out-of-cone fanin a
-// cone gate reads gets its good-machine word copied into words — so the
-// evaluation loop itself runs membership-test-free. Hot callers that
-// evaluate many cones against one good pass should maintain the
-// alignment invariant across calls and use RunConeAligned instead,
-// which skips even the frontier walk.
-func (c *Compiled) RunCone(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, mask uint64) int {
-	fanin, off := c.fanin, c.faninOff
-	for _, oid := range cone.Order {
-		id := int32(oid)
-		for _, fi := range fanin[off[id]:off[id+1]] {
-			if !cone.Contains(int(fi)) {
-				words[fi] = good[fi]
-			}
-		}
-	}
-	return c.runConeEval(words, good, scratch, cone, f, mask)
-}
-
 // RunConeAligned is the hot-path cone pass: it requires the alignment
 // invariant — words[i] == good[i] for every gate outside the cone (e.g.
 // established by one AlignTo per good pass) — evaluates the cone's gates
@@ -503,9 +499,9 @@ func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netli
 	return diff, evals
 }
 
-// runConeEval is the cone evaluation loop shared by RunCone and
-// RunConeAligned. It assumes every out-of-cone word a cone gate reads
-// already equals its good-machine value.
+// runConeEval is the cone evaluation loop of RunConeAligned. It assumes
+// every out-of-cone word a cone gate reads already equals its
+// good-machine value.
 //
 // In every standard use the fault site is the cone's root (the cone was
 // grown from it), so the fault is applied once while evaluating the

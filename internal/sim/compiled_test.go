@@ -115,9 +115,10 @@ func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 }
 
 // TestCompiledFaultPassesMatchInterpretedOnRegistry pins the compiled
-// faulty passes — full RunWithFault, the cone pass, and the aligned
-// fused cone pass — to the interpreted oracles over sampled stuck-at
-// sites of every registry circuit.
+// faulty passes — full RunWithFault, its scalar twin RunVWithFault, the
+// cone evaluation loop, and the aligned fused cone pass — to the
+// interpreted oracles over sampled stuck-at sites of every registry
+// circuit.
 func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, name := range circuits.Names() {
@@ -154,13 +155,35 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 				}
 			}
 
+			// The scalar faulty pass must equal every slot of the packed one.
+			vals, scratch := make([]logic.V, n.NumGates()), badC.c.NewValueScratch()
+			for k := range patterns {
+				for id := range vals {
+					vals[id] = logic.X
+				}
+				for i, id := range n.Inputs {
+					vals[id] = patterns[k][i]
+				}
+				for di, id := range n.DFFs {
+					vals[id] = states[k][di]
+				}
+				badC.c.RunVWithFault(vals, scratch, site)
+				for id := range vals {
+					if got := badC.Word(id).Get(uint(k)); got != vals[id] {
+						t.Fatalf("%s: fault %d pattern %d gate %q: RunVWithFault %v != packed slot %v",
+							name, fi, k, n.Gate(id).Name, vals[id], got)
+					}
+				}
+			}
+
 			cone, err := n.FanoutConeOrdered(f.Gate)
 			if err != nil {
 				t.Fatalf("%s: cone of %d: %v", name, f.Gate, err)
 			}
 			coneC, _ := NewPacked(n)
 			coneI, _ := NewPacked(n)
-			evC := coneC.RunConeWithFault(good, cone, site, ^uint64(0))
+			coneC.AlignTo(good)
+			evC := coneC.c.runConeEval(coneC.words, good.words, coneC.scratch, cone, site, ^uint64(0))
 			evI := coneI.runConeWithFaultInterpreted(good, cone, site, ^uint64(0))
 			if evC != evI {
 				t.Fatalf("%s: fault %d: cone eval count compiled %d != interpreted %d", name, fi, evC, evI)
@@ -256,7 +279,7 @@ func TestKernelVariantsAgree(t *testing.T) {
 			g := n.Gate(id)
 			getV := func(i int) logic.V { return vals[i] }
 			getW := func(i int) logic.Word { return words[i] }
-			if got, want := c.EvalGateV(id, vals), EvalGate(g, getV); got != want {
+			if got, want := evalOpV(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], vals), EvalGate(g, getV); got != want {
 				t.Fatalf("spec %d: compiled scalar %v != generic %v", gi, got, want)
 			}
 			gathered := scratchV[:len(g.Fanin)]

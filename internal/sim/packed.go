@@ -15,8 +15,7 @@ import (
 // it owns only its word-state array (and a small fanin gather buffer),
 // while the structure — op array, fanin arena, evaluation schedule — is
 // compiled once per netlist and shared by every simulator over it. The
-// pre-compilation interpreted passes are kept as unexported
-// runInterpreted* oracles for the differential tests.
+// interpreted oracles it is pinned to live in oracle_test.go.
 type Packed struct {
 	N       *netlist.Netlist
 	c       *Compiled
@@ -69,46 +68,9 @@ func (p *Packed) LoadPatterns(patterns []logic.Vector) error {
 // Word returns the packed value of a gate.
 func (p *Packed) Word(id int) logic.Word { return p.words[id] }
 
-// evalGateW computes the packed output of gate g via get — the
-// interpreted (closure-per-fanin) evaluation, shared with the scalar
-// engine through evalKernel.
-func evalGateW(g *netlist.Gate, get func(int) logic.Word) logic.Word {
-	if g.Type == netlist.Input || g.Type == netlist.DFF {
-		return get(g.ID)
-	}
-	//lint:allow hotpath interpreted-oracle adapter: the closure feeds the shared evalKernel; the compiled machine (compiled.go) is the measured hot path
-	return evalKernel(wordOps{}, g.Type, len(g.Fanin), func(i int) logic.Word {
-		return get(g.Fanin[i])
-	})
-}
-
-// evalGateWPin evaluates g where exactly the pin-th fanin sees pinVal and
-// all other fanins see their true values (even if driven by the same net).
-func evalGateWPin(g *netlist.Gate, getTrue func(int) logic.Word, pin int, pinVal logic.Word) logic.Word {
-	//lint:allow hotpath interpreted-oracle adapter: the closure feeds the shared evalKernel; the compiled machine (compiled.go) is the measured hot path
-	return evalKernel(wordOps{}, g.Type, len(g.Fanin), func(i int) logic.Word {
-		if i == pin {
-			return pinVal
-		}
-		return getTrue(g.Fanin[i])
-	})
-}
-
 // Run performs one full combinational pass over all 64 slots on the
 // compiled machine.
 func (p *Packed) Run() { p.c.Run(p.words) }
-
-// runInterpreted is the pre-compilation Run path: a pointer-chasing,
-// closure-per-fanin interpretation of the netlist. It is retained as the
-// differential-test oracle (and the baseline side of BenchmarkCompiled);
-// results are bit-identical to Run.
-func (p *Packed) runInterpreted() {
-	get := func(id int) logic.Word { return p.words[id] }
-	for _, sid := range p.c.schedule {
-		id := int(sid)
-		p.words[id] = evalGateW(p.N.Gate(id), get)
-	}
-}
 
 // FaultSite describes a stuck-at site for RunWithFault: a gate and an
 // optional input pin (Pin < 0 addresses the gate output).
@@ -127,48 +89,6 @@ func (p *Packed) RunWithFault(f FaultSite, mask uint64) {
 	p.c.RunWithFault(p.words, p.scratch, f, mask)
 }
 
-// runWithFaultInterpreted is the pre-compilation RunWithFault path, kept
-// as the differential-test oracle for the compiled faulty pass.
-func (p *Packed) runWithFaultInterpreted(f FaultSite, mask uint64) {
-	forced := logic.WordAll(f.SA)
-	get := func(id int) logic.Word { return p.words[id] }
-	if f.Pin < 0 {
-		if t := p.N.Gate(f.Gate).Type; t == netlist.Input || t == netlist.DFF {
-			p.words[f.Gate] = mergeMask(p.words[f.Gate], forced, mask)
-		}
-	}
-	for _, sid := range p.c.schedule {
-		id := int(sid)
-		g := p.N.Gate(id)
-		var w logic.Word
-		if id == f.Gate && f.Pin >= 0 {
-			// A pin fault must only affect this one pin even when the
-			// same driver feeds several pins of this gate.
-			pinGate := g.Fanin[f.Pin]
-			w = evalGateWPin(g, get, f.Pin, mergeMask(p.words[pinGate], forced, mask))
-		} else {
-			w = evalGateW(g, get)
-		}
-		if id == f.Gate && f.Pin < 0 {
-			w = mergeMask(w, forced, mask)
-		}
-		p.words[id] = w
-	}
-}
-
-// RunConeWithFault performs an incremental faulty pass restricted to the
-// fault's fanout cone: only the cone's gates are (re)evaluated, with
-// out-of-cone fanins read directly from the good machine. good must be a
-// simulator over the same netlist holding a completed fault-free pass for
-// the same pattern block; p's own words are valid only for cone gates
-// afterwards (compare primary outputs via cone.Outputs). Gates outside
-// the cone cannot depend on the fault site, so the cone gates' words are
-// bit-identical to a full RunWithFault pass. It returns the number of
-// gates actually evaluated — the exact cost of the pass.
-func (p *Packed) RunConeWithFault(good *Packed, cone *netlist.Cone, f FaultSite, mask uint64) int {
-	return p.c.RunCone(p.words, good.words, p.scratch, cone, f, mask)
-}
-
 // AlignTo copies the good machine's complete word state into p,
 // establishing the alignment invariant RunConeAligned relies on: p's
 // words equal good's everywhere outside a cone pass. One AlignTo per
@@ -184,60 +104,12 @@ func (p *Packed) RunConeAligned(good *Packed, cone *netlist.Cone, f FaultSite, m
 	return p.c.RunConeAligned(p.words, good.words, p.scratch, cone, f, mask)
 }
 
-// runConeWithFaultInterpreted is the pre-compilation cone pass, kept as
-// the differential-test oracle for the fused compiled cone pass.
-func (p *Packed) runConeWithFaultInterpreted(good *Packed, cone *netlist.Cone, f FaultSite, mask uint64) int {
-	forced := logic.WordAll(f.SA)
-	get := func(id int) logic.Word {
-		if cone.Contains(id) {
-			return p.words[id]
-		}
-		return good.words[id]
-	}
-	evals := 0
-	for _, id := range cone.Order {
-		g := p.N.Gate(id)
-		if g.Type == netlist.Input || g.Type == netlist.DFF {
-			// Only the root can be a cone Input/DFF (nothing combinational
-			// drives them), and only an output-site fault forces it.
-			w := good.words[id]
-			if id == f.Gate && f.Pin < 0 {
-				w = mergeMask(w, forced, mask)
-			}
-			p.words[id] = w
-			continue
-		}
-		var w logic.Word
-		if id == f.Gate && f.Pin >= 0 {
-			pinGate := g.Fanin[f.Pin]
-			w = evalGateWPin(g, get, f.Pin, mergeMask(get(pinGate), forced, mask))
-		} else {
-			w = evalGateW(g, get)
-		}
-		if id == f.Gate && f.Pin < 0 {
-			w = mergeMask(w, forced, mask)
-		}
-		p.words[id] = w
-		evals++
-	}
-	return evals
-}
-
 // mergeMask returns base with the masked slots replaced by repl.
 func mergeMask(base, repl logic.Word, mask uint64) logic.Word {
 	return logic.Word{
 		V0: (base.V0 &^ mask) | (repl.V0 & mask),
 		V1: (base.V1 &^ mask) | (repl.V1 & mask),
 	}
-}
-
-// OutputWords returns the packed primary output values.
-func (p *Packed) OutputWords() []logic.Word {
-	out := make([]logic.Word, len(p.N.Outputs))
-	for i, id := range p.N.Outputs {
-		out[i] = p.words[id]
-	}
-	return out
 }
 
 // OutputVector extracts the scalar outputs of pattern slot k.

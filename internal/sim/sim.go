@@ -1,6 +1,6 @@
 // Package sim implements gate-level logic simulation over netlists: a
-// four-valued full-pass/event-driven scalar simulator used by ATPG and
-// sequential analysis, and a 64-pattern parallel packed simulator used by
+// four-valued full-pass scalar simulator used by ATPG and sequential
+// analysis, and a 64-pattern parallel packed simulator used by
 // fault simulation. DFF semantics are synchronous: a Step evaluates the
 // combinational logic, then latches all D pins simultaneously.
 package sim
@@ -38,11 +38,6 @@ func (e *Evaluator) Compiled() *Compiled { return e.c }
 // Value returns the current value of the gate with the given ID.
 func (e *Evaluator) Value(id int) logic.V { return e.values[id] }
 
-// SetInput assigns the idx-th primary input.
-func (e *Evaluator) SetInput(idx int, v logic.V) {
-	e.values[e.N.Inputs[idx]] = v
-}
-
 // SetInputs assigns all primary inputs from a vector. Short vectors leave
 // the remaining inputs untouched.
 func (e *Evaluator) SetInputs(vec logic.Vector) {
@@ -75,48 +70,10 @@ func (e *Evaluator) State() logic.Vector {
 	return out
 }
 
-// EvalGate computes the output of gate g from the values provided by get.
-// It is exported for reuse by ATPG and fault tools that evaluate gates
-// over hypothetical value assignments.
-func EvalGate(g *netlist.Gate, get func(int) logic.V) logic.V {
-	if g.Type == netlist.Input || g.Type == netlist.DFF {
-		return get(g.ID) // held values; not recomputed combinationally
-	}
-	//lint:allow hotpath interpreted-oracle adapter: the closure feeds the shared evalKernel; the compiled machine (compiled.go) is the measured hot path
-	return evalKernel(scalarOps{}, g.Type, len(g.Fanin), func(i int) logic.V {
-		return get(g.Fanin[i])
-	})
-}
-
-// EvalGateWithPin computes g's output where exactly the pin-th fanin sees
-// pinVal and every other fanin sees its true value from get — the scalar
-// counterpart of the packed simulator's pin-fault evaluation, used by
-// sequential stuck-at injection. The distinction matters when one driver
-// feeds several pins of the same gate: only the faulted pin is overridden.
-func EvalGateWithPin(g *netlist.Gate, get func(int) logic.V, pin int, pinVal logic.V) logic.V {
-	//lint:allow hotpath interpreted-oracle adapter: the closure feeds the shared evalKernel; the compiled machine (compiled.go) is the measured hot path
-	return evalKernel(scalarOps{}, g.Type, len(g.Fanin), func(i int) logic.V {
-		if i == pin {
-			return pinVal
-		}
-		return get(g.Fanin[i])
-	})
-}
-
 // Run performs one full combinational pass in topological order on the
 // compiled machine. Inputs and DFF states are consumed as-is; every
 // other gate is recomputed.
 func (e *Evaluator) Run() { e.c.RunV(e.values) }
-
-// runInterpreted is the pre-compilation Run path, retained as the
-// differential-test oracle; results are bit-identical to Run.
-func (e *Evaluator) runInterpreted() {
-	get := func(id int) logic.V { return e.values[id] }
-	for _, sid := range e.c.schedule {
-		id := int(sid)
-		e.values[id] = EvalGate(e.N.Gate(id), get)
-	}
-}
 
 // Outputs returns the current primary output values.
 func (e *Evaluator) Outputs() logic.Vector {
@@ -152,51 +109,3 @@ func (e *Evaluator) Step(inputs logic.Vector) logic.Vector {
 	}
 	return out
 }
-
-// PropagateFrom performs event-driven selective propagation after the
-// caller has modified the values of the given gates directly (e.g. a
-// fault injection or an SEU flip). Only the fanout cones are re-evaluated.
-// It returns the number of gates whose value changed.
-func (e *Evaluator) PropagateFrom(changed ...int) int {
-	// Process in level order using a simple bucket queue.
-	maxLvl := e.N.MaxLevel()
-	buckets := make([][]int, maxLvl+1)
-	inQueue := make(map[int]bool, len(changed)*4)
-	schedule := func(id int) {
-		if !inQueue[id] {
-			inQueue[id] = true
-			lvl := e.N.Gate(id).Level
-			buckets[lvl] = append(buckets[lvl], id)
-		}
-	}
-	for _, id := range changed {
-		for _, fo := range e.N.Gate(id).Fanout {
-			if g := e.N.Gate(fo); g.Type != netlist.DFF {
-				schedule(fo)
-			}
-		}
-	}
-	events := 0
-	for lvl := 0; lvl <= maxLvl; lvl++ {
-		for i := 0; i < len(buckets[lvl]); i++ {
-			id := buckets[lvl][i]
-			g := e.N.Gate(id)
-			nv := e.c.EvalGateV(id, e.values)
-			if nv == e.values[id] {
-				continue
-			}
-			e.values[id] = nv
-			events++
-			for _, fo := range g.Fanout {
-				if fg := e.N.Gate(fo); fg.Type != netlist.DFF {
-					schedule(fo)
-				}
-			}
-		}
-	}
-	return events
-}
-
-// SetValue overrides a gate value directly (used for fault/SEU injection
-// together with PropagateFrom).
-func (e *Evaluator) SetValue(id int, v logic.V) { e.values[id] = v }

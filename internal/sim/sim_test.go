@@ -387,29 +387,6 @@ func TestRunWithFaultPinSiteIsLocal(t *testing.T) {
 	}
 }
 
-func TestPropagateFromMatchesFullRun(t *testing.T) {
-	n := circuits.RandomCombinational(circuits.RandomOptions{Inputs: 10, Gates: 200, Outputs: 8, Seed: 9})
-	e, _ := New(n)
-	rng := rand.New(rand.NewSource(5))
-	vec := make(logic.Vector, 10)
-	for i := range vec {
-		vec[i] = logic.FromBool(rng.Intn(2) == 1)
-	}
-	e.Eval(vec)
-	// Flip one input and propagate incrementally.
-	flipped := vec.Clone()
-	flipped[3] = logic.Not(flipped[3])
-	e.SetInput(3, flipped[3])
-	e.PropagateFrom(n.Inputs[3])
-	incremental := e.Outputs().String()
-	// Reference: full re-run.
-	e2, _ := New(n)
-	full := e2.Eval(flipped).String()
-	if incremental != full {
-		t.Errorf("event-driven propagation diverged: %s vs %s", incremental, full)
-	}
-}
-
 func TestStepLatchesSimultaneously(t *testing.T) {
 	// Two-stage shift: q1 <- in, q2 <- q1. Simultaneous update means after
 	// one step with in=1 starting from 00, state is (1, 0) not (1, 1).
@@ -430,11 +407,12 @@ func TestStepLatchesSimultaneously(t *testing.T) {
 	}
 }
 
-func TestRunConeWithFaultMatchesFullPass(t *testing.T) {
-	// The cone-restricted incremental pass must produce bit-identical
-	// words for every cone gate (and, by construction, leave out-of-cone
-	// outputs equal to the good machine) for every stuck-at site —
-	// output and pin, s-a-0 and s-a-1 — on reconvergent circuits.
+func TestRunConeEvalMatchesFullPass(t *testing.T) {
+	// The cone-restricted incremental pass over an aligned machine must
+	// produce bit-identical words for every cone gate (and, by
+	// construction, leave out-of-cone outputs equal to the good machine)
+	// for every stuck-at site — output and pin, s-a-0 and s-a-1 — on
+	// reconvergent circuits.
 	for _, build := range []func() *netlist.Netlist{
 		circuits.C17,
 		func() *netlist.Netlist { return circuits.ArrayMultiplier(4) },
@@ -478,7 +456,8 @@ func TestRunConeWithFaultMatchesFullPass(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					evals := cone.RunConeWithFault(good, fc, site, ^uint64(0))
+					cone.AlignTo(good)
+					evals := cone.c.runConeEval(cone.words, good.words, cone.scratch, fc, site, ^uint64(0))
 					if evals != fc.Evals {
 						t.Fatalf("%s: site %+v evaluated %d gates, cone says %d",
 							n.Name, site, evals, fc.Evals)
