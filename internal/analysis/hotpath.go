@@ -10,11 +10,11 @@ import (
 // The hotpath analyzer mechanizes PR 6's instrumentation discipline:
 // the per-gate simulation kernels carry a measured <3% observability
 // budget precisely because nothing allocates or indirects inside them.
-// Within a declared list of kernel functions in internal/sim and
-// internal/faultsim it forbids closure creation, map operations, fmt
-// use and interface-dispatched calls anywhere, and obs calls inside
-// loops (per-call aggregate flushes after the loop are the blessed
-// pattern; per-gate counter bumps are the regression to catch).
+// Within a declared list of kernel functions in internal/sim,
+// internal/faultsim and internal/atpg it forbids closure creation, map
+// operations, fmt use and interface-dispatched calls anywhere, and obs
+// calls inside loops (per-call aggregate flushes after the loop are the
+// blessed pattern; per-gate counter bumps are the regression to catch).
 
 // hotSpec declares a package's hot functions by exact name and prefix.
 type hotSpec struct {
@@ -29,7 +29,7 @@ var hotFuncs = map[string]hotSpec{
 	"rescue/internal/sim": {
 		exact: map[string]bool{
 			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
-			"RunDualWithFault": true, "RunBlock": true,
+			"RunDualWithFault": true, "EvalDualWithFault": true, "RunBlock": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
@@ -48,6 +48,15 @@ var hotFuncs = map[string]hotSpec{
 			"stepFrame": true, "latch": true,
 		},
 		prefix: []string{"RunCone"},
+	},
+	"rescue/internal/atpg": {
+		// PODEM's per-decision work: event-driven implication (imply,
+		// its event loop and enqueue), the single D-frontier scan, the
+		// X-path search and the state classification.
+		exact: map[string]bool{
+			"imply": true, "propagate": true, "enqueueFanout": true,
+			"scanFrontier": true, "xPathExists": true, "state": true,
+		},
 	},
 }
 

@@ -11,13 +11,14 @@ import (
 	"rescue/internal/obs"
 )
 
-// ATPG instrumentation. PODEM call/backtrack counters are flushed once
-// per round (or per classification pass), and every deterministic round
-// — generation plus the sequential drop pass — records its wall-clock
-// into the round-latency histogram.
+// ATPG instrumentation. PODEM call, backtrack and implication gate-eval
+// counters are flushed once per round (or per classification pass), and
+// every deterministic round — generation plus the sequential drop pass —
+// records its wall-clock into the round-latency histogram.
 var (
 	obsPODEMCalls   = obs.NewCounter("atpg_podem_calls_total", "Deterministic PODEM searches performed.")
 	obsBacktracks   = obs.NewCounter("atpg_backtracks_total", "PODEM backtracks across all searches.")
+	obsImplyEvals   = obs.NewCounter("atpg_imply_gate_evals_total", "Gate evaluations (both machines) performed by PODEM implication.")
 	obsRoundSeconds = obs.NewHistogram("atpg_round_seconds", "Wall-clock of one deterministic test-and-drop round (generation + drop).", obs.DurationBuckets)
 )
 
@@ -289,9 +290,11 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		if err != nil {
 			return err
 		}
+		evals := 0
 		defer func() {
 			obsPODEMCalls.Add(int64(res.PODEMCalls))
 			obsBacktracks.Add(int64(res.Backtracks))
+			obsImplyEvals.Add(int64(evals))
 		}()
 		for _, fi := range pending {
 			g, err := safeGenerate(eng, faults[fi])
@@ -300,6 +303,7 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 			}
 			res.PODEMCalls++
 			res.Backtracks += g.backtracks
+			evals += g.evals
 			switch g.out {
 			case TestFound:
 				res.Status[fi] = fault.Detected
@@ -357,10 +361,12 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		if err := generateRound(engines, faults, round, gens); err != nil {
 			return err
 		}
+		evals := 0
 		for ri, fi := range round {
 			g := gens[ri]
 			res.PODEMCalls++
 			res.Backtracks += g.backtracks
+			evals += g.evals
 			if sess.StatusOf(fi) == fault.Detected {
 				// Dropped by an earlier vector of this same round; the
 				// speculatively generated test is redundant — discard it.
@@ -392,6 +398,7 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		}
 		obsPODEMCalls.Add(int64(res.PODEMCalls - callsBefore))
 		obsBacktracks.Add(int64(res.Backtracks - backtracksBefore))
+		obsImplyEvals.Add(int64(evals))
 		span.End()
 	}
 	return nil
@@ -403,6 +410,7 @@ type podemResult struct {
 	vec        logic.Vector
 	out        Outcome
 	backtracks int
+	evals      int
 }
 
 // safeGenerate runs one PODEM search with the campaign engine's
@@ -416,7 +424,7 @@ func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {
 		}
 	}()
 	vec, out := e.Generate(f)
-	return podemResult{vec: vec, out: out, backtracks: e.Backtracks()}, nil
+	return podemResult{vec: vec, out: out, backtracks: e.Backtracks(), evals: e.ImplyGateEvals()}, nil
 }
 
 // generateRound fills gens[i] for every round[i], fanning the targets
@@ -537,13 +545,24 @@ type Classification struct {
 }
 
 // ClassifyFaults runs PODEM over every fault on one shared engine and
-// returns the per-fault outcomes with the accumulated search cost.
+// returns the per-fault outcomes with the accumulated search cost. A
+// stuck-at whose site lies outside the circuit is an error, reported
+// before any search.
 func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classification, error) {
+	for i, f := range faults {
+		if f.Kind != fault.StuckAt {
+			continue
+		}
+		if err := fault.ValidateSite(n, f); err != nil {
+			return nil, fmt.Errorf("atpg: fault %d: %w", i, err)
+		}
+	}
 	eng, err := NewEngine(n, opt)
 	if err != nil {
 		return nil, err
 	}
 	c := &Classification{Outcomes: make([]Outcome, len(faults))}
+	evals := 0
 	for i, f := range faults {
 		_, c.Outcomes[i] = eng.Generate(f)
 		if c.Outcomes[i] == NotApplicable {
@@ -551,9 +570,11 @@ func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classi
 		}
 		c.Calls++
 		c.Backtracks += eng.Backtracks()
+		evals += eng.ImplyGateEvals()
 	}
 	obsPODEMCalls.Add(int64(c.Calls))
 	obsBacktracks.Add(int64(c.Backtracks))
+	obsImplyEvals.Add(int64(evals))
 	return c, nil
 }
 

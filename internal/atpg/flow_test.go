@@ -258,3 +258,57 @@ func TestGenerateTestsSessionCountersPopulated(t *testing.T) {
 			res.DiscardedTests, res.PODEMCalls)
 	}
 }
+
+// TestClassifyFaultsRejectsBadSites is the regression test for the index
+// panic that a stuck-at on an unknown gate or pin raised inside
+// implication, taking IdentifyUntestable and fusa.CrossCheck down.
+func TestClassifyFaultsRejectsBadSites(t *testing.T) {
+	n := circuits.C17()
+	good := fault.Fault{Kind: fault.StuckAt, Gate: n.Outputs[0], Pin: -1, Value: logic.One}
+	for _, bad := range []fault.Fault{
+		{Kind: fault.StuckAt, Gate: -1, Pin: -1, Value: logic.Zero},
+		{Kind: fault.StuckAt, Gate: 999, Pin: -1, Value: logic.One},
+		{Kind: fault.StuckAt, Gate: n.Outputs[0], Pin: 7, Value: logic.Zero},
+	} {
+		if _, err := ClassifyFaults(n, fault.List{good, bad}, Options{}); err == nil {
+			t.Errorf("ClassifyFaults(%+v) must error", bad)
+		}
+		if _, err := IdentifyUntestable(n, fault.List{good, bad}, Options{}); err == nil {
+			t.Errorf("IdentifyUntestable(%+v) must error", bad)
+		}
+	}
+}
+
+// TestImplyGateEvalsCounted pins atpg_imply_gate_evals_total to the
+// engine's exact per-search counts, each of which includes at least the
+// search's first full pass.
+func TestImplyGateEvalsCounted(t *testing.T) {
+	n := combRegistry(t, "mul4")
+	faults := fault.Collapse(n, fault.AllStuckAt(n))
+	eng, err := NewEngine(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, f := range faults {
+		eng.Generate(f)
+		if eng.ImplyGateEvals() < eng.c.ScheduleLen() {
+			t.Fatalf("%s: %d implication evals, below one full pass", f.Describe(n), eng.ImplyGateEvals())
+		}
+		want += eng.ImplyGateEvals()
+	}
+	before := obsImplyEvals.Value()
+	if _, err := ClassifyFaults(n, faults, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := obsImplyEvals.Value() - before; got != int64(want) {
+		t.Errorf("classification counted %d implication evals, want %d", got, want)
+	}
+	before = obsImplyEvals.Value()
+	if _, err := GenerateTests(n, faults, FlowOptions{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if obsImplyEvals.Value() == before {
+		t.Error("GenerateTests flushed no implication evals")
+	}
+}

@@ -60,6 +60,12 @@ const DefaultBacktrackLimit = 20000
 
 // Engine generates tests for one circuit. It is not safe for concurrent
 // use; create one Engine per goroutine.
+//
+// Implication is event-driven: gv/fv stay consistent with piVal for a
+// whole Generate call. The first imply of a target is one full
+// RunDualWithFault pass; after that every piVal write goes through setPI,
+// which records the input as dirty, and imply re-evaluates only the
+// fanout of the dirty inputs whose values changed, level by level.
 type Engine struct {
 	n       *netlist.Netlist
 	c       *sim.Compiled // shared compiled machine driving imply
@@ -68,11 +74,49 @@ type Engine struct {
 	fv      []logic.V // faulty-machine values
 	scratch []logic.V // fanin gather buffer for pin-fault evaluation
 	piVal   []logic.V // current PI assignment, indexed like n.Inputs
-	piIdx   map[int]int
+	piOf    []int32   // gate ID -> PI index, -1 for non-inputs
+	outBits []uint64  // PO membership bitset over gate IDs
+	level   []int32   // combinational level per gate ID
+
+	// Flat fanout arena: fanout[fanoutOff[id]:fanoutOff[id+1]] are the
+	// gates reading gate id (one entry per reading pin).
+	fanoutOff []int32
+	fanout    []int32
+
+	// Event queue: one bucket per level, laid out in queue at
+	// levelOff[l] with qlen[l] entries; queued dedups multi-pin fanouts.
+	queue    []int32
+	levelOff []int32
+	qlen     []int32
+	queued   []bool
+
+	// Inputs written since the last imply; fullPass forces a full dual
+	// pass (the first imply of a target).
+	dirty    []int32
+	ndirty   int
+	piDirty  []bool
+	fullPass bool
+
+	frontier []int32  // D-frontier of the current assignment, in gate-ID order
+	seen     []uint32 // xPathExists visit stamps
+	epoch    uint32
+	dfs      []int32 // xPathExists explicit stack
+	stack    []frame // Generate's decision stack
 
 	target     fault.Fault
+	site       sim.FaultSite
+	siteNet    int32 // line whose good value activates the target
 	backtracks int
+	evals      int
 	limit      int
+}
+
+// frame is one PODEM decision: an input assignment, and whether its
+// alternative has been tried.
+type frame struct {
+	pi      int32
+	val     logic.V
+	flipped bool
 }
 
 // NewEngine builds an ATPG engine for a combinational circuit. For
@@ -89,20 +133,62 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	ng := n.NumGates()
 	e := &Engine{
 		n: n, c: c, cc: cc,
-		gv:      make([]logic.V, n.NumGates()),
-		fv:      make([]logic.V, n.NumGates()),
-		scratch: c.NewValueScratch(),
-		piVal:   make([]logic.V, len(n.Inputs)),
-		piIdx:   make(map[int]int, len(n.Inputs)),
-		limit:   opt.BacktrackLimit,
+		gv:        make([]logic.V, ng),
+		fv:        make([]logic.V, ng),
+		scratch:   c.NewValueScratch(),
+		piVal:     make([]logic.V, len(n.Inputs)),
+		piOf:      make([]int32, ng),
+		outBits:   make([]uint64, (ng+63)/64),
+		level:     make([]int32, ng),
+		fanoutOff: make([]int32, ng+1),
+		queue:     make([]int32, ng),
+		levelOff:  make([]int32, n.MaxLevel()+2),
+		qlen:      make([]int32, n.MaxLevel()+1),
+		queued:    make([]bool, ng),
+		dirty:     make([]int32, len(n.Inputs)),
+		piDirty:   make([]bool, len(n.Inputs)),
+		frontier:  make([]int32, 0, ng),
+		seen:      make([]uint32, ng),
+		dfs:       make([]int32, 0, ng),
+		stack:     make([]frame, 0, len(n.Inputs)),
+		limit:     opt.BacktrackLimit,
 	}
 	if e.limit <= 0 {
 		e.limit = DefaultBacktrackLimit
 	}
+	for id := range e.piOf {
+		e.piOf[id] = -1
+	}
 	for i, id := range n.Inputs {
-		e.piIdx[id] = i
+		e.piOf[id] = int32(i)
+	}
+	for _, id := range n.Outputs {
+		e.outBits[id/64] |= 1 << (id % 64)
+	}
+	for id := 0; id < ng; id++ {
+		l := int32(n.Gate(id).Level)
+		e.level[id] = l
+		e.levelOff[l+1]++
+		for _, fi := range c.Fanin(id) {
+			e.fanoutOff[fi+1]++
+		}
+	}
+	for l := 1; l < len(e.levelOff); l++ {
+		e.levelOff[l] += e.levelOff[l-1]
+	}
+	for id := 0; id < ng; id++ {
+		e.fanoutOff[id+1] += e.fanoutOff[id]
+	}
+	e.fanout = make([]int32, e.fanoutOff[ng])
+	fill := append([]int32(nil), e.fanoutOff[:ng]...)
+	for id := 0; id < ng; id++ {
+		for _, fi := range c.Fanin(id) {
+			e.fanout[fill[fi]] = int32(id)
+			fill[fi]++
+		}
 	}
 	return e, nil
 }
@@ -111,52 +197,18 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 // one value per primary input, with X marking don't-cares. Non-stuck-at
 // faults are skipped without searching and report NotApplicable.
 func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
+	e.backtracks, e.evals = 0, 0
 	if f.Kind != fault.StuckAt {
-		e.backtracks = 0
 		return nil, NotApplicable
 	}
-	e.target = f
-	e.backtracks = 0
-	for i := range e.piVal {
-		e.piVal[i] = logic.X
-	}
-
-	type frame struct {
-		pi      int
-		val     logic.V
-		flipped bool
-	}
-	var stack []frame
-	// backtrack flips the most recent unflipped assignment; it reports
-	// false when the whole search space is exhausted.
-	backtrack := func() (bool, Outcome) {
-		for {
-			if len(stack) == 0 {
-				return false, ProvenUntestable
-			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				e.backtracks++
-				if e.backtracks > e.limit {
-					return false, AbortedLimit
-				}
-				top.val = logic.Not(top.val)
-				top.flipped = true
-				e.piVal[top.pi] = top.val
-				return true, TestFound
-			}
-			e.piVal[top.pi] = logic.X
-			stack = stack[:len(stack)-1]
-		}
-	}
+	e.retarget(f)
 	for {
 		e.imply()
 		switch e.state() {
 		case stateDetected:
 			return append(logic.Vector(nil), e.piVal...), TestFound
 		case stateConflict:
-			ok, why := backtrack()
-			if !ok {
+			if ok, why := e.backtrack(); !ok {
 				return nil, why
 			}
 			continue
@@ -165,8 +217,7 @@ func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
 		objGate, objVal, ok := e.objective()
 		if !ok {
 			// No achievable objective left with current assignments.
-			okBT, why := backtrack()
-			if !okBT {
+			if okBT, why := e.backtrack(); !okBT {
 				return nil, why
 			}
 			continue
@@ -174,14 +225,67 @@ func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
 		pi, v := e.backtrace(objGate, objVal)
 		if e.piVal[pi].Known() {
 			// Backtrace landed on an assigned PI: heuristic dead end.
-			okBT, why := backtrack()
-			if !okBT {
+			if okBT, why := e.backtrack(); !okBT {
 				return nil, why
 			}
 			continue
 		}
-		e.piVal[pi] = v
-		stack = append(stack, frame{pi: pi, val: v})
+		e.setPI(pi, v)
+		e.stack = append(e.stack, frame{pi: int32(pi), val: v})
+	}
+}
+
+// retarget starts a search for f: every input back to X, an empty
+// decision stack, and a full implication pass pending.
+func (e *Engine) retarget(f fault.Fault) {
+	e.target = f
+	e.site = sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}
+	e.siteNet = int32(f.Gate)
+	if f.Pin >= 0 {
+		e.siteNet = e.c.Fanin(f.Gate)[f.Pin]
+	}
+	for i := range e.piVal {
+		e.piVal[i] = logic.X
+	}
+	for _, pi := range e.dirty[:e.ndirty] {
+		e.piDirty[pi] = false
+	}
+	e.ndirty = 0
+	e.stack = e.stack[:0]
+	e.fullPass = true
+}
+
+// setPI is the single writer of piVal after retarget: it records the
+// input as dirty so the next imply re-evaluates its fanout.
+func (e *Engine) setPI(pi int, v logic.V) {
+	e.piVal[pi] = v
+	if !e.piDirty[pi] {
+		e.piDirty[pi] = true
+		e.dirty[e.ndirty] = int32(pi)
+		e.ndirty++
+	}
+}
+
+// backtrack flips the most recent unflipped assignment; it reports
+// false when the whole search space is exhausted or the limit is hit.
+func (e *Engine) backtrack() (bool, Outcome) {
+	for {
+		if len(e.stack) == 0 {
+			return false, ProvenUntestable
+		}
+		top := &e.stack[len(e.stack)-1]
+		if !top.flipped {
+			e.backtracks++
+			if e.backtracks > e.limit {
+				return false, AbortedLimit
+			}
+			top.val = logic.Not(top.val)
+			top.flipped = true
+			e.setPI(int(top.pi), top.val)
+			return true, TestFound
+		}
+		e.setPI(int(top.pi), logic.X)
+		e.stack = e.stack[:len(e.stack)-1]
 	}
 }
 
@@ -189,6 +293,11 @@ func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
 // performed — the dominant deterministic-search cost metric, surfaced by
 // the flow and cross-check timing outputs.
 func (e *Engine) Backtracks() int { return e.backtracks }
+
+// ImplyGateEvals reports how many gate evaluations the most recent
+// Generate call's implication performed, the first full pass included;
+// one evaluation covers the gate in both machines.
+func (e *Engine) ImplyGateEvals() int { return e.evals }
 
 type searchState uint8
 
@@ -198,28 +307,88 @@ const (
 	stateUndetermined
 )
 
-// imply simulates both machines under the current PI assignment: one
-// compiled dual pass evaluating the good values into gv and the faulty
-// values (with the target fault applied) into fv.
+// imply brings gv/fv to the values of both machines under the current
+// PI assignment. The first call for a target is one compiled dual pass.
+// Later calls load only the dirty inputs (an input-site output fault
+// keeps its forced faulty value) and propagate from those that changed.
+// Values are a pure function of the assignment, so the level-ordered
+// event pass reaches exactly the full pass's values, and undoing an
+// assignment is just another event on that input's cone.
 func (e *Engine) imply() {
-	for i, id := range e.n.Inputs {
-		e.gv[id] = e.piVal[i]
-		e.fv[id] = e.piVal[i]
+	gv, fv := e.gv, e.fv
+	if e.fullPass {
+		for i, id := range e.n.Inputs {
+			gv[id] = e.piVal[i]
+			fv[id] = e.piVal[i]
+		}
+		e.c.RunDualWithFault(gv, fv, e.scratch, e.site)
+		e.evals += e.c.ScheduleLen()
+		e.fullPass = false
+		return
 	}
-	f := e.target
-	e.c.RunDualWithFault(e.gv, e.fv, e.scratch,
-		sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+	var hi int32
+	for _, pi := range e.dirty[:e.ndirty] {
+		e.piDirty[pi] = false
+		id := int32(e.n.Inputs[pi])
+		g, f := e.piVal[pi], e.piVal[pi]
+		if int(id) == e.site.Gate && e.site.Pin < 0 {
+			f = e.site.SA
+		}
+		if g == gv[id] && f == fv[id] {
+			continue
+		}
+		gv[id], fv[id] = g, f
+		hi = e.enqueueFanout(id, hi)
+	}
+	e.ndirty = 0
+	e.evals += e.propagate(hi)
 }
 
-// faultSiteGood returns the good-machine value at the faulty line.
-func (e *Engine) faultSiteGood() logic.V {
-	if e.target.Pin < 0 {
-		return e.gv[e.target.Gate]
+// enqueueFanout queues every not-yet-queued reader of gate id in its
+// level bucket and returns the highest queued level seen so far.
+func (e *Engine) enqueueFanout(id, hi int32) int32 {
+	for _, fo := range e.fanout[e.fanoutOff[id]:e.fanoutOff[id+1]] {
+		if e.queued[fo] {
+			continue
+		}
+		e.queued[fo] = true
+		l := e.level[fo]
+		e.queue[e.levelOff[l]+e.qlen[l]] = fo
+		e.qlen[l]++
+		if l > hi {
+			hi = l
+		}
 	}
-	return e.gv[e.n.Gate(e.target.Gate).Fanin[e.target.Pin]]
+	return hi
 }
 
-// state classifies the current search position.
+// propagate drains the event queue in level order up to level hi (which
+// grows as events fan out) and returns the number of gates evaluated. A
+// gate's readers are queued only when its good or faulty value changed.
+// Readers sit at strictly higher levels, so a bucket never grows while
+// it drains.
+func (e *Engine) propagate(hi int32) int {
+	evals := 0
+	for l := int32(1); l <= hi; l++ {
+		q := e.queue[e.levelOff[l] : e.levelOff[l]+e.qlen[l]]
+		e.qlen[l] = 0
+		for _, id := range q {
+			e.queued[id] = false
+			g, f := e.c.EvalDualWithFault(id, e.gv, e.fv, e.scratch, e.site)
+			evals++
+			if g == e.gv[id] && f == e.fv[id] {
+				continue
+			}
+			e.gv[id], e.fv[id] = g, f
+			hi = e.enqueueFanout(id, hi)
+		}
+	}
+	return evals
+}
+
+// state classifies the current search position. Once the fault is
+// activated it scans the D-frontier into e.frontier, which objective
+// then reads: one scan per decision.
 func (e *Engine) state() searchState {
 	// Detected: any PO differs with both values known.
 	for _, o := range e.n.Outputs {
@@ -227,13 +396,14 @@ func (e *Engine) state() searchState {
 			return stateDetected
 		}
 	}
-	site := e.faultSiteGood()
+	site := e.gv[e.siteNet]
 	if site.Known() && site == e.target.Value {
 		return stateConflict // fault can no longer be activated
 	}
 	if site.Known() {
 		// Activated: require a non-empty D-frontier with an X-path.
-		if len(e.dFrontier()) == 0 {
+		e.scanFrontier()
+		if len(e.frontier) == 0 {
 			return stateConflict
 		}
 		if !e.xPathExists() {
@@ -243,70 +413,67 @@ func (e *Engine) state() searchState {
 	return stateUndetermined
 }
 
-// dFrontier lists gates whose output is undetermined in at least one
-// machine while some fanin already carries a D/D' discrepancy. For an
-// input-pin fault the discrepancy materialises inside the faulted gate
-// (the driving net itself carries equal values in both machines), so that
-// gate seeds the frontier once the fault is activated.
-func (e *Engine) dFrontier() []int {
-	var frontier []int
-	for _, g := range e.n.Gates {
-		if g.Type == netlist.Input {
+// scanFrontier lists, in gate-ID order, the gates whose output is
+// undetermined in at least one machine while some fanin already carries
+// a D/D' discrepancy. For an input-pin fault the discrepancy
+// materialises inside the faulted gate (the driving net itself carries
+// equal values in both machines), so that gate seeds the frontier once
+// the fault is activated.
+func (e *Engine) scanFrontier() {
+	fr := e.frontier[:0]
+	pinGate := int32(-1)
+	if site := e.gv[e.siteNet]; e.target.Pin >= 0 && site.Known() && site != e.target.Value {
+		pinGate = int32(e.target.Gate)
+	}
+	for id := int32(0); id < int32(len(e.gv)); id++ {
+		if e.piOf[id] >= 0 || (e.gv[id].Known() && e.fv[id].Known()) {
 			continue
 		}
-		if e.gv[g.ID].Known() && e.fv[g.ID].Known() {
+		if id == pinGate {
+			fr = append(fr, id)
 			continue
 		}
-		if e.target.Pin >= 0 && g.ID == e.target.Gate {
-			if site := e.faultSiteGood(); site.Known() && site != e.target.Value {
-				frontier = append(frontier, g.ID)
-				continue
-			}
-		}
-		for _, fi := range g.Fanin {
+		for _, fi := range e.c.Fanin(int(id)) {
 			if e.gv[fi].Known() && e.fv[fi].Known() && e.gv[fi] != e.fv[fi] {
-				frontier = append(frontier, g.ID)
+				fr = append(fr, id)
 				break
 			}
 		}
 	}
-	return frontier
+	e.frontier = fr
 }
 
 // xPathExists checks whether any D-frontier gate reaches a primary output
-// through gates whose value is still undetermined.
+// through gates whose value is still undetermined. One visit stamp per
+// call serves every frontier gate: a gate already visited from an
+// earlier frontier gate reaches no output, or the search would have
+// returned.
 func (e *Engine) xPathExists() bool {
-	isOut := make(map[int]bool, len(e.n.Outputs))
-	for _, o := range e.n.Outputs {
-		isOut[o] = true
+	e.epoch++
+	if e.epoch == 0 { // stamp wrap-around: forget every old visit
+		clear(e.seen)
+		e.epoch = 1
 	}
-	seen := make(map[int]bool)
-	var dfs func(id int) bool
-	dfs = func(id int) bool {
-		if seen[id] {
-			return false
+	stack := e.dfs[:0]
+	for _, g := range e.frontier {
+		if e.seen[g] == e.epoch {
+			continue
 		}
-		seen[id] = true
-		if isOut[id] {
-			return true
-		}
-		for _, fo := range e.n.Gate(id).Fanout {
-			if e.gv[fo].Known() && e.fv[fo].Known() {
-				continue
-			}
-			if dfs(fo) {
+		e.seen[g] = e.epoch
+		stack = append(stack, g)
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if e.outBits[id/64]&(1<<(id%64)) != 0 {
 				return true
 			}
-		}
-		return false
-	}
-	for _, g := range e.dFrontier() {
-		seen = make(map[int]bool)
-		if !(e.gv[g].Known() && e.fv[g].Known()) && isOut[g] {
-			return true
-		}
-		if dfs(g) {
-			return true
+			for _, fo := range e.fanout[e.fanoutOff[id]:e.fanoutOff[id+1]] {
+				if e.seen[fo] == e.epoch || (e.gv[fo].Known() && e.fv[fo].Known()) {
+					continue
+				}
+				e.seen[fo] = e.epoch
+				stack = append(stack, fo)
+			}
 		}
 	}
 	return false
@@ -315,29 +482,23 @@ func (e *Engine) xPathExists() bool {
 // objective returns the next (gate, value) goal: activate the fault if
 // its site is still X, otherwise advance the cheapest D-frontier gate.
 func (e *Engine) objective() (int, logic.V, bool) {
-	site := e.faultSiteGood()
-	if !site.Known() {
-		want := logic.Not(e.target.Value)
-		gate := e.target.Gate
-		if e.target.Pin >= 0 {
-			gate = e.n.Gate(e.target.Gate).Fanin[e.target.Pin]
-		}
-		return gate, want, true
+	if !e.gv[e.siteNet].Known() {
+		return int(e.siteNet), logic.Not(e.target.Value), true
 	}
-	frontier := e.dFrontier()
-	if len(frontier) == 0 {
+	// The fault is activated, so state has just scanned the frontier.
+	if len(e.frontier) == 0 {
 		return 0, logic.X, false
 	}
 	// Choose the frontier gate closest to a PO (lowest remaining depth
 	// approximated by highest level) and set one X input to the gate's
 	// non-controlling value.
-	best := frontier[0]
-	for _, g := range frontier[1:] {
-		if e.n.Gate(g).Level > e.n.Gate(best).Level {
+	best := e.frontier[0]
+	for _, g := range e.frontier[1:] {
+		if e.level[g] > e.level[best] {
 			best = g
 		}
 	}
-	g := e.n.Gate(best)
+	g := e.n.Gate(int(best))
 	nc, hasNC := nonControlling(g.Type)
 	for pinIdx, fi := range g.Fanin {
 		if e.gv[fi].Known() && e.fv[fi].Known() {
@@ -380,7 +541,7 @@ func (e *Engine) backtrace(gate int, val logic.V) (pi int, v logic.V) {
 	for {
 		g := e.n.Gate(id)
 		if g.Type == netlist.Input {
-			return e.piIdx[id], want
+			return int(e.piOf[id]), want
 		}
 		switch g.Type {
 		case netlist.Not:
@@ -413,7 +574,7 @@ func (e *Engine) backtrace(gate int, val logic.V) (pi int, v logic.V) {
 			}
 		default:
 			// DFF cannot appear in a combinational engine.
-			return e.piIdx[e.n.Inputs[0]], want
+			return 0, want
 		}
 	}
 }

@@ -5,11 +5,15 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"rescue/internal/circuits"
 	"rescue/internal/fault"
+	"rescue/internal/logic"
 	"rescue/internal/netlist"
+	"rescue/internal/sim"
 )
 
 // seedPODEMDigest pins every PODEM search result — outcome, vector and
@@ -58,5 +62,105 @@ func TestPODEMMatchesSeedDigest(t *testing.T) {
 	fmt.Fprintf(h, "classify %v %d %d\n", cls.Outcomes, cls.Calls, cls.Backtracks)
 	if got := hex.EncodeToString(h.Sum(nil)); got != seedPODEMDigest {
 		t.Errorf("PODEM digest = %s, want %s", got, seedPODEMDigest)
+	}
+}
+
+// impliedFaults samples stuck-at faults for the implication oracle: a
+// seeded draw from the uncollapsed list plus an output fault on a
+// primary input and a pin fault, which the draw may miss.
+func impliedFaults(n *netlist.Netlist, rng *rand.Rand) fault.List {
+	all := fault.AllStuckAt(n)
+	list := fault.List{{Kind: fault.StuckAt, Gate: n.Inputs[0], Pin: -1, Value: logic.One}}
+	for _, f := range all {
+		if f.Pin >= 0 {
+			list = append(list, f)
+			break
+		}
+	}
+	for i := 0; i < 10; i++ {
+		list = append(list, all[rng.Intn(len(all))])
+	}
+	return list
+}
+
+// TestIncrementalImplyMatchesFullPass keeps RunDualWithFault as the
+// oracle of event-driven implication: on every registry circuit, after
+// every imply of a seeded sequence of input assignments, flips and
+// clears (one to three per step, as a backtrack pops several), the
+// engine's good and faulty values must equal a fresh full pass.
+func TestIncrementalImplyMatchesFullPass(t *testing.T) {
+	for _, name := range circuits.Names() {
+		n := combRegistry(t, name)
+		eng, err := NewEngine(n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sim.Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n.NumGates())))
+		gv := make([]logic.V, n.NumGates())
+		fv := make([]logic.V, n.NumGates())
+		scratch := c.NewValueScratch()
+		for _, f := range impliedFaults(n, rng) {
+			eng.retarget(f)
+			for step := 0; step < 30; step++ {
+				for w := 0; step > 0 && w < 1+rng.Intn(3); w++ {
+					pi := rng.Intn(len(n.Inputs))
+					switch cur := eng.piVal[pi]; {
+					case !cur.Known():
+						eng.setPI(pi, logic.FromBool(rng.Intn(2) == 1))
+					case rng.Intn(2) == 0:
+						eng.setPI(pi, logic.Not(cur))
+					default:
+						eng.setPI(pi, logic.X)
+					}
+				}
+				eng.imply()
+				for i, id := range n.Inputs {
+					gv[id], fv[id] = eng.piVal[i], eng.piVal[i]
+				}
+				c.RunDualWithFault(gv, fv, scratch, sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+				if !reflect.DeepEqual(gv, eng.gv) || !reflect.DeepEqual(fv, eng.fv) {
+					t.Fatalf("%s: %s step %d: incremental values differ from the full pass", name, f.Describe(n), step)
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateWarmAllocations pins the zero-alloc search: once an engine
+// is warm, Generate allocates only the vector it returns on a testable
+// fault, and nothing on an untestable or aborted one.
+func TestGenerateWarmAllocations(t *testing.T) {
+	taut := netlist.New("taut") // y = OR(a, NOT(a)): y s-a-1 is redundant
+	a, _ := taut.AddInput("a")
+	na, _ := taut.AddGate("na", netlist.Not, a)
+	y, _ := taut.AddGate("y", netlist.Or, a, na)
+	_ = taut.MarkOutput(y)
+	seen := map[Outcome]bool{}
+	for _, n := range []*netlist.Netlist{combRegistry(t, "mul4"), taut} {
+		eng, err := NewEngine(n, Options{BacktrackLimit: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fault.Collapse(n, fault.AllStuckAt(n)) {
+			_, out := eng.Generate(f)
+			seen[out] = true
+			want := 0.0
+			if out == TestFound {
+				want = 1
+			}
+			if allocs := testing.AllocsPerRun(3, func() { eng.Generate(f) }); allocs != want {
+				t.Errorf("%s %s (%v): warm Generate allocated %.0f times, want %.0f",
+					n.Name, f.Describe(n), out, allocs, want)
+			}
+		}
+	}
+	for _, out := range []Outcome{TestFound, ProvenUntestable, AbortedLimit} {
+		if !seen[out] {
+			t.Errorf("no %v fault exercised", out)
+		}
 	}
 }

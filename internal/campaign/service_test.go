@@ -140,6 +140,7 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		"sim_gate_evals_total",
 		"artifact_cache_hits_total",
 		"atpg_podem_calls_total",
+		"atpg_imply_gate_evals_total",
 		"flow_stage_seconds_bucket",
 	} {
 		if !strings.Contains(body, series) {

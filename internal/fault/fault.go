@@ -64,6 +64,21 @@ func (f Fault) String() string {
 	return fmt.Sprintf("g%d SET", f.Gate)
 }
 
+// ValidateSite rejects a fault whose site lies outside the circuit: an
+// unknown gate, or a stuck-at pin beyond the gate's fanin. Only a
+// stuck-at addresses a pin; transients flip a gate's value. The error
+// carries no package prefix; callers add their own.
+func ValidateSite(n *netlist.Netlist, f Fault) error {
+	if f.Gate < 0 || f.Gate >= n.NumGates() {
+		return fmt.Errorf("fault references unknown gate id %d", f.Gate)
+	}
+	if f.Kind == StuckAt && f.Pin >= len(n.Gate(f.Gate).Fanin) {
+		return fmt.Errorf("fault on gate %q pin %d out of range (fanin %d)",
+			n.Gate(f.Gate).Name, f.Pin, len(n.Gate(f.Gate).Fanin))
+	}
+	return nil
+}
+
 // Describe renders the fault with gate names resolved from the netlist.
 func (f Fault) Describe(n *netlist.Netlist) string {
 	name := n.Gate(f.Gate).Name

@@ -80,20 +80,6 @@ func combGateCount(n *netlist.Netlist) int {
 	return n.NumGates() - len(n.Inputs) - len(n.DFFs)
 }
 
-// validateSite rejects fault sites that reference gates or pins outside
-// the circuit — previously these crashed or simulated silently wrong.
-// Only a stuck-at addresses a pin; transients flip a gate's value.
-func validateSite(n *netlist.Netlist, f fault.Fault) error {
-	if f.Gate < 0 || f.Gate >= n.NumGates() {
-		return fmt.Errorf("faultsim: fault references unknown gate id %d", f.Gate)
-	}
-	if f.Kind == fault.StuckAt && f.Pin >= 0 && f.Pin >= len(n.Gate(f.Gate).Fanin) {
-		return fmt.Errorf("faultsim: fault on gate %q pin %d out of range (fanin %d)",
-			n.Gate(f.Gate).Name, f.Pin, len(n.Gate(f.Gate).Fanin))
-	}
-	return nil
-}
-
 // detectionSlot folds a block-local diff mask into the report: the lowest
 // set bit across *all* compared outputs is the first detecting pattern.
 func (r *Report) detectionSlot(fi, base int, diff uint64) {
@@ -150,8 +136,8 @@ func RunFull(n *netlist.Netlist, faults fault.List, patterns []logic.Vector) (*R
 		if f.Kind != fault.StuckAt {
 			continue
 		}
-		if err := validateSite(n, f); err != nil {
-			return nil, err
+		if err := fault.ValidateSite(n, f); err != nil {
+			return nil, fmt.Errorf("faultsim: %w", err)
 		}
 	}
 	comb := int64(combGateCount(n))
@@ -234,8 +220,8 @@ func validateTransients(n *netlist.Netlist, faults fault.List) error {
 		if f.Kind != fault.SEU && f.Kind != fault.SET {
 			return fmt.Errorf("faultsim: transient injection needs SEU or SET, got %v", f.Kind)
 		}
-		if err := validateSite(n, f); err != nil {
-			return err
+		if err := fault.ValidateSite(n, f); err != nil {
+			return fmt.Errorf("faultsim: %w", err)
 		}
 	}
 	return nil
@@ -421,8 +407,8 @@ func SequentialRun(n *netlist.Netlist, faults fault.List, stimuli []logic.Vector
 		if f.Kind != fault.StuckAt {
 			continue
 		}
-		if err := validateSite(n, f); err != nil {
-			return nil, err
+		if err := fault.ValidateSite(n, f); err != nil {
+			return nil, fmt.Errorf("faultsim: %w", err)
 		}
 	}
 	e, err := newTimeFrames(n, stimuli)

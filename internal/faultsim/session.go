@@ -143,8 +143,8 @@ func NewSession(n *netlist.Netlist, faults fault.List) (*Session, error) {
 		if f.Kind != fault.StuckAt {
 			continue
 		}
-		if err := validateSite(n, f); err != nil {
-			return nil, err
+		if err := fault.ValidateSite(n, f); err != nil {
+			return nil, fmt.Errorf("faultsim: %w", err)
 		}
 		if s.cones[fi], err = n.FanoutConeOrdered(f.Gate); err != nil {
 			return nil, err

@@ -241,6 +241,22 @@ func TestCrossCheckFindsSeededMisclassifications(t *testing.T) {
 	}
 }
 
+// TestCrossCheckRejectsBadSites is the regression test for the index
+// panic a stuck-at on an unknown gate or pin raised inside the PODEM
+// classification: CrossCheck must return an error instead.
+func TestCrossCheckRejectsBadSites(t *testing.T) {
+	sc, _, _, _ := dupCircuit(t)
+	for _, bad := range []fault.Fault{
+		{Kind: fault.StuckAt, Gate: -1, Pin: -1, Value: logic.Zero},
+		{Kind: fault.StuckAt, Gate: 999, Pin: -1, Value: logic.One},
+		{Kind: fault.StuckAt, Gate: sc.FunctionalOutputs[0], Pin: 5, Value: logic.Zero},
+	} {
+		if _, err := CrossCheck(sc, fault.List{bad}, []FaultClass{Safe}, atpg.Options{}); err == nil {
+			t.Errorf("CrossCheck(%+v) must error", bad)
+		}
+	}
+}
+
 func TestFMECA(t *testing.T) {
 	table := FMECA{
 		{Component: "CPU", FailureMode: "lockup", Effect: "loss of control", Severity: 10, Occurrence: 2, Detection: 2},

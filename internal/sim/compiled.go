@@ -372,22 +372,29 @@ func (c *Compiled) RunVWithFault(values, scratch []logic.V, f FaultSite) {
 	fanin, off := c.fanin, c.faninOff
 	for _, id := range c.schedule {
 		fan := fanin[off[id]:off[id+1]]
-		var v logic.V
-		switch {
-		case id == fg && f.Pin >= 0:
-			vals := scratch[:len(fan)]
-			for i, fi := range fan {
-				vals[i] = values[fi]
-			}
-			vals[f.Pin] = f.SA
-			v = c.evalOpValsV(c.code[id], vals)
-		case id == fg:
-			v = f.SA
-		default:
-			v = evalOpV(c.code[id], fan, values)
+		if id == fg {
+			values[id] = c.evalOpFaultedV(c.code[id], fan, values, scratch, f)
+		} else {
+			values[id] = evalOpV(c.code[id], fan, values)
 		}
-		values[id] = v
 	}
+}
+
+// evalOpFaultedV evaluates the fault-site gate of a scalar fault pass:
+// an output fault yields the stuck value (every reader sees it), a pin
+// fault makes only that pin observe the stuck value, even when the same
+// net feeds several pins of the gate. scratch must hold at least
+// maxFanin values.
+func (c *Compiled) evalOpFaultedV(op opcode, fan []int32, values, scratch []logic.V, f FaultSite) logic.V {
+	if f.Pin < 0 {
+		return f.SA
+	}
+	vals := scratch[:len(fan)]
+	for i, fi := range fan {
+		vals[i] = values[fi]
+	}
+	vals[f.Pin] = f.SA
+	return c.evalOpValsV(op, vals)
 }
 
 // EvalGateVals evaluates the single combinational gate id from
@@ -417,23 +424,31 @@ func (c *Compiled) RunDualWithFault(gv, fv, scratch []logic.V, f FaultSite) {
 	for _, id := range c.schedule {
 		fan := fanin[off[id]:off[id+1]]
 		gv[id] = evalOpV(c.code[id], fan, gv)
-		var v logic.V
-		switch {
-		case id == fg && f.Pin >= 0:
-			vals := scratch[:len(fan)]
-			for i, fi := range fan {
-				vals[i] = fv[fi]
-			}
-			vals[f.Pin] = f.SA
-			v = c.evalOpValsV(c.code[id], vals)
-		case id == fg:
-			v = f.SA // output-site fault: every reader sees the stuck value
-		default:
-			v = evalOpV(c.code[id], fan, fv)
+		if id == fg {
+			fv[id] = c.evalOpFaultedV(c.code[id], fan, fv, scratch, f)
+		} else {
+			fv[id] = evalOpV(c.code[id], fan, fv)
 		}
-		fv[id] = v
 	}
 }
+
+// EvalDualWithFault evaluates the single combinational gate id in both
+// machines of RunDualWithFault, with the same fault handling, and
+// returns its good and faulty values without storing them. It is the
+// gate step of PODEM's event-driven implication, which re-evaluates
+// only the fanout of the inputs that changed.
+func (c *Compiled) EvalDualWithFault(id int32, gv, fv, scratch []logic.V, f FaultSite) (good, faulty logic.V) {
+	op, fan := c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]]
+	good = evalOpV(op, fan, gv)
+	if id == int32(f.Gate) {
+		return good, c.evalOpFaultedV(op, fan, fv, scratch, f)
+	}
+	return good, evalOpV(op, fan, fv)
+}
+
+// Fanin returns gate id's fanin gate IDs in pin order, as a read-only
+// view of the compiled fanin arena.
+func (c *Compiled) Fanin(id int) []int32 { return c.fanin[c.faninOff[id]:c.faninOff[id+1]] }
 
 // Run performs one fault-free full combinational pass over the machine
 // state in words (indexed by gate ID; inputs and DFF slots are consumed
