@@ -9,6 +9,7 @@ package aging
 
 import (
 	"math"
+	"math/bits"
 
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
@@ -90,18 +91,25 @@ func Recovery(dVth, recoveryFraction float64) float64 {
 // being logic 1 over the given stimulus set (combinational circuits).
 // For NBTI the PMOS stress duty of a gate is 1 - P(out=1) for inverting
 // stages; callers choose the mapping.
+//
+// The patterns run 64 at a time on packed passes, and each gate's ones
+// are counted from its word's V1 plane. Inputs past the end of a short
+// vector read X in that pattern, whatever the patterns before it held.
 func SignalProbabilities(n *netlist.Netlist, patterns []logic.Vector) ([]float64, error) {
-	e, err := sim.New(n)
+	p, err := sim.NewPacked(n)
 	if err != nil {
 		return nil, err
 	}
 	ones := make([]int, n.NumGates())
-	for _, pat := range patterns {
-		e.Eval(pat)
+	for base := 0; base < len(patterns); base += 64 {
+		block := patterns[base:min(base+64, len(patterns))]
+		if err := p.LoadPatterns(block); err != nil {
+			return nil, err
+		}
+		p.Run()
+		mask := ^uint64(0) >> (64 - len(block))
 		for id := range ones {
-			if e.Value(id) == logic.One {
-				ones[id]++
-			}
+			ones[id] += bits.OnesCount64(p.Word(id).V1 & mask)
 		}
 	}
 	probs := make([]float64, n.NumGates())

@@ -2,10 +2,12 @@ package aging
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rescue/internal/circuits"
 	"rescue/internal/faultsim"
+	"rescue/internal/logic"
 )
 
 func TestDeltaVthShape(t *testing.T) {
@@ -86,6 +88,50 @@ func TestSignalProbabilities(t *testing.T) {
 	}
 	if empty[0] != 0 {
 		t.Error("no patterns must give zero probabilities")
+	}
+}
+
+// TestSignalProbabilitiesShortVectorsReadX is the regression test for
+// short vectors reading the previous pattern's inputs: an input past a
+// vector's end reads X in that pattern, so the probabilities do not
+// depend on the pattern order.
+func TestSignalProbabilitiesShortVectorsReadX(t *testing.T) {
+	n := circuits.C17()
+	ones := logic.Vector{logic.One, logic.One, logic.One, logic.One, logic.One}
+	short := logic.Vector{logic.Zero, logic.Zero}
+	fwd, err := SignalProbabilities(n, []logic.Vector{ones, short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := SignalProbabilities(n, []logic.Vector{short, ones})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Errorf("reversed patterns changed the probabilities:\n%v\n%v", fwd, rev)
+	}
+	for _, id := range n.Inputs[2:] {
+		if fwd[id] != 0.5 {
+			t.Errorf("input %s: P(1) = %v, want 0.5 (1, then X)", n.Gate(id).Name, fwd[id])
+		}
+	}
+}
+
+// TestSignalProbabilitiesAllocsFlatInPatterns pins the packed passes'
+// allocation profile: a call allocates the same at 64 and at 4096
+// patterns.
+func TestSignalProbabilitiesAllocsFlatInPatterns(t *testing.T) {
+	n := circuits.RippleCarryAdder(8)
+	allocs := func(count int) float64 {
+		pats := faultsim.RandomPatterns(n, count, 1)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := SignalProbabilities(n, pats); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Errorf("SignalProbabilities allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
 	}
 }
 

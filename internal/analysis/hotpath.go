@@ -11,10 +11,11 @@ import (
 // the per-gate simulation kernels carry a measured <3% observability
 // budget precisely because nothing allocates or indirects inside them.
 // Within a declared list of kernel functions in internal/sim,
-// internal/faultsim and internal/atpg it forbids closure creation, map
-// operations, fmt use and interface-dispatched calls anywhere, and obs
-// calls inside loops (per-call aggregate flushes after the loop are the
-// blessed pattern; per-gate counter bumps are the regression to catch).
+// internal/faultsim, internal/atpg and internal/slicing it forbids
+// closure creation, map operations, fmt use and interface-dispatched
+// calls anywhere, and obs calls inside loops (per-call aggregate
+// flushes after the loop are the blessed pattern; per-gate counter
+// bumps are the regression to catch).
 
 // hotSpec declares a package's hot functions by exact name and prefix.
 type hotSpec struct {
@@ -56,6 +57,15 @@ var hotFuncs = map[string]hotSpec{
 		exact: map[string]bool{
 			"imply": true, "propagate": true, "enqueueFanout": true,
 			"scanFrontier": true, "xPathExists": true, "state": true,
+		},
+	},
+	"rescue/internal/slicing": {
+		// The faulty overlay's per-injection work: the injection itself,
+		// its level-bucket drain and enqueue, the gate gather-and-eval
+		// and the overlay and good-slot reads.
+		exact: map[string]bool{
+			"inject": true, "propagate": true, "enqueueFanout": true,
+			"evalGate": true, "get": true, "goodVal": true,
 		},
 	},
 }

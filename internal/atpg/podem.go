@@ -78,11 +78,6 @@ type Engine struct {
 	outBits []uint64  // PO membership bitset over gate IDs
 	level   []int32   // combinational level per gate ID
 
-	// Flat fanout arena: fanout[fanoutOff[id]:fanoutOff[id+1]] are the
-	// gates reading gate id (one entry per reading pin).
-	fanoutOff []int32
-	fanout    []int32
-
 	// Event queue: one bucket per level, laid out in queue at
 	// levelOff[l] with qlen[l] entries; queued dedups multi-pin fanouts.
 	queue    []int32
@@ -136,25 +131,24 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	ng := n.NumGates()
 	e := &Engine{
 		n: n, c: c, cc: cc,
-		gv:        make([]logic.V, ng),
-		fv:        make([]logic.V, ng),
-		scratch:   c.NewValueScratch(),
-		piVal:     make([]logic.V, len(n.Inputs)),
-		piOf:      make([]int32, ng),
-		outBits:   make([]uint64, (ng+63)/64),
-		level:     make([]int32, ng),
-		fanoutOff: make([]int32, ng+1),
-		queue:     make([]int32, ng),
-		levelOff:  make([]int32, n.MaxLevel()+2),
-		qlen:      make([]int32, n.MaxLevel()+1),
-		queued:    make([]bool, ng),
-		dirty:     make([]int32, len(n.Inputs)),
-		piDirty:   make([]bool, len(n.Inputs)),
-		frontier:  make([]int32, 0, ng),
-		seen:      make([]uint32, ng),
-		dfs:       make([]int32, 0, ng),
-		stack:     make([]frame, 0, len(n.Inputs)),
-		limit:     opt.BacktrackLimit,
+		gv:       make([]logic.V, ng),
+		fv:       make([]logic.V, ng),
+		scratch:  c.NewValueScratch(),
+		piVal:    make([]logic.V, len(n.Inputs)),
+		piOf:     make([]int32, ng),
+		outBits:  make([]uint64, (ng+63)/64),
+		level:    make([]int32, ng),
+		queue:    make([]int32, ng),
+		levelOff: make([]int32, n.MaxLevel()+2),
+		qlen:     make([]int32, n.MaxLevel()+1),
+		queued:   make([]bool, ng),
+		dirty:    make([]int32, len(n.Inputs)),
+		piDirty:  make([]bool, len(n.Inputs)),
+		frontier: make([]int32, 0, ng),
+		seen:     make([]uint32, ng),
+		dfs:      make([]int32, 0, ng),
+		stack:    make([]frame, 0, len(n.Inputs)),
+		limit:    opt.BacktrackLimit,
 	}
 	if e.limit <= 0 {
 		e.limit = DefaultBacktrackLimit
@@ -172,23 +166,9 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		l := int32(n.Gate(id).Level)
 		e.level[id] = l
 		e.levelOff[l+1]++
-		for _, fi := range c.Fanin(id) {
-			e.fanoutOff[fi+1]++
-		}
 	}
 	for l := 1; l < len(e.levelOff); l++ {
 		e.levelOff[l] += e.levelOff[l-1]
-	}
-	for id := 0; id < ng; id++ {
-		e.fanoutOff[id+1] += e.fanoutOff[id]
-	}
-	e.fanout = make([]int32, e.fanoutOff[ng])
-	fill := append([]int32(nil), e.fanoutOff[:ng]...)
-	for id := 0; id < ng; id++ {
-		for _, fi := range c.Fanin(id) {
-			e.fanout[fill[fi]] = int32(id)
-			fill[fi]++
-		}
 	}
 	return e, nil
 }
@@ -347,7 +327,7 @@ func (e *Engine) imply() {
 // enqueueFanout queues every not-yet-queued reader of gate id in its
 // level bucket and returns the highest queued level seen so far.
 func (e *Engine) enqueueFanout(id, hi int32) int32 {
-	for _, fo := range e.fanout[e.fanoutOff[id]:e.fanoutOff[id+1]] {
+	for _, fo := range e.c.Fanout(int(id)) {
 		if e.queued[fo] {
 			continue
 		}
@@ -467,7 +447,7 @@ func (e *Engine) xPathExists() bool {
 			if e.outBits[id/64]&(1<<(id%64)) != 0 {
 				return true
 			}
-			for _, fo := range e.fanout[e.fanoutOff[id]:e.fanoutOff[id+1]] {
+			for _, fo := range e.c.Fanout(int(id)) {
 				if e.seen[fo] == e.epoch || (e.gv[fo].Known() && e.fv[fo].Known()) {
 					continue
 				}

@@ -364,15 +364,21 @@ func SampleSizeForMargin(e, z float64) int {
 
 // RandomPatterns generates count uniformly random fully specified input
 // vectors for the circuit, deterministically from seed.
+//
+// Each bit is rng.Intn(2) as math/rand computes it for a power of two,
+// bit 32 of Int63, so the stream is the one Intn would draw. The
+// vectors are carved from one backing array, each capped at its own
+// length so an append to one cannot write into the next.
 func RandomPatterns(n *netlist.Netlist, count int, seed int64) []logic.Vector {
 	rng := rand.New(rand.NewSource(seed))
+	width := len(n.Inputs)
+	backing := make(logic.Vector, count*width)
+	for i := range backing {
+		backing[i] = logic.FromBool(rng.Int63()>>32&1 == 1)
+	}
 	out := make([]logic.Vector, count)
 	for i := range out {
-		v := make(logic.Vector, len(n.Inputs))
-		for j := range v {
-			v[j] = logic.FromBool(rng.Intn(2) == 1)
-		}
-		out[i] = v
+		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
 	}
 	return out
 }

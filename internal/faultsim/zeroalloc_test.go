@@ -1,10 +1,12 @@
 package faultsim
 
 import (
+	"reflect"
 	"testing"
 
 	"rescue/internal/circuits"
 	"rescue/internal/fault"
+	"rescue/internal/logic"
 )
 
 // allocSink keeps Simulate results reachable so the compiler cannot
@@ -62,5 +64,31 @@ func TestSessionSimulateZeroAlloc(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomPatternsAllocsFlatInCount pins RandomPatterns' allocation
+// profile: every vector is carved from one backing array, so a call
+// allocates the same at 64 and at 4096 patterns.
+func TestRandomPatternsAllocsFlatInCount(t *testing.T) {
+	n := circuits.RippleCarryAdder(8)
+	allocs := func(count int) float64 {
+		return testing.AllocsPerRun(3, func() { _ = RandomPatterns(n, count, 1) })
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Errorf("RandomPatterns allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
+	}
+}
+
+// TestRandomPatternsVectorsAreCapped checks that the vectors sharing one
+// backing array are capped at their own length: appending to one must
+// not overwrite the next.
+func TestRandomPatternsVectorsAreCapped(t *testing.T) {
+	n := circuits.RippleCarryAdder(8)
+	pats := RandomPatterns(n, 3, 1)
+	next := pats[1].Clone()
+	_ = append(pats[0], logic.X)
+	if !reflect.DeepEqual(pats[1], next) {
+		t.Errorf("append to vector 0 changed vector 1: %v, want %v", pats[1], next)
 	}
 }

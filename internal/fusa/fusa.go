@@ -73,18 +73,28 @@ func (sc *SafetyCircuit) HasSM() bool { return len(sc.AlarmOutputs) > 0 }
 //   - detection without violation ⇒ MultiPointDetected;
 //   - neither, but the fault can reach a functional output ⇒ MultiPointLatent;
 //   - unobservable faults ⇒ Safe.
+//
+// Each block of up to 64 patterns is loaded into the good machine once;
+// the faulty machine is aligned to it before every fault's pass. A
+// stuck-at whose site lies outside the circuit is an error, reported
+// before any simulation.
 func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]FaultClass, error) {
 	if sc.N.IsSequential() {
 		return nil, fmt.Errorf("fusa: Classify expects a combinational (or scan-view) netlist")
+	}
+	for i, f := range faults {
+		if f.Kind != fault.StuckAt {
+			continue
+		}
+		if err := fault.ValidateSite(sc.N, f); err != nil {
+			return nil, fmt.Errorf("fusa: fault %d: %w", i, err)
+		}
 	}
 	good, err := sim.NewPacked(sc.N)
 	if err != nil {
 		return nil, err
 	}
-	bad, err := sim.NewPacked(sc.N)
-	if err != nil {
-		return nil, err
-	}
+	bad := good.Compiled().NewPacked()
 	type verdict struct{ violated, detected, violatedUndetected bool }
 	verdicts := make([]verdict, len(faults))
 	for base := 0; base < len(patterns); base += 64 {
@@ -108,9 +118,7 @@ func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]
 			if verdicts[fi].violatedUndetected {
 				continue // worst class already proven; drop
 			}
-			if err := bad.LoadPatterns(block); err != nil {
-				return nil, err
-			}
+			bad.AlignTo(good)
 			bad.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0))
 			var viol, det uint64
 			for _, o := range sc.FunctionalOutputs {

@@ -241,18 +241,36 @@ func TestCrossCheckFindsSeededMisclassifications(t *testing.T) {
 	}
 }
 
+// badSites returns stuck-ats on an unknown gate and on an out-of-range
+// pin of the circuit.
+func badSites(sc *SafetyCircuit) []fault.Fault {
+	return []fault.Fault{
+		{Kind: fault.StuckAt, Gate: -1, Pin: -1, Value: logic.Zero},
+		{Kind: fault.StuckAt, Gate: 999, Pin: -1, Value: logic.One},
+		{Kind: fault.StuckAt, Gate: sc.FunctionalOutputs[0], Pin: 5, Value: logic.Zero},
+	}
+}
+
 // TestCrossCheckRejectsBadSites is the regression test for the index
 // panic a stuck-at on an unknown gate or pin raised inside the PODEM
 // classification: CrossCheck must return an error instead.
 func TestCrossCheckRejectsBadSites(t *testing.T) {
 	sc, _, _, _ := dupCircuit(t)
-	for _, bad := range []fault.Fault{
-		{Kind: fault.StuckAt, Gate: -1, Pin: -1, Value: logic.Zero},
-		{Kind: fault.StuckAt, Gate: 999, Pin: -1, Value: logic.One},
-		{Kind: fault.StuckAt, Gate: sc.FunctionalOutputs[0], Pin: 5, Value: logic.Zero},
-	} {
+	for _, bad := range badSites(sc) {
 		if _, err := CrossCheck(sc, fault.List{bad}, []FaultClass{Safe}, atpg.Options{}); err == nil {
 			t.Errorf("CrossCheck(%+v) must error", bad)
+		}
+	}
+}
+
+// TestClassifyRejectsBadSites is the regression test for the index
+// panic a stuck-at on an unknown gate or pin raised inside the
+// fault-injection campaign: Classify must return an error instead.
+func TestClassifyRejectsBadSites(t *testing.T) {
+	sc, _, _, _ := dupCircuit(t)
+	for _, bad := range badSites(sc) {
+		if _, err := Classify(sc, fault.List{bad}, exhaustive(2)); err == nil {
+			t.Errorf("Classify(%+v) must error", bad)
 		}
 	}
 }

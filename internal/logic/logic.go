@@ -277,15 +277,14 @@ func WordAll(v V) Word {
 	return Word{}
 }
 
-// Get extracts the value of pattern slot i.
+// Get extracts the value of pattern slot i. It is branch-free, because
+// simulated values are close to random and defeat branch prediction:
+// X - (2*zero + one) is Zero, One or X, where one and zero are the
+// slot's V1 and V0 bits and V1 wins in the unused V0=V1=1 encoding.
 func (w Word) Get(i uint) V {
-	switch {
-	case w.V1&(1<<i) != 0:
-		return One
-	case w.V0&(1<<i) != 0:
-		return Zero
-	}
-	return X
+	one := w.V1 >> i & 1
+	zero := w.V0 >> i & 1 &^ one
+	return X - V(zero<<1|one)
 }
 
 // Set stores v into pattern slot i and returns the updated word.

@@ -53,14 +53,12 @@ func (p *PackedBlock) LoadPatterns(patterns []logic.Vector) error {
 	if len(patterns) > BlockPatterns {
 		return fmt.Errorf("sim: at most %d patterns per wide pass, got %d", BlockPatterns, len(patterns))
 	}
-	for i, id := range p.N.Inputs {
-		var b logic.Block
-		for k, pat := range patterns {
-			if i < len(pat) {
-				b.Set(uint(k), pat[i])
-			}
+	for i, id := range p.c.inputs {
+		b := &p.blocks[id]
+		for w := range b {
+			lo := min(w*64, len(patterns))
+			b[w] = inputWord(patterns[lo:min(lo+64, len(patterns))], i)
 		}
-		p.blocks[id] = b
 	}
 	return nil
 }

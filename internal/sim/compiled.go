@@ -23,6 +23,9 @@ var obsCompiles = obs.NewCounter("sim_compiles_total", "Netlist-to-SoA machine c
 //   - one dense op array (ops[id] = gate type),
 //   - one flat fanin arena (fanin[faninOff[id]:faninOff[id+1]] = the
 //     fanin gate IDs of gate id, pin order preserved),
+//   - one flat fanout arena (fanout[fanoutOff[id]:fanoutOff[id+1]] = the
+//     gates reading gate id, one entry per reading pin, in
+//     netlist.Gate.Fanout order),
 //   - the levelized evaluation schedule (the combinational gate IDs in
 //     (level, id) order — exactly the gates one full pass evaluates),
 //   - and the input/output/DFF index slices,
@@ -40,15 +43,17 @@ var obsCompiles = obs.NewCounter("sim_compiles_total", "Netlist-to-SoA machine c
 type Compiled struct {
 	N *netlist.Netlist
 
-	code     []opcode // per gate ID: gate type fused with fanin arity
-	faninOff []int32  // len NumGates+1: prefix offsets into fanin
-	fanin    []int32  // flat fanin arena
-	schedule []int32  // combinational gate IDs in (level, id) order
-	inputs   []int32  // primary input gate IDs in declaration order
-	outputs  []int32  // primary output gate IDs in declaration order
-	dffs     []int32  // DFF gate IDs in declaration order
-	identity []int32  // 0..maxFanin-1: evaluates gathered values through evalOp{W,V}
-	maxFanin int
+	code      []opcode // per gate ID: gate type fused with fanin arity
+	faninOff  []int32  // len NumGates+1: prefix offsets into fanin
+	fanin     []int32  // flat fanin arena
+	fanoutOff []int32  // len NumGates+1: prefix offsets into fanout
+	fanout    []int32  // flat fanout arena, netlist.Gate.Fanout order
+	schedule  []int32  // combinational gate IDs in (level, id) order
+	inputs    []int32  // primary input gate IDs in declaration order
+	outputs   []int32  // primary output gate IDs in declaration order
+	dffs      []int32  // DFF gate IDs in declaration order
+	identity  []int32  // 0..maxFanin-1: evaluates gathered values through evalOp{W,V}
+	maxFanin  int
 }
 
 // opcode is the compiled per-gate operation: the gate type fused with
@@ -149,14 +154,15 @@ func compile(n *netlist.Netlist) (*Compiled, error) {
 	}
 	ng := n.NumGates()
 	c := &Compiled{
-		N:        n,
-		code:     make([]opcode, ng),
-		faninOff: make([]int32, ng+1),
-		inputs:   toInt32(n.Inputs),
-		outputs:  toInt32(n.Outputs),
-		dffs:     toInt32(n.DFFs),
+		N:         n,
+		code:      make([]opcode, ng),
+		faninOff:  make([]int32, ng+1),
+		fanoutOff: make([]int32, ng+1),
+		inputs:    toInt32(n.Inputs),
+		outputs:   toInt32(n.Outputs),
+		dffs:      toInt32(n.DFFs),
 	}
-	arena := 0
+	arena, outArena := 0, 0
 	for id := 0; id < ng; id++ {
 		g := n.Gate(id)
 		op, err := encodeOp(g.Type, len(g.Fanin))
@@ -165,16 +171,24 @@ func compile(n *netlist.Netlist) (*Compiled, error) {
 		}
 		c.code[id] = op
 		c.faninOff[id] = int32(arena)
+		c.fanoutOff[id] = int32(outArena)
 		arena += len(g.Fanin)
+		outArena += len(g.Fanout)
 		if len(g.Fanin) > c.maxFanin {
 			c.maxFanin = len(g.Fanin)
 		}
 	}
 	c.faninOff[ng] = int32(arena)
+	c.fanoutOff[ng] = int32(outArena)
 	c.fanin = make([]int32, 0, arena)
+	c.fanout = make([]int32, 0, outArena)
 	for id := 0; id < ng; id++ {
-		for _, f := range n.Gate(id).Fanin {
+		g := n.Gate(id)
+		for _, f := range g.Fanin {
 			c.fanin = append(c.fanin, int32(f))
+		}
+		for _, f := range g.Fanout {
+			c.fanout = append(c.fanout, int32(f))
 		}
 	}
 	c.schedule = make([]int32, 0, ng-len(n.Inputs)-len(n.DFFs))
@@ -449,6 +463,12 @@ func (c *Compiled) EvalDualWithFault(id int32, gv, fv, scratch []logic.V, f Faul
 // Fanin returns gate id's fanin gate IDs in pin order, as a read-only
 // view of the compiled fanin arena.
 func (c *Compiled) Fanin(id int) []int32 { return c.fanin[c.faninOff[id]:c.faninOff[id+1]] }
+
+// Fanout returns the gates reading gate id, one entry per reading pin
+// in netlist.Gate.Fanout order, as a read-only view of the compiled
+// fanout arena. Event-driven passes (PODEM implication, slicing's
+// faulty overlay) queue readers in this order.
+func (c *Compiled) Fanout(id int) []int32 { return c.fanout[c.fanoutOff[id]:c.fanoutOff[id+1]] }
 
 // Run performs one fault-free full combinational pass over the machine
 // state in words (indexed by gate ID; inputs and DFF slots are consumed

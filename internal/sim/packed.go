@@ -48,21 +48,37 @@ func (p *Packed) SetStateWord(idx int, w logic.Word) {
 }
 
 // LoadPatterns loads up to 64 input vectors into the pattern slots.
-// Pattern k occupies slot k; unused slots are X.
+// Pattern k occupies slot k; unused slots are X, and so is every input
+// past the end of a short vector.
 func (p *Packed) LoadPatterns(patterns []logic.Vector) error {
 	if len(patterns) > 64 {
 		return fmt.Errorf("sim: at most 64 patterns per packed pass, got %d", len(patterns))
 	}
-	for i := range p.N.Inputs {
-		var w logic.Word
-		for k, pat := range patterns {
-			if i < len(pat) {
-				w = w.Set(uint(k), pat[i])
-			}
-		}
-		p.SetInputWord(i, w)
+	for i, id := range p.c.inputs {
+		p.words[id] = inputWord(patterns, i)
 	}
 	return nil
+}
+
+// inputWord packs input i of up to 64 vectors into one word: pattern
+// k's value sets bit k of the V0 plane for 0 and of the V1 plane for 1;
+// X, Z and an input past a short vector's end set neither. The planes
+// are shifted in from the last pattern down and computed without
+// branches, because random patterns defeat branch prediction: for
+// b = uint64(v), (b-1)>>63 is 1 exactly when v is Zero and
+// ((b^1)-1)>>63 exactly when v is One.
+func inputWord(patterns []logic.Vector, i int) logic.Word {
+	var w logic.Word
+	for k := len(patterns) - 1; k >= 0; k-- {
+		var zero, one uint64
+		if pat := patterns[k]; i < len(pat) {
+			b := uint64(pat[i])
+			zero, one = (b-1)>>63, ((b^1)-1)>>63
+		}
+		w.V0 = w.V0<<1 | zero
+		w.V1 = w.V1<<1 | one
+	}
+	return w
 }
 
 // Word returns the packed value of a gate.

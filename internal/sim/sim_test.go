@@ -341,6 +341,58 @@ func TestLoadPatternsLimit(t *testing.T) {
 	}
 }
 
+// ragged returns count vectors of random length up to two past the
+// input count, holding all four values and one out-of-range V.
+func ragged(rng *rand.Rand, nInputs, count int) []logic.Vector {
+	out := make([]logic.Vector, count)
+	for k := range out {
+		v := make(logic.Vector, rng.Intn(nInputs+3))
+		for i := range v {
+			v[i] = logic.V(rng.Intn(5))
+		}
+		out[k] = v
+	}
+	return out
+}
+
+// TestLoadPatternsMatchesWordSet pins the branch-free transpose to the
+// per-slot Word.Set oracle, for the 64-slot and the wide loader: short,
+// over-long and empty vectors, every value, partial blocks, and a reload
+// over a machine still holding an earlier block.
+func TestLoadPatternsMatchesWordSet(t *testing.T) {
+	n := circuits.RippleCarryAdder(8)
+	rng := rand.New(rand.NewSource(1))
+	p, _ := NewPacked(n)
+	pb, _ := NewPackedBlock(n)
+	for _, count := range []int{0, 1, 37, 64, 65, 200, 256} {
+		pats := ragged(rng, len(n.Inputs), count)
+		if count <= 64 {
+			_ = p.LoadPatterns(ragged(rng, len(n.Inputs), 64))
+			if err := p.LoadPatterns(pats); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = pb.LoadPatterns(ragged(rng, len(n.Inputs), 256))
+		if err := pb.LoadPatterns(pats); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range n.Inputs {
+			var want logic.Block
+			for k, pat := range pats {
+				if i < len(pat) {
+					want.Set(uint(k), pat[i])
+				}
+			}
+			if count <= 64 && p.Word(id) != want[0] {
+				t.Fatalf("%d patterns: input %d word %+v, want %+v", count, i, p.Word(id), want[0])
+			}
+			if pb.Block(id) != want {
+				t.Fatalf("%d patterns: input %d block %+v, want %+v", count, i, pb.Block(id), want)
+			}
+		}
+	}
+}
+
 func TestRunWithFaultOutputSite(t *testing.T) {
 	n := circuits.C17()
 	p, _ := NewPacked(n)

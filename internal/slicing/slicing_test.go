@@ -1,6 +1,7 @@
 package slicing
 
 import (
+	"reflect"
 	"testing"
 
 	"rescue/internal/circuits"
@@ -157,5 +158,73 @@ func TestDetectedFaultsAreDropped(t *testing.T) {
 	}
 	if res.Detected == 0 {
 		t.Error("some faults must be detected")
+	}
+}
+
+// TestAcceleratedRunRejectsBadSites is the regression test for stuck-ats
+// outside the circuit: an unknown gate was silently counted as pruned
+// and an out-of-range pin panicked. Both must be errors.
+func TestAcceleratedRunRejectsBadSites(t *testing.T) {
+	n := circuits.C17()
+	pats := faultsim.RandomPatterns(n, 8, 1)
+	out := n.Outputs[0]
+	for _, bad := range []fault.Fault{
+		{Kind: fault.StuckAt, Gate: -1, Pin: -1, Value: logic.Zero},
+		{Kind: fault.StuckAt, Gate: 999, Pin: -1, Value: logic.One},
+		{Kind: fault.StuckAt, Gate: out, Pin: len(n.Gate(out).Fanin), Value: logic.Zero},
+	} {
+		if res, err := AcceleratedRun(n, fault.List{bad}, pats); err == nil {
+			t.Errorf("AcceleratedRun(%+v) = %+v, want an error", bad, res)
+		}
+	}
+}
+
+// TestShortVectorsReadX is the regression test for short vectors reading
+// the previous pattern's inputs: an input past a vector's end reads X in
+// that pattern, so a short vector runs exactly as its X-padded copy and
+// reversing the pattern list leaves every verdict unchanged.
+func TestShortVectorsReadX(t *testing.T) {
+	n := circuits.C17()
+	faults := fault.AllStuckAt(n)
+	ones := logic.Vector{logic.One, logic.One, logic.One, logic.One, logic.One}
+	short := logic.Vector{logic.Zero, logic.Zero}
+	padded := logic.Vector{logic.Zero, logic.Zero, logic.X, logic.X, logic.X}
+	run := func(pats ...logic.Vector) *Result {
+		t.Helper()
+		res, err := AcceleratedRun(n, faults, pats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fwd := run(ones, short)
+	if want := run(ones, padded); !reflect.DeepEqual(fwd, want) {
+		t.Errorf("short vector result %+v, want the X-padded %+v", fwd, want)
+	}
+	if rev := run(short, ones); !reflect.DeepEqual(fwd.Status, rev.Status) {
+		t.Errorf("reversed patterns changed the verdicts:\n%v\n%v", fwd.Status, rev.Status)
+	}
+}
+
+// TestAcceleratedRunAllocsFlatInPatterns pins the packed good machine's
+// allocation profile: a run allocates the same at 64 and at 4096
+// patterns. Input 0 is held at X, so its stuck-ats are never activated
+// and stay live through every block.
+func TestAcceleratedRunAllocsFlatInPatterns(t *testing.T) {
+	n := circuits.RippleCarryAdder(8)
+	faults := fault.Collapse(n, fault.AllStuckAt(n))
+	allocs := func(count int) float64 {
+		pats := faultsim.RandomPatterns(n, count, 1)
+		for _, p := range pats {
+			p[0] = logic.X
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := AcceleratedRun(n, faults, pats); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Errorf("AcceleratedRun allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
 	}
 }
