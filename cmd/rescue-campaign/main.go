@@ -79,8 +79,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "campaign base seed")
 	shards := flag.Int("shards", 1, "fault-list shards for large circuits")
 	shardThreshold := flag.Int("shard-threshold", campaign.DefaultShardThreshold, "fault count above which sharding applies")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count")
-	sessionParallel := flag.Int("session-parallel", 1, "per-job fault-simulation workers (results identical at any level; use when jobs are fewer than cores)")
+	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count (workers with no queued job left are lent to the running jobs' PODEM searches)")
 	stageCache := flag.String("stage-cache", "on", `cross-job stage-result memoization: "on" shares equal-input stage results across jobs, "off" recomputes everything (results are byte-identical either way)`)
 	jsonl := flag.String("jsonl", "-", `per-job JSONL stream path ("-" = stdout, "" = off)`)
 	out := flag.String("out", "", "campaign summary JSON path (default: render a text summary)")
@@ -119,9 +118,8 @@ func main() {
 			QueueCapacity: *queueCap,
 			MaxActiveRuns: *maxRuns,
 			RunConfig: campaign.Config{
-				Parallelism:        *parallel,
-				SessionParallelism: *sessionParallel,
-				DisableStageCache:  *stageCache == "off",
+				Parallelism:       *parallel,
+				DisableStageCache: *stageCache == "off",
 			},
 		})
 		if err != nil {
@@ -231,9 +229,8 @@ func main() {
 		done = replayed
 	}
 	cfg := campaign.Config{
-		Parallelism:        *parallel,
-		SessionParallelism: *sessionParallel,
-		DisableStageCache:  *stageCache == "off",
+		Parallelism:       *parallel,
+		DisableStageCache: *stageCache == "off",
 		OnResult: func(r campaign.Result) {
 			if stream != nil {
 				if err := stream.Encode(r); err != nil {

@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"fmt"
-	"sync"
 
 	"rescue/internal/fault"
 	"rescue/internal/faultsim"
@@ -11,14 +10,15 @@ import (
 	"rescue/internal/obs"
 )
 
-// ATPG instrumentation. PODEM call, backtrack and implication gate-eval
-// counters are flushed once per round (or per classification pass), and
-// every deterministic round — generation plus the sequential drop pass —
-// records its wall-clock into the round-latency histogram.
+// ATPG instrumentation. PODEM call, backtrack, implication gate-eval and
+// lent-worker counters are flushed once per round (or per classification
+// pass), and every deterministic round — generation plus the sequential
+// drop pass — records its wall-clock into the round-latency histogram.
 var (
 	obsPODEMCalls   = obs.NewCounter("atpg_podem_calls_total", "Deterministic PODEM searches performed.")
 	obsBacktracks   = obs.NewCounter("atpg_backtracks_total", "PODEM backtracks across all searches.")
 	obsImplyEvals   = obs.NewCounter("atpg_imply_gate_evals_total", "Gate evaluations (both machines) performed by PODEM implication.")
+	obsLentWorkers  = obs.NewCounter("atpg_lent_workers_total", "Helper goroutines PODEM loops started on borrowed worker slots.")
 	obsRoundSeconds = obs.NewHistogram("atpg_round_seconds", "Wall-clock of one deterministic test-and-drop round (generation + drop).", obs.DurationBuckets)
 )
 
@@ -153,10 +153,12 @@ type FlowOptions struct {
 	// Compact enables reverse-order static compaction of the test set.
 	Compact bool
 	// Parallelism is the deterministic-phase worker count (one PODEM
-	// engine per worker); <=1 runs serially. Results — Tests, Status,
-	// Coverage, PODEMCalls, Backtracks — are byte-identical at every
-	// parallelism level: each round's targets are fixed by fault index
-	// before generation, and dropping is applied sequentially afterwards.
+	// engine per worker): above 1 it gives the flow a private budget of
+	// Parallelism-1 spare slots in place of PODEM.Spare. Results — Tests,
+	// Status, Coverage, PODEMCalls, Backtracks — are byte-identical at
+	// every parallelism level and budget: each round's targets are fixed
+	// by fault index before generation, and dropping is applied
+	// sequentially afterwards.
 	Parallelism int
 	// RoundSize is the number of lowest-index undetected targets each
 	// deterministic round generates before its vectors are simulated and
@@ -262,15 +264,16 @@ func GenerateTests(n *netlist.Netlist, faults fault.List, opt FlowOptions) (*Res
 // NotApplicable outcome, not an abort).
 //
 // With dropping enabled the phase proceeds in rounds: the RoundSize
-// lowest-index still-undetected targets are generated — in parallel when
-// opt.Parallelism allows, one Engine per worker — and then dropped
-// sequentially in fault-index order: each TestFound vector is filled,
-// emitted and fault-simulated on the session, removing its collateral
-// detections from every later round. A target that an earlier vector of
-// its own round already detected keeps the Detected status and its
-// redundant vector is discarded. Because round composition, generation
-// and dropping order depend only on fault indices — never on worker
-// scheduling — the result is byte-identical at any parallelism level.
+// lowest-index still-undetected targets are generated — widened over
+// every slot the spare budget can lend, one Engine per goroutine — and
+// then dropped sequentially in fault-index order: each TestFound vector
+// is filled, emitted and fault-simulated on the session, removing its
+// collateral detections from every later round. A target that an
+// earlier vector of its own round already detected keeps the Detected
+// status and its redundant vector is discarded. Because round
+// composition, generation and dropping order depend only on fault
+// indices — never on worker scheduling — the result is byte-identical
+// at any parallelism level and spare budget.
 func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOptions, sess *faultsim.Session, res *Result) error {
 	pending := make([]int, 0, len(faults))
 	for i := range faults {
@@ -321,21 +324,11 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 	if roundSize <= 0 {
 		roundSize = DefaultRoundSize
 	}
-	workers := opt.Parallelism
-	if workers <= 1 {
-		workers = 1
+	podem := opt.PODEM
+	if opt.Parallelism > 1 {
+		podem.Spare = NewSlots(opt.Parallelism - 1)
 	}
-	if workers > roundSize {
-		workers = roundSize
-	}
-	engines := make([]*Engine, workers)
-	for w := range engines {
-		e, err := NewEngine(n, opt.PODEM)
-		if err != nil {
-			return err
-		}
-		engines[w] = e
-	}
+	cr := &crew{n: n, opt: podem}
 
 	round := make([]int, 0, roundSize)
 	gens := make([]podemResult, roundSize)
@@ -358,7 +351,11 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		if len(round) == 0 {
 			return nil
 		}
-		if err := generateRound(engines, faults, round, gens); err != nil {
+		lent, err := cr.run(len(round), func(e *Engine, ri int) (err error) {
+			gens[ri], err = safeGenerate(e, faults[round[ri]])
+			return err
+		})
+		if err != nil {
 			return err
 		}
 		evals := 0
@@ -399,6 +396,7 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		obsPODEMCalls.Add(int64(res.PODEMCalls - callsBefore))
 		obsBacktracks.Add(int64(res.Backtracks - backtracksBefore))
 		obsImplyEvals.Add(int64(evals))
+		obsLentWorkers.Add(int64(lent))
 		span.End()
 	}
 	return nil
@@ -415,8 +413,9 @@ type podemResult struct {
 
 // safeGenerate runs one PODEM search with the campaign engine's
 // per-unit recovery idiom: a panic inside Generate becomes an error
-// instead of taking down the flow, identically on the serial, parallel
-// and NoDrop paths.
+// instead of taking down the flow, identically on the calling goroutine,
+// on a lent helper (where no caller's recover could catch it) and on the
+// NoDrop path.
 func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -425,57 +424,6 @@ func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {
 	}()
 	vec, out := e.Generate(f)
 	return podemResult{vec: vec, out: out, backtracks: e.Backtracks(), evals: e.ImplyGateEvals()}, nil
-}
-
-// generateRound fills gens[i] for every round[i], fanning the targets
-// over the engine pool. Workers pull target indices from a channel;
-// which worker serves which target never affects the result, because
-// Generate is deterministic and engines carry no state between calls.
-func generateRound(engines []*Engine, faults fault.List, round []int, gens []podemResult) error {
-	workers := len(engines)
-	if workers > len(round) {
-		workers = len(round)
-	}
-	if workers <= 1 {
-		e := engines[0]
-		for ri, fi := range round {
-			g, err := safeGenerate(e, faults[fi])
-			if err != nil {
-				return err
-			}
-			gens[ri] = g
-		}
-		return nil
-	}
-	idx := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e := engines[w]
-			for ri := range idx {
-				g, err := safeGenerate(e, faults[round[ri]])
-				if err != nil {
-					errs[w] = err
-					continue
-				}
-				gens[ri] = g
-			}
-		}(w)
-	}
-	for ri := range round {
-		idx <- ri
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fillX replaces don't-cares with deterministic pseudo-random values so
@@ -544,10 +492,17 @@ type Classification struct {
 	Backtracks int
 }
 
-// ClassifyFaults runs PODEM over every fault on one shared engine and
-// returns the per-fault outcomes with the accumulated search cost. A
-// stuck-at whose site lies outside the circuit is an error, reported
-// before any search.
+// classifyChunk is how many consecutive faults one goroutine of a
+// classification pass searches before it claims more.
+const classifyChunk = 16
+
+// ClassifyFaults runs PODEM over every fault and returns the per-fault
+// outcomes with the accumulated search cost. The list is cut into
+// fixed-size chunks that the calling goroutine works through, joined by
+// one helper Engine per slot it can borrow from opt.Spare. Outcomes are
+// written by fault index and the costs summed after the join, so the
+// result is the same with any budget. A stuck-at whose site lies
+// outside the circuit is an error, reported before any search.
 func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classification, error) {
 	for i, f := range faults {
 		if f.Kind != fault.StuckAt {
@@ -557,24 +512,40 @@ func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classi
 			return nil, fmt.Errorf("atpg: fault %d: %w", i, err)
 		}
 	}
-	eng, err := NewEngine(n, opt)
+	c := &Classification{Outcomes: make([]Outcome, len(faults))}
+	type cost struct{ calls, backtracks, evals int }
+	costs := make([]cost, (len(faults)+classifyChunk-1)/classifyChunk)
+	lent, err := (&crew{n: n, opt: opt}).run(len(costs), func(e *Engine, k int) error {
+		lo := k * classifyChunk
+		hi := min(lo+classifyChunk, len(faults))
+		for i := lo; i < hi; i++ {
+			g, err := safeGenerate(e, faults[i])
+			if err != nil {
+				return err
+			}
+			c.Outcomes[i] = g.out
+			if g.out == NotApplicable {
+				continue
+			}
+			costs[k].calls++
+			costs[k].backtracks += g.backtracks
+			costs[k].evals += g.evals
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Classification{Outcomes: make([]Outcome, len(faults))}
 	evals := 0
-	for i, f := range faults {
-		_, c.Outcomes[i] = eng.Generate(f)
-		if c.Outcomes[i] == NotApplicable {
-			continue
-		}
-		c.Calls++
-		c.Backtracks += eng.Backtracks()
-		evals += eng.ImplyGateEvals()
+	for _, k := range costs {
+		c.Calls += k.calls
+		c.Backtracks += k.backtracks
+		evals += k.evals
 	}
 	obsPODEMCalls.Add(int64(c.Calls))
 	obsBacktracks.Add(int64(c.Backtracks))
 	obsImplyEvals.Add(int64(evals))
+	obsLentWorkers.Add(int64(lent))
 	return c, nil
 }
 

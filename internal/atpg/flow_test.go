@@ -1,8 +1,10 @@
 package atpg
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"rescue/internal/circuits"
@@ -29,38 +31,43 @@ func combRegistry(t testing.TB, name string) *netlist.Netlist {
 
 func TestGenerateTestsParallelDeterminism(t *testing.T) {
 	// The acceptance bar: Status, Coverage and Tests byte-identical at
-	// parallelism 1, 4 and NumCPU — and the cost counters too, since the
-	// round schedule is fixed by fault index, not worker timing.
+	// parallelism 1, 4 and NumCPU, and serially with budgets of 1 and 3
+	// spare slots — and the cost counters too, since the round schedule
+	// is fixed by fault index, not worker timing.
+	type setting struct{ workers, spare int }
+	settings := []setting{{1, 0}, {4, 0}, {runtime.NumCPU(), 0}, {1, 1}, {1, 3}}
 	for _, name := range []string{"c17", "s27", "rca8", "mul4"} {
 		n := combRegistry(t, name)
 		faults := fault.Collapse(n, fault.AllStuckAt(n))
 		var ref *Result
-		for _, workers := range []int{1, 4, runtime.NumCPU()} {
+		for _, s := range settings {
 			res, err := GenerateTests(n, faults, FlowOptions{
-				RandomPatterns: 16, Seed: 5, Compact: true, Parallelism: workers,
+				RandomPatterns: 16, Seed: 5, Compact: true, Parallelism: s.workers,
+				PODEM: Options{Spare: NewSlots(s.spare)},
 			})
+			at := fmt.Sprintf("%s p=%d spare=%d", name, s.workers, s.spare)
 			if err != nil {
-				t.Fatalf("%s p=%d: %v", name, workers, err)
+				t.Fatalf("%s: %v", at, err)
 			}
 			if ref == nil {
 				ref = res
 				continue
 			}
 			if !reflect.DeepEqual(res.Status, ref.Status) {
-				t.Errorf("%s p=%d: Status differs from serial", name, workers)
+				t.Errorf("%s: Status differs from serial", at)
 			}
 			if !reflect.DeepEqual(res.Tests, ref.Tests) {
-				t.Errorf("%s p=%d: Tests differ from serial (%d vs %d vectors)",
-					name, workers, len(res.Tests), len(ref.Tests))
+				t.Errorf("%s: Tests differ from serial (%d vs %d vectors)",
+					at, len(res.Tests), len(ref.Tests))
 			}
 			if res.Coverage != ref.Coverage {
-				t.Errorf("%s p=%d: Coverage %+v != serial %+v", name, workers, res.Coverage, ref.Coverage)
+				t.Errorf("%s: Coverage %+v != serial %+v", at, res.Coverage, ref.Coverage)
 			}
 			if res.PODEMCalls != ref.PODEMCalls || res.Backtracks != ref.Backtracks ||
 				res.RandomDetected != ref.RandomDetected || res.DropDetected != ref.DropDetected ||
 				res.DiscardedTests != ref.DiscardedTests {
-				t.Errorf("%s p=%d: counters (%d,%d,%d,%d,%d) != serial (%d,%d,%d,%d,%d)",
-					name, workers,
+				t.Errorf("%s: counters (%d,%d,%d,%d,%d) != serial (%d,%d,%d,%d,%d)",
+					at,
 					res.PODEMCalls, res.Backtracks, res.RandomDetected, res.DropDetected, res.DiscardedTests,
 					ref.PODEMCalls, ref.Backtracks, ref.RandomDetected, ref.DropDetected, ref.DiscardedTests)
 			}
@@ -310,5 +317,64 @@ func TestImplyGateEvalsCounted(t *testing.T) {
 	}
 	if obsImplyEvals.Value() == before {
 		t.Error("GenerateTests flushed no implication evals")
+	}
+}
+
+// TestLentSlotsSharedBetweenSearches runs a classification pass and a
+// test-generation flow at once on one shared budget of two slots, the
+// way two jobs of one campaign share its idle workers. Both must match
+// their serial runs, helpers must have started, and every slot must be
+// back in the budget afterwards.
+func TestLentSlotsSharedBetweenSearches(t *testing.T) {
+	mul4 := combRegistry(t, "mul4")
+	view := mul4.Clone()
+	view.Outputs = append([]int(nil), mul4.Outputs[1:]...)
+	cfaults := fault.Collapse(mul4, fault.AllStuckAt(mul4))
+	rca8 := combRegistry(t, "rca8")
+	gfaults := fault.Collapse(rca8, fault.AllStuckAt(rca8))
+	classify := func(spare *Slots) (*Classification, error) {
+		return ClassifyFaults(view, cfaults, Options{Spare: spare})
+	}
+	generate := func(spare *Slots) (*Result, error) {
+		return GenerateTests(rca8, gfaults, FlowOptions{
+			RandomPatterns: 8, Seed: 3, Compact: true, PODEM: Options{Spare: spare},
+		})
+	}
+	wantC, err := classify(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantG, err := generate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spare := NewSlots(2)
+	lent := obsLentWorkers.Value()
+	var (
+		wg   sync.WaitGroup
+		gotC *Classification
+		gotG *Result
+		errC error
+		errG error
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); gotC, errC = classify(spare) }()
+	go func() { defer wg.Done(); gotG, errG = generate(spare) }()
+	wg.Wait()
+	if errC != nil || errG != nil {
+		t.Fatalf("lent runs failed: classify %v, generate %v", errC, errG)
+	}
+	if !reflect.DeepEqual(gotC, wantC) {
+		t.Error("lent classification differs from the serial one")
+	}
+	if !reflect.DeepEqual(gotG, wantG) {
+		t.Error("lent test generation differs from the serial one")
+	}
+	if obsLentWorkers.Value() == lent {
+		t.Error("no helper started on the shared budget")
+	}
+	if free := spare.free.Load(); free != 2 {
+		t.Errorf("budget holds %d free slots after both searches, want 2", free)
 	}
 }

@@ -53,6 +53,10 @@ type Options struct {
 	// BacktrackLimit bounds the search; 0 means DefaultBacktrackLimit.
 	// Searches that exhaust the space below the limit prove untestability.
 	BacktrackLimit int
+	// Spare, when non-nil, is a budget of idle workers that
+	// ClassifyFaults and GenerateTests' deterministic rounds borrow
+	// helper goroutines from. Results are identical with or without it.
+	Spare *Slots
 }
 
 // DefaultBacktrackLimit is ample for the benchmark circuits in this repo.

@@ -43,7 +43,9 @@ func digestSearches(t *testing.T, h hash.Hash, name string, n *netlist.Netlist, 
 // byte for byte across the registry. The tight limit drives the
 // AbortedLimit paths. The mul8 view drops the two lowest product bits
 // from the outputs, the way fusa.CrossCheck keeps only functional
-// outputs, so it adds untestability proofs on a deep circuit.
+// outputs, so it adds untestability proofs on a deep circuit. The view
+// is classified serially and with budgets of 1 and 3 spare slots, and
+// every budget must hash the same line.
 func TestPODEMMatchesSeedDigest(t *testing.T) {
 	h := sha256.New()
 	for _, name := range circuits.Names() {
@@ -55,11 +57,20 @@ func TestPODEMMatchesSeedDigest(t *testing.T) {
 	mul8 := circuits.ArrayMultiplier(8)
 	view := mul8.Clone()
 	view.Outputs = append([]int(nil), mul8.Outputs[2:]...)
-	cls, err := ClassifyFaults(view, fault.Collapse(mul8, fault.AllStuckAt(mul8)), Options{})
-	if err != nil {
-		t.Fatal(err)
+	var line string
+	for _, spare := range []int{0, 1, 3} {
+		cls, err := ClassifyFaults(view, fault.Collapse(mul8, fault.AllStuckAt(mul8)), Options{Spare: NewSlots(spare)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("classify %v %d %d\n", cls.Outcomes, cls.Calls, cls.Backtracks)
+		if line == "" {
+			line = got
+		} else if got != line {
+			t.Errorf("classification with %d spare slots differs from the serial one", spare)
+		}
 	}
-	fmt.Fprintf(h, "classify %v %d %d\n", cls.Outcomes, cls.Calls, cls.Backtracks)
+	fmt.Fprint(h, line)
 	if got := hex.EncodeToString(h.Sum(nil)); got != seedPODEMDigest {
 		t.Errorf("PODEM digest = %s, want %s", got, seedPODEMDigest)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"rescue/internal/circuits"
 	"rescue/internal/fault"
+	"rescue/internal/obs"
 	"rescue/internal/sim"
 )
 
@@ -305,6 +306,30 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 		if !bytes.Equal(js, baseline) {
 			t.Fatalf("parallelism %d: aggregated JSON differs from serial baseline", p)
 		}
+	}
+}
+
+// TestLendingMatchesSerial forces lending: at parallelism 2 the worker
+// that finishes c17 finds the queue drained and lends itself to mul8's
+// quality and safety stages. The summary must be byte-identical to the
+// serial run's, and PODEM helpers must have run on the lent slot. The
+// stage cache is off, so the second run recomputes every stage.
+func TestLendingMatchesSerial(t *testing.T) {
+	m := Matrix{
+		Circuits:  []string{"c17", "mul8"},
+		Scenarios: []Scenario{ScenarioHolistic},
+		Patterns:  16,
+		Years:     5,
+		Seed:      1,
+	}
+	lentWorkers := func() float64 { return obs.Default.Snapshot()["atpg_lent_workers_total"] }
+	serial := cacheJSON(t, m, 1, true)
+	before := lentWorkers()
+	if got := cacheJSON(t, m, 2, true); !bytes.Equal(got, serial) {
+		t.Fatal("parallelism 2 with lending: summary differs from the serial run")
+	}
+	if lentWorkers() == before {
+		t.Error("no PODEM helper ran on a lent worker slot")
 	}
 }
 

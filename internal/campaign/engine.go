@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"rescue/internal/atpg"
 	"rescue/internal/core"
 	"rescue/internal/obs"
 )
@@ -31,15 +32,10 @@ var (
 // Config tunes one campaign run.
 type Config struct {
 	// Parallelism is the worker count; <= 0 selects runtime.NumCPU().
+	// Workers with no queued job left are lent to the running jobs'
+	// PODEM searches (see Run), so a matrix narrower than the machine
+	// still uses every worker.
 	Parallelism int
-	// SessionParallelism is the intra-job fault-simulation worker count
-	// handed to each job's quality stage (<=1 serial). It never changes
-	// results — the session merges detections deterministically — so a
-	// checkpointed campaign resumes identically at any setting; it is a
-	// runtime knob, not a job coordinate, and is not persisted. Useful
-	// when the matrix is narrower than the machine: few big jobs, spare
-	// cores.
-	SessionParallelism int
 	// OnResult, when set, streams each job result as it completes. It is
 	// called from a single collector goroutine (never concurrently), in
 	// completion order — which is nondeterministic under parallelism; the
@@ -94,6 +90,12 @@ type Result struct {
 // returns the partial summary together with the context error; in-flight
 // jobs stop at the next stage boundary and are recorded as cancelled
 // (not failed), queued jobs are dropped.
+//
+// The run keeps a budget of spare worker slots (atpg.Slots) that its
+// jobs' quality and safety stages borrow PODEM helpers from. A worker
+// adds its slot only once it finds the job queue drained, and workers a
+// short queue never needs start out lent, so lending never delays a
+// queued job. Which goroutine runs a search never changes its result.
 func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 	jobs, err := m.Expand()
 	if err != nil {
@@ -121,12 +123,12 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
+	spare := atpg.NewSlots(workers - len(pending))
 	if workers > len(pending) {
 		workers = len(pending)
 	}
 	run := cfg.runJob
 	if run == nil {
-		sp := cfg.SessionParallelism
 		cache := sharedStageCache
 		if cfg.DisableStageCache {
 			cache = nil
@@ -137,7 +139,7 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 			// singleflight waits instead of cold recomputations later.
 			pending = orderForCache(pending)
 		}
-		run = func(ctx context.Context, j Job) Result { return runJobWith(ctx, j, sp, cache) }
+		run = func(ctx context.Context, j Job) Result { return runJobWith(ctx, j, spare, cache) }
 	}
 	obsRuns.Inc()
 	obsJobsReplayed.Add(int64(len(replayed)))
@@ -154,6 +156,9 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 				obsJobsStarted.Inc()
 				resCh <- safeRun(ctx, j, run)
 			}
+			// The queue is drained: lend this worker to the jobs
+			// still running.
+			spare.Add(1)
 		}()
 	}
 	go func() {
@@ -234,14 +239,14 @@ func safeRun(ctx context.Context, j Job, run func(context.Context, Job) Result) 
 // result is independent of which worker runs it and of what ran before
 // — including whether a stage came out of the shared stage cache.
 func RunJob(ctx context.Context, j Job) Result {
-	return runJobWith(ctx, j, 0, sharedStageCache)
+	return runJobWith(ctx, j, nil, sharedStageCache)
 }
 
-// runJobWith is RunJob with the campaign-level session-parallelism knob
-// and the stage cache applied. Neither is a Job coordinate: results are
-// identical at any session-parallelism setting and with the cache on or
-// off, so checkpoints and job identity stay untouched by both.
-func runJobWith(ctx context.Context, j Job, sessionParallelism int, cache *stageCache) Result {
+// runJobWith is RunJob with the run's spare-worker budget and the stage
+// cache applied. Neither is a Job coordinate: results are identical at
+// any budget and with the cache on or off, so checkpoints and job
+// identity stay untouched by both.
+func runJobWith(ctx context.Context, j Job, spare *atpg.Slots, cache *stageCache) Result {
 	art := circuitArtifactFor(j.Circuit)
 	if art.err != nil {
 		return Result{Job: j, Err: art.err.Error()}
@@ -286,17 +291,17 @@ func runJobWith(ctx context.Context, j Job, sessionParallelism int, cache *stage
 		}
 	}
 	cfg := core.FlowConfig{
-		Netlist:            n,
-		Faults:             faults,
-		FaultShare:         share,
-		SkipAging:          skipAging,
-		Environment:        env,
-		Technology:         tech,
-		Years:              j.Years,
-		Patterns:           j.Patterns,
-		Seed:               j.Seed,
-		StageSeeds:         stageSeedsFor(j, stages),
-		SessionParallelism: sessionParallelism,
+		Netlist:     n,
+		Faults:      faults,
+		FaultShare:  share,
+		SkipAging:   skipAging,
+		Environment: env,
+		Technology:  tech,
+		Years:       j.Years,
+		Patterns:    j.Patterns,
+		Seed:        j.Seed,
+		StageSeeds:  stageSeedsFor(j, stages),
+		Spare:       spare,
 	}
 	if cache != nil {
 		cfg.Memo = jobMemo{ctx: ctx, cache: cache, job: j}

@@ -141,6 +141,7 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		"artifact_cache_hits_total",
 		"atpg_podem_calls_total",
 		"atpg_imply_gate_evals_total",
+		"atpg_lent_workers_total",
 		"flow_stage_seconds_bucket",
 	} {
 		if !strings.Contains(body, series) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rescue/internal/atpg"
 	"rescue/internal/fault"
 	"rescue/internal/netlist"
 	"rescue/internal/seu"
@@ -48,11 +49,11 @@ type FlowConfig struct {
 	// result reuse (see StageMemo). Correctness never depends on it: a
 	// nil Memo recomputes every stage.
 	Memo StageMemo
-	// SessionParallelism is the quality stage's intra-session
-	// fault-simulation worker count (<=1 serial). Results are identical
-	// at any level; it trades cores for wall-clock inside one flow run,
-	// useful when the campaign itself runs few jobs at a time.
-	SessionParallelism int
+	// Spare, when non-nil, is the campaign's budget of idle workers: the
+	// quality and safety stages' PODEM loops borrow helpers from it (see
+	// atpg.Slots). Results are identical with or without it; it trades
+	// idle cores for wall-clock inside one flow run.
+	Spare *atpg.Slots
 	// Secret drives the security stage's timing-leak check.
 	Secret []byte
 }

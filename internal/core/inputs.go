@@ -14,8 +14,8 @@ import (
 // because the stage's seed is derived (DeriveStageSeed) from exactly
 // these coordinates and nothing else — in particular never from the
 // scenario, which selects stages but does not parameterise them, and
-// never from runtime knobs like SessionParallelism, which by design do
-// not change results.
+// never from runtime knobs like the Spare worker budget, which by
+// design do not change results.
 type StageInputs struct {
 	// Environment and Technology are the radiation environment and the
 	// technology node; only the reliability stage's FIT budget reads them.

@@ -135,12 +135,11 @@ func (st *flowState) patternsFor(id StageID) []logic.Vector {
 
 func (st *flowState) runQuality() (*QualityReport, error) {
 	faults := st.faultList()
-	// Serial deterministic phase: campaign workers already saturate the
-	// CPU with whole jobs, and the flow's results are identical at any
-	// parallelism level anyway.
+	// The deterministic rounds widen over whatever idle workers the
+	// campaign lends; the flow's results are identical at any budget.
 	res, err := atpg.GenerateTests(st.n, faults, atpg.FlowOptions{
 		RandomPatterns: 64, Seed: st.stageSeed(StageQuality), Compact: true,
-		SessionParallelism: st.cfg.SessionParallelism,
+		PODEM: atpg.Options{Spare: st.cfg.Spare},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: quality stage: %v", err)
@@ -215,7 +214,7 @@ func (st *flowState) runSafety() (*SafetyReport, error) {
 		return nil, fmt.Errorf("core: safety stage: %v", err)
 	}
 	metrics := fusa.ComputeMetrics(classes, 0.01)
-	cc, err := fusa.CrossCheck(sc, st.faultList(), classes, atpg.Options{})
+	cc, err := fusa.CrossCheck(sc, st.faultList(), classes, atpg.Options{Spare: st.cfg.Spare})
 	if err != nil {
 		return nil, err
 	}

@@ -63,6 +63,23 @@ type SafetyCircuit struct {
 // HasSM reports whether a safety mechanism observes this circuit.
 func (sc *SafetyCircuit) HasSM() bool { return len(sc.AlarmOutputs) > 0 }
 
+// validateOutputs rejects an output ID outside the netlist, before any
+// simulation or search reads it.
+func (sc *SafetyCircuit) validateOutputs() error {
+	ng := sc.N.NumGates()
+	for _, id := range sc.FunctionalOutputs {
+		if id < 0 || id >= ng {
+			return fmt.Errorf("fusa: functional output %d outside the circuit's %d gates", id, ng)
+		}
+	}
+	for _, id := range sc.AlarmOutputs {
+		if id < 0 || id >= ng {
+			return fmt.Errorf("fusa: alarm output %d outside the circuit's %d gates", id, ng)
+		}
+	}
+	return nil
+}
+
 // Classify runs a fault-injection campaign over the patterns and assigns
 // an ISO 26262 class to every stuck-at fault:
 //
@@ -75,12 +92,15 @@ func (sc *SafetyCircuit) HasSM() bool { return len(sc.AlarmOutputs) > 0 }
 //   - unobservable faults ⇒ Safe.
 //
 // Each block of up to 64 patterns is loaded into the good machine once;
-// the faulty machine is aligned to it before every fault's pass. A
-// stuck-at whose site lies outside the circuit is an error, reported
+// the faulty machine is aligned to it before every fault's pass. An
+// output or a stuck-at site outside the circuit is an error, reported
 // before any simulation.
 func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]FaultClass, error) {
 	if sc.N.IsSequential() {
 		return nil, fmt.Errorf("fusa: Classify expects a combinational (or scan-view) netlist")
+	}
+	if err := sc.validateOutputs(); err != nil {
+		return nil, err
 	}
 	for i, f := range faults {
 		if f.Kind != fault.StuckAt {
@@ -264,8 +284,16 @@ type CrossCheckReport struct {
 //
 // The classification runs through atpg.ClassifyFaults — the same engine
 // allocation path as IdentifyUntestable — so both tools share one PODEM
-// setup per netlist view and report comparable backtrack costs.
+// setup per netlist view and report comparable backtrack costs; opt.Spare
+// lends it helper workers. Classes must be parallel to faults, and every
+// output inside the circuit: both are checked before any search.
 func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt atpg.Options) (*CrossCheckReport, error) {
+	if err := sc.validateOutputs(); err != nil {
+		return nil, err
+	}
+	if len(classes) != len(faults) {
+		return nil, fmt.Errorf("fusa: CrossCheck got %d classes for %d faults", len(classes), len(faults))
+	}
 	// Build a view whose outputs are only the functional ones, so PODEM
 	// reasons about safety-goal observability.
 	view := sc.N.Clone()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rescue/internal/atpg"
+	"rescue/internal/circuits"
 	"rescue/internal/fault"
 	"rescue/internal/faultsim"
 	"rescue/internal/logic"
@@ -271,6 +272,48 @@ func TestClassifyRejectsBadSites(t *testing.T) {
 	for _, bad := range badSites(sc) {
 		if _, err := Classify(sc, fault.List{bad}, exhaustive(2)); err == nil {
 			t.Errorf("Classify(%+v) must error", bad)
+		}
+	}
+}
+
+// badOutputs returns c17 safety circuits whose output split names a
+// gate outside the netlist, once per group and direction.
+func badOutputs(t *testing.T) []*SafetyCircuit {
+	t.Helper()
+	n := circuits.C17()
+	return []*SafetyCircuit{
+		{N: n, FunctionalOutputs: n.Outputs, AlarmOutputs: []int{9999}},
+		{N: n, FunctionalOutputs: []int{-1}},
+		{N: n, FunctionalOutputs: []int{n.NumGates()}, AlarmOutputs: n.Outputs[:1]},
+	}
+}
+
+// TestCrossCheckRejectsBadInputs is the regression test for two panics
+// that used to surface only after the whole PODEM pass or inside the
+// engine setup: fewer classes than faults, and an output ID outside the
+// circuit. CrossCheck must return an error for both, before any search.
+func TestCrossCheckRejectsBadInputs(t *testing.T) {
+	n := circuits.C17()
+	faults := fault.Collapse(n, fault.AllStuckAt(n))
+	sc := &SafetyCircuit{N: n, FunctionalOutputs: n.Outputs}
+	if _, err := CrossCheck(sc, faults, make([]FaultClass, len(faults)-1), atpg.Options{}); err == nil {
+		t.Error("CrossCheck with fewer classes than faults must error")
+	}
+	for _, bad := range badOutputs(t) {
+		if _, err := CrossCheck(bad, faults, make([]FaultClass, len(faults)), atpg.Options{}); err == nil {
+			t.Errorf("CrossCheck(functional %v, alarm %v) must error", bad.FunctionalOutputs, bad.AlarmOutputs)
+		}
+	}
+}
+
+// TestClassifyRejectsBadOutputs is the regression test for the index
+// panic an output ID outside the circuit raised inside the
+// fault-injection campaign: Classify must return an error instead.
+func TestClassifyRejectsBadOutputs(t *testing.T) {
+	faults := fault.Collapse(circuits.C17(), fault.AllStuckAt(circuits.C17()))
+	for _, bad := range badOutputs(t) {
+		if _, err := Classify(bad, faults, exhaustive(5)); err == nil {
+			t.Errorf("Classify(functional %v, alarm %v) must error", bad.FunctionalOutputs, bad.AlarmOutputs)
 		}
 	}
 }
