@@ -7,6 +7,9 @@
 package faultsim_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -118,6 +121,43 @@ func TestSessionParallelismIsInvisible(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// seedWideSessionDigest pins the session's wide path over the whole
+// registry: per-call detection lists and costs and the final report. Any
+// drift in what a wide chunk detects, in which order it reports it, or
+// in what it charges changes it.
+const seedWideSessionDigest = "4b8347a95e9b54b63beef11a3b6fae20d996f30314f98b9ee0d1abd231ad8286"
+
+// TestWideSessionMatchesSeedDigest simulates 512 random patterns on a
+// fresh session per registry circuit as a 384-pattern call (one wide
+// chunk and a word tail) and a 128-pattern call (word path only), and
+// hashes each call's Detected list and GateEvals, then the Report's
+// Status, DetectedBy and GateEvals.
+func TestWideSessionMatchesSeedDigest(t *testing.T) {
+	h := sha256.New()
+	for _, name := range circuits.Names() {
+		n := combView(t, name)
+		faults := fault.AllStuckAt(n)
+		pats := faultsim.RandomPatterns(n, 512, 7)
+		s, err := faultsim.NewSession(n, faults)
+		if err != nil {
+			t.Fatalf("%s: session: %v", name, err)
+		}
+		fmt.Fprintf(h, "circuit %s\n", name)
+		for _, call := range [][2]int{{0, 384}, {384, 512}} {
+			sr, err := s.Simulate(pats[call[0]:call[1]])
+			if err != nil {
+				t.Fatalf("%s: simulate: %v", name, err)
+			}
+			fmt.Fprintf(h, "call %v %d\n", sr.Detected, sr.GateEvals)
+		}
+		rep := s.Report()
+		fmt.Fprintf(h, "report %v %v %d\n", rep.Status, rep.DetectedBy, rep.GateEvals)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != seedWideSessionDigest {
+		t.Errorf("wide-session digest = %s, want %s", got, seedWideSessionDigest)
 	}
 }
 
