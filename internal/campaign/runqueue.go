@@ -18,66 +18,28 @@ var (
 		"Time an admitted run spent queued before an executor took it.", obs.DurationBuckets)
 )
 
-// RunState is the lifecycle of one server-managed campaign run. The
-// terminal states reuse the Service /status state machine ("done",
-// "failed", "canceled"); "queued" is the only state the per-run Service
-// cannot express itself.
-type RunState string
-
-const (
-	// RunQueued: admitted (and durably headered on disk) but not executing.
-	RunQueued RunState = "queued"
-	// RunRunning: an executor is driving the run's Service.
-	RunRunning RunState = "running"
-	// RunDone: completed; the canonical campaign.json exists.
-	RunDone RunState = "done"
-	// RunFailed: the campaign itself errored (not merely job failures).
-	RunFailed RunState = "failed"
-	// RunCanceled: canceled while queued or running (DELETE, or a server
-	// drain — drained runs resume from their checkpoint on restart).
-	RunCanceled RunState = "canceled"
-)
-
 // serverRun is one admitted campaign: its durable run directory, the
-// per-run Service answering the /runs/{id}/* endpoints, and the
-// lifecycle state the server drives through the queue and executors.
+// per-run Service holding its lifecycle state and answering the
+// /runs/{id}/* endpoints, and what the server needs to execute or cancel
+// it.
 type serverRun struct {
-	id     int
-	dir    string
-	matrix Matrix
-	jobs   int // expanded job count
+	id  int
+	dir string
+	svc *Service
 
 	mu     sync.Mutex
-	state  RunState
-	svc    *Service           // nil only for runs recovered already-complete
 	ck     *Checkpoint        // open (and flock'd) from admission until execution ends
 	cancel context.CancelFunc // non-nil while running
-	errMsg string
 	// userCanceled records an explicit tenant DELETE while running: the
 	// run directory is discarded even if a server drain races the unwind
 	// (s.ctx.Err() alone cannot tell the two apart).
 	userCanceled bool
-	// sum/result hold a recovered completed run's decoded summary and
-	// its canonical campaign.json bytes (svc == nil).
-	sum    *Summary
-	result []byte
 	// queueSpan measures admission-to-execution latency.
 	queueSpan obs.Span
 }
 
 // info assembles the run's public listing entry.
-func (r *serverRun) info() RunInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	in := RunInfo{ID: r.id, State: r.state, Jobs: r.jobs, Dir: r.dir, Error: r.errMsg}
-	switch {
-	case r.svc != nil:
-		in.Results = r.svc.ResultCount()
-	case r.sum != nil:
-		in.Results = len(r.sum.Results)
-	}
-	return in
-}
+func (r *serverRun) info() RunInfo { return r.svc.runInfo(r.id, r.dir) }
 
 // runQueue is the bounded admission queue between POST /runs and the
 // executor pool: offer rejects (backpressure) when the bound is

@@ -224,7 +224,7 @@ func (s *Server) recover() error {
 		}
 		s.runs[id] = r
 		s.order = append(s.order, r)
-		if r.state == RunQueued {
+		if r.ck != nil { // unfinished
 			s.queue.offer(r, true) // recovery never drops a durable run
 			s.recovered++
 			obsServerRecovered.Inc()
@@ -238,19 +238,14 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &serverRun{id: id, dir: dir, matrix: m}
 	if raw, err := os.ReadFile(filepath.Join(dir, SummaryFile)); err == nil {
 		// Completed before the previous process died: serve the durable
-		// bytes as-is — no Service, no re-execution.
-		var sum Summary
-		if err := json.Unmarshal(raw, &sum); err != nil {
+		// bytes as-is — no re-execution.
+		svc, err := restoreService(m, raw)
+		if err != nil {
 			return nil, fmt.Errorf("campaign: %s: corrupt %s: %v", dir, SummaryFile, err)
 		}
-		r.state = RunDone
-		r.jobs = sum.Jobs
-		r.sum = &sum
-		r.result = raw
-		return r, nil
+		return &serverRun{id: id, dir: dir, svc: svc}, nil
 	}
 	// Unfinished: hold the log (and its flock) and re-queue. Resume
 	// validates every durable record against the header's own matrix.
@@ -259,22 +254,22 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 		return nil, err
 	}
 	svc, err := NewService(m, s.cfg.RunConfig)
+	if err == nil {
+		// The logged results count on the API while the run waits.
+		err = svc.bind(ck)
+	}
 	if err != nil {
 		ck.Close()
 		return nil, err
 	}
-	r.state = RunQueued
-	r.jobs = len(svc.jobs)
-	r.svc = svc
-	r.ck = ck
-	return r, nil
+	return &serverRun{id: id, dir: dir, svc: svc, ck: ck}, nil
 }
 
 // Submit validates and admits one matrix: the run directory and its
 // checkpoint header are durable before Submit returns. A full queue
 // returns ErrQueueFull; a draining server returns ErrDraining.
 func (s *Server) Submit(m Matrix) (RunInfo, error) {
-	jobs, err := m.Expand()
+	svc, err := NewService(m, s.cfg.RunConfig)
 	if err != nil {
 		return RunInfo{}, err
 	}
@@ -296,19 +291,14 @@ func (s *Server) Submit(m Matrix) (RunInfo, error) {
 	s.mu.Unlock()
 
 	dir := filepath.Join(s.cfg.BaseDir, runDirName(id))
-	// m.Expand already validated the spec above, so failures from here on
-	// are the server's own (disk, config) — wrapped so the HTTP layer can
-	// tell them from a bad matrix.
+	// NewService already validated the spec above, so a failure here is
+	// the server's own (disk) — wrapped so the HTTP layer can tell it
+	// from a bad matrix.
 	ck, err := NewCheckpoint(dir, m)
 	if err != nil {
 		return RunInfo{}, fmt.Errorf("%w: %v", errSubmitInternal, err)
 	}
-	svc, err := NewService(m, s.cfg.RunConfig)
-	if err != nil {
-		ck.Destroy()
-		return RunInfo{}, fmt.Errorf("%w: %v", errSubmitInternal, err)
-	}
-	r := &serverRun{id: id, dir: dir, matrix: m, jobs: len(jobs), state: RunQueued, svc: svc, ck: ck}
+	r := &serverRun{id: id, dir: dir, svc: svc, ck: ck}
 	s.mu.Lock()
 	draining := s.draining
 	if !draining {
@@ -354,9 +344,9 @@ var (
 	// ErrDraining is returned once Shutdown has begun.
 	ErrDraining = errors.New("campaign: server is draining")
 	// errSubmitInternal wraps admission failures that are the server's
-	// fault (checkpoint I/O, service construction) rather than the
-	// client's matrix — the HTTP layer answers 500, not 400, so
-	// well-behaved clients keep retrying valid specs.
+	// fault (checkpoint I/O) rather than the client's matrix — the HTTP
+	// layer answers 500, not 400, so well-behaved clients keep retrying
+	// valid specs.
 	errSubmitInternal = errors.New("campaign: run admission failed server-side")
 )
 
@@ -365,22 +355,18 @@ var (
 // next stage boundary (poll its status for the terminal "canceled").
 // Finished runs are not cancellable.
 func (s *Server) Cancel(id int) (RunInfo, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
+	r, ok := s.lookup(id)
 	if !ok {
 		return RunInfo{}, errUnknownRun
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch r.state {
-	case RunQueued:
+	switch {
+	case r.svc.cancelQueued():
 		// Whether or not the queue still holds it (an executor may have
-		// taken it and be blocked on r.mu right now), marking it canceled
-		// under the lock guarantees it never executes.
+		// taken it and be blocked on r.mu right now), the canceled
+		// Service never starts.
 		s.queue.remove(r)
-		r.state = RunCanceled
-		r.errMsg = "canceled before execution"
 		if r.ck != nil {
 			r.ck.Destroy()
 			r.ck = nil
@@ -391,19 +377,13 @@ func (s *Server) Cancel(id int) (RunInfo, error) {
 			destroyRunDir(r.dir)
 		}
 		obsServerCanceled.Inc()
-	case RunRunning:
+	case r.cancel != nil:
 		r.userCanceled = true
-		if r.cancel != nil {
-			r.cancel()
-		}
+		r.cancel()
 	default:
-		return RunInfo{}, fmt.Errorf("campaign: run %d already %s", id, r.state)
+		return RunInfo{}, fmt.Errorf("campaign: run %d already %s", id, r.info().State)
 	}
-	in := RunInfo{ID: r.id, State: r.state, Jobs: r.jobs, Dir: r.dir, Error: r.errMsg}
-	if r.svc != nil {
-		in.Results = r.svc.ResultCount()
-	}
-	return in, nil
+	return r.info(), nil
 }
 
 var errUnknownRun = errors.New("campaign: unknown run")
@@ -426,18 +406,17 @@ func (s *Server) executor() {
 // resumable.
 func (s *Server) execute(r *serverRun) {
 	r.mu.Lock()
-	if r.state != RunQueued { // canceled between queue and here
+	if r.svc.start() != nil { // canceled between queue and here
 		r.mu.Unlock()
 		return
 	}
 	runCtx, cancel := context.WithCancel(s.ctx)
-	r.state = RunRunning
 	r.cancel = cancel
-	svc, ck := r.svc, r.ck
+	ck := r.ck
 	r.mu.Unlock()
 
 	obsServerActive.Add(1)
-	_, err := svc.Run(runCtx, ck)
+	_, err := r.svc.run(runCtx, ck)
 	obsServerActive.Add(-1)
 	cancel()
 
@@ -445,14 +424,11 @@ func (s *Server) execute(r *serverRun) {
 	defer r.mu.Unlock()
 	r.cancel = nil
 	r.ck = nil
-	switch {
-	case err == nil:
-		r.state = RunDone
+	switch runState(err) {
+	case RunDone:
 		obsServerCompleted.Inc()
 		ck.Close()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		r.state = RunCanceled
-		r.errMsg = err.Error()
+	case RunCanceled:
 		obsServerCanceled.Inc()
 		if r.userCanceled {
 			// Explicit DELETE: the tenant discarded the run; its directory
@@ -465,8 +441,6 @@ func (s *Server) execute(r *serverRun) {
 			ck.Close()
 		}
 	default:
-		r.state = RunFailed
-		r.errMsg = err.Error()
 		obsServerFailed.Inc()
 		// Keep the log: completed jobs stay durable and a restart retries
 		// only the remainder.
@@ -544,154 +518,50 @@ func (s *Server) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /runs", func(w http.ResponseWriter, r *http.Request) {
-		offset, err := intParam(r, "offset", 0)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
+		if offset, limit, ok := pageParams(w, r); ok {
+			writeJSON(w, http.StatusOK, s.Runs(offset, limit))
 		}
-		limit, err := intParam(r, "limit", defaultPageLimit)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, s.Runs(offset, limit))
 	})
-	mux.HandleFunc("GET /runs/{id}", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
-		writeJSON(w, http.StatusOK, r.info())
-	}))
-	mux.HandleFunc("GET /runs/{id}/status", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
-		writeJSON(w, http.StatusOK, s.runStatus(r))
-	}))
-	mux.HandleFunc("GET /runs/{id}/jobs", s.runHandler(func(w http.ResponseWriter, req *http.Request, r *serverRun) {
-		offset, err := intParam(req, "offset", 0)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	mux.HandleFunc("GET /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		if r := s.resolve(w, req); r != nil {
+			writeJSON(w, http.StatusOK, r.info())
+		}
+	})
+	mux.HandleFunc("DELETE /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		r := s.resolve(w, req)
+		if r == nil {
 			return
 		}
-		limit, err := intParam(req, "limit", defaultPageLimit)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		r.mu.Lock()
-		svc, sum := r.svc, r.sum
-		r.mu.Unlock()
-		if svc != nil {
-			writeJSON(w, http.StatusOK, svc.Jobs(offset, limit))
-			return
-		}
-		writeJSON(w, http.StatusOK, jobsPageFromSummary(sum, offset, limit))
-	}))
-	mux.HandleFunc("GET /runs/{id}/result", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
-		r.mu.Lock()
-		state, svc, result := r.state, r.svc, r.result
-		r.mu.Unlock()
-		switch state {
-		case RunQueued, RunRunning:
-			writeJSON(w, http.StatusConflict, map[string]string{"state": string(state), "error": "campaign still " + string(state)})
-		case RunCanceled, RunFailed:
-			// Same contract as the per-run Service: canceled is a 409
-			// conflict with the run's state, failed a 500.
-			code := http.StatusConflict
-			if state == RunFailed {
-				code = http.StatusInternalServerError
-			}
-			writeJSON(w, code, map[string]string{"state": string(state), "error": r.info().Error})
-		default:
-			if svc != nil {
-				svc.writeResult(w)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(result)
-		}
-	}))
-	mux.HandleFunc("DELETE /runs/{id}", s.runHandler(func(w http.ResponseWriter, _ *http.Request, r *serverRun) {
 		info, err := s.Cancel(r.id)
 		if err != nil {
 			writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, info)
-	}))
+	})
+	runRoutes(mux, "/runs/{id}", func(w http.ResponseWriter, req *http.Request) *Service {
+		if r := s.resolve(w, req); r != nil {
+			return r.svc
+		}
+		return nil
+	})
 	return mux
 }
 
-// runHandler resolves the {id} path value to its run record.
-func (s *Server) runHandler(h func(http.ResponseWriter, *http.Request, *serverRun)) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		id, err := strconv.Atoi(req.PathValue("id"))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad run id " + req.PathValue("id")})
-			return
-		}
-		r, ok := s.lookup(id)
-		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown run %d", id)})
-			return
-		}
-		h(w, req, r)
+// resolve finds the run the {id} path value names, answering 400 or 404
+// itself and returning nil when there is none.
+func (s *Server) resolve(w http.ResponseWriter, req *http.Request) *serverRun {
+	id, err := strconv.Atoi(req.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad run id " + req.PathValue("id")})
+		return nil
 	}
-}
-
-// runStatus answers /runs/{id}/status: the per-run Service status with
-// the server's own lifecycle layered on top (a Service cannot know it
-// is still queued, and a recovered completed run has no Service at all).
-func (s *Server) runStatus(r *serverRun) ServiceStatus {
-	r.mu.Lock()
-	state, svc, sum, errMsg := r.state, r.svc, r.sum, r.errMsg
-	r.mu.Unlock()
-	if svc == nil {
-		// Recovered completed run: rebuild the status from the durable
-		// summary.
-		st := ServiceStatus{State: string(RunDone), Jobs: sum.Jobs, Completed: sum.Completed,
-			Failed: sum.Failed, Canceled: sum.Canceled, Workers: sum.Workers,
-			Quality: sum.Quality, Reliability: sum.Reliability, Safety: sum.Safety, Security: sum.Security}
-		return st
+	r, ok := s.lookup(id)
+	if !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown run %d", id)})
+		return nil
 	}
-	st := svc.Status()
-	switch state {
-	case RunQueued, RunCanceled, RunFailed, RunDone:
-		// The server's lifecycle wins where the Service cannot know it:
-		// "queued" predates Run, and a run canceled before execution has
-		// a Service that never ran (it still reports "running"). For runs
-		// that did execute, both derive the state from the same error
-		// classification, so the override cannot disagree.
-		st.State = string(state)
-		if errMsg != "" && st.Error == "" {
-			st.Error = errMsg
-		}
-	}
-	return st
-}
-
-// jobsPageFromSummary rebuilds the /jobs page of a recovered completed
-// run from its durable summary (results are already job-ID sorted).
-func jobsPageFromSummary(sum *Summary, offset, limit int) JobsPage {
-	offset, limit = clampPage(offset, limit)
-	results := sum.Results
-	if offset > len(results) {
-		offset = len(results)
-	}
-	end := offset + limit
-	if end > len(results) || end < offset {
-		end = len(results)
-	}
-	page := JobsPage{Total: len(results), Offset: offset, Jobs: make([]JobStatus, 0, end-offset)}
-	for _, r := range results[offset:end] {
-		js := JobStatus{ID: r.Job.ID, Name: r.Job.Name(), Status: "ok"}
-		switch {
-		case r.Canceled:
-			js.Status = "canceled"
-			js.Error = r.Err
-		case r.Err != "":
-			js.Status = "failed"
-			js.Error = r.Err
-		}
-		page.Jobs = append(page.Jobs, js)
-	}
-	page.Count = len(page.Jobs)
-	return page
+	return r
 }
 
 // Shutdown drains the server: admission stops (503), queued runs stay
@@ -733,33 +603,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // cancelled, then shuts down gracefully: the server drains (Shutdown)
 // and in-flight HTTP requests get drainTimeout to finish.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-		shctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		serr := s.Shutdown(shctx)
-		herr := srv.Shutdown(shctx)
-		<-errCh
-		if serr != nil {
-			return serr
-		}
-		return herr
-	}
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
+	return serve(ctx, ln, s.Handler(), s.Shutdown)
 }

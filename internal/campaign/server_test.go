@@ -758,3 +758,88 @@ func TestServerRunsPaging(t *testing.T) {
 		t.Errorf("%d runs report queued, want >= 4", queued)
 	}
 }
+
+// TestServerRecoveredQueuedRunShowsReplayedResults pins a recovered run
+// still waiting in the queue: the results its log already holds count on
+// /runs/{id}, /status and /jobs before the run executes again.
+func TestServerRecoveredQueuedRunShowsReplayedResults(t *testing.T) {
+	m := testMatrix()
+	full, err := Run(context.Background(), m, Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := t.TempDir()
+	// run-000000 has an empty log and takes the only executor;
+	// run-000001 has 5 of its 12 jobs logged and waits behind it.
+	for id, k := range []int{0, 5} {
+		ck, err := NewCheckpoint(filepath.Join(base, runDirName(id)), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range full.Results[:k] {
+			if err := ck.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := make(chan struct{})
+	defer close(release)
+	s := newTestServer(t, ServerConfig{BaseDir: base, MaxActiveRuns: 1, RunConfig: blockingRunConfig(release)})
+	h := s.Handler()
+
+	if info := decode[RunInfo](t, second(get(t, h, "/runs/1"))); info.State != RunQueued || info.Results != 5 {
+		t.Errorf("/runs/1 = state %q, %d results; want queued with 5", info.State, info.Results)
+	}
+	st := decode[ServiceStatus](t, second(get(t, h, "/runs/1/status")))
+	if st.State != "queued" || st.Completed != 5 || st.Pending != 7 {
+		t.Errorf("/runs/1/status = state %q, completed %d, pending %d; want queued, 5, 7", st.State, st.Completed, st.Pending)
+	}
+	page := decode[JobsPage](t, second(get(t, h, "/runs/1/jobs")))
+	for _, js := range page.Jobs {
+		want := "pending"
+		if js.ID < 5 {
+			want = "ok"
+		}
+		if js.Status != want {
+			t.Errorf("/runs/1/jobs: job %d is %q, want %q", js.ID, js.Status, want)
+		}
+	}
+}
+
+// TestServerQueuedRunHasNoStageCacheTraffic pins /status's stage-cache
+// block for a run that has not started: the hits, misses and waits other
+// runs make while it waits in the queue are not its own.
+func TestServerQueuedRunHasNoStageCacheTraffic(t *testing.T) {
+	m := Matrix{Circuits: []string{"c17"}, Scenarios: []Scenario{ScenarioQuality}, Patterns: 8}
+	release := make(chan struct{})
+	defer close(release)
+	s := newTestServer(t, ServerConfig{QueueCapacity: 4, MaxActiveRuns: 1, RunConfig: blockingRunConfig(release)})
+	h := s.Handler()
+	_, body := postRun(t, h, m)
+	waitRunState(t, h, decode[RunInfo](t, body).ID, RunRunning)
+	_, body = postRun(t, h, m)
+	queued := decode[RunInfo](t, body)
+	single, err := NewService(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := stageCacheSnapshot()
+	if _, err := Run(context.Background(), testMatrix(), Config{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	after := stageCacheSnapshot()
+	if after.Hits+after.Misses+after.Waits == before.Hits+before.Misses+before.Waits {
+		t.Fatal("the campaign elsewhere made no stage-cache traffic")
+	}
+
+	st := decode[ServiceStatus](t, second(get(t, h, fmt.Sprintf("/runs/%d/status", queued.ID))))
+	for label, sc := range map[string]*StageCacheStatus{"queued server run": st.StageCache, "unstarted service": single.Status().StageCache} {
+		if sc == nil || sc.Hits != 0 || sc.Misses != 0 || sc.Waits != 0 || sc.Evictions != 0 {
+			t.Errorf("%s reports stage-cache traffic %+v, want none", label, sc)
+		}
+	}
+}

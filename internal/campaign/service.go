@@ -16,9 +16,35 @@ import (
 	"rescue/internal/obs"
 )
 
-// Service exposes a running campaign over HTTP: /status answers with the
+// RunState is the lifecycle of one campaign run, as /status and the
+// multi-run server's listing report it.
+type RunState string
+
+const (
+	// RunQueued: built (and, on the server, durably headered on disk)
+	// but not started.
+	RunQueued RunState = "queued"
+	// RunRunning: Run is executing the campaign.
+	RunRunning RunState = "running"
+	// RunDone: completed; the canonical campaign.json exists.
+	RunDone RunState = "done"
+	// RunFailed: the campaign itself errored (not merely job failures).
+	RunFailed RunState = "failed"
+	// RunCanceled: canceled while queued or running (DELETE, or a server
+	// drain — drained runs resume from their checkpoint on restart).
+	RunCanceled RunState = "canceled"
+)
+
+// errCanceledBeforeExecution is the error of a run canceled while queued.
+var errCanceledBeforeExecution = errors.New("canceled before execution")
+
+// Service is one campaign run and its HTTP API: /status answers with the
 // per-aspect rollup-so-far, /jobs pages through per-job states, and
-// /result serves the canonical campaign.json once the run is done. The
+// /result serves the canonical campaign.json once the run is done. A
+// Service starts queued; Run moves it to running and then to done,
+// failed or canceled. The multi-run server additionally cancels queued
+// services before they run and restores finished ones from their run
+// directories, and serves the same endpoints under /runs/{id}. The
 // handlers are safe against the in-flight worker pool, so a long
 // campaign can be observed live; Serve drains in-flight requests on
 // shutdown.
@@ -28,26 +54,30 @@ type Service struct {
 	jobs    []Job
 	workers int
 
-	mu       sync.Mutex
-	results  map[int]Result
-	sum      *Summary
-	runErr   error
-	started  time.Time // zero until Run is called
-	finished time.Time // zero until the campaign ends
-	replayed int       // checkpoint-replayed results (not executed here)
-	done     chan struct{}
+	mu      sync.Mutex
+	state   RunState
+	results map[int]Result
+	sum     *Summary
+	// result holds a restored run's campaign.json as read from disk.
+	result []byte
+	runErr error
+	clock  obs.Span // started with the run
+	// elapsed freezes the run's wall-clock when it ends.
+	elapsed  time.Duration
+	replayed int // checkpoint-replayed results (not executed here)
 	// cacheBase is the process-wide stage-cache counter snapshot taken
-	// when this run started; /status reports deltas against it so a
-	// multi-run process never misattributes other runs' cache traffic.
-	cacheBase StageCacheStatus
+	// when this run started (nil before); /status reports deltas against
+	// it so a multi-run process never misattributes other runs' cache
+	// traffic.
+	cacheBase *StageCacheStatus
 }
 
 // drainTimeout bounds the graceful-shutdown drain of in-flight requests.
 const drainTimeout = 5 * time.Second
 
-// NewService validates the matrix and prepares a service around it. Run
-// starts the campaign; Handler (or Serve) answers concurrently from the
-// first request on.
+// NewService validates the matrix and prepares a queued service around
+// it. Run starts the campaign; Handler (or Serve) answers concurrently
+// from the first request on.
 func NewService(m Matrix, cfg Config) (*Service, error) {
 	jobs, err := m.Expand()
 	if err != nil {
@@ -62,19 +92,62 @@ func NewService(m Matrix, cfg Config) (*Service, error) {
 		cfg:     cfg,
 		jobs:    jobs,
 		workers: workers,
+		state:   RunQueued,
 		results: make(map[int]Result, len(jobs)),
-		done:    make(chan struct{}),
-		// Re-snapshotted when Run starts; seeding it here keeps a
-		// pre-Run Status from reporting the whole process history.
-		cacheBase: stageCacheSnapshot(),
 	}, nil
+}
+
+// restoreService rebuilds the done Service of a run that completed in an
+// earlier process from its campaign.json bytes, which /result then serves
+// as they are. It never runs here, so it has no workers, no stage-cache
+// view and no wall-clock to report.
+func restoreService(m Matrix, raw []byte) (*Service, error) {
+	jobs, err := m.Expand()
+	if err != nil {
+		return nil, err
+	}
+	var sum Summary
+	if err := json.Unmarshal(raw, &sum); err != nil {
+		return nil, err
+	}
+	s := &Service{matrix: m, cfg: Config{DisableStageCache: true}, jobs: jobs,
+		state: RunDone, result: raw, results: make(map[int]Result, len(jobs))}
+	seen := make(map[int]bool, len(sum.Results))
+	for _, r := range sum.Results {
+		if err := validateReplayed(r, jobs, seen); err != nil {
+			return nil, err
+		}
+		s.results[r.Job.ID] = r
+	}
+	return s, nil
 }
 
 // Run executes the campaign, recording every result for the HTTP API; a
 // non-nil checkpoint makes the run durable (replayed jobs appear as
 // already completed, new results hit the log before the API sees them).
-// It blocks until the campaign finishes and must be called exactly once.
+// It blocks until the campaign finishes and must be called at most once,
+// on a queued service.
 func (s *Service) Run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
+	if err := s.start(); err != nil {
+		return nil, err
+	}
+	return s.run(ctx, ck)
+}
+
+// start moves a queued service to running.
+func (s *Service) start() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != RunQueued {
+		return fmt.Errorf("campaign: run already %s", s.state)
+	}
+	base := stageCacheSnapshot()
+	s.state, s.cacheBase, s.clock = RunRunning, &base, obs.StartSpan(nil)
+	return nil
+}
+
+// run executes a started service's campaign; see Run.
+func (s *Service) run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
 	cfg := s.cfg
 	user := cfg.OnResult
 	cfg.OnResult = func(r Result) {
@@ -83,11 +156,6 @@ func (s *Service) Run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
 			user(r)
 		}
 	}
-	s.mu.Lock()
-	s.cacheBase = stageCacheSnapshot()
-	//lint:allow determinism live /status throughput display only; never serialized into campaign.json
-	s.started = time.Now()
-	s.mu.Unlock()
 	var sum *Summary
 	var err error
 	if ck != nil {
@@ -99,16 +167,28 @@ func (s *Service) Run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
 		sum, err = Run(ctx, s.matrix, cfg)
 	}
 	s.mu.Lock()
-	s.sum, s.runErr = sum, err
-	//lint:allow determinism live /status throughput display only; never serialized into campaign.json
-	s.finished = time.Now()
+	s.state, s.sum, s.runErr = runState(err), sum, err
+	s.elapsed = s.clock.Elapsed()
 	s.mu.Unlock()
-	close(s.done)
 	return sum, err
 }
 
+// cancelQueued ends a service that has not started: it reports canceled
+// with errCanceledBeforeExecution, and Run refuses to start it. It
+// returns false once the service has started.
+func (s *Service) cancelQueued() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != RunQueued {
+		return false
+	}
+	s.state, s.runErr = RunCanceled, errCanceledBeforeExecution
+	return true
+}
+
 // bind verifies the checkpoint belongs to this service's matrix and
-// surfaces its replayed results through the API.
+// surfaces its replayed results through the API. Binding the same log
+// twice is harmless: results are keyed by job ID.
 func (s *Service) bind(ck *Checkpoint) error {
 	a, err := matrixIdentity(s.matrix)
 	if err != nil {
@@ -139,9 +219,9 @@ func (s *Service) record(r Result) {
 // ServiceStatus is the /status payload: campaign progress plus the
 // per-aspect rollups aggregated over the results so far.
 type ServiceStatus struct {
-	// State is "running", "done", "canceled" or "failed" ("failed"
-	// meaning the campaign itself errored, not that individual jobs
-	// failed — those count in Failed).
+	// State is "queued", "running", "done", "canceled" or "failed"
+	// ("failed" meaning the campaign itself errored, not that individual
+	// jobs failed — those count in Failed).
 	State     string `json:"state"`
 	Jobs      int    `json:"jobs"`
 	Pending   int    `json:"pending"`
@@ -171,11 +251,11 @@ type ServiceStatus struct {
 
 // StageCacheStatus is the /status view of the stage cache. Hits,
 // Misses, Waits and Evictions are this run's own traffic — deltas of
-// the process-wide counters since the run started, so two campaigns
-// sharing the process (the multi-run server's whole point) each report
-// only their own dedup rate. InFlight, Entries and Bytes are
-// point-in-time gauges of the shared cache itself. The raw cumulative
-// series stay on /metrics.
+// the process-wide counters since the run started (zero until it
+// starts), so two campaigns sharing the process (the multi-run server's
+// whole point) each report only their own dedup rate. InFlight, Entries
+// and Bytes are point-in-time gauges of the shared cache itself. The raw
+// cumulative series stay on /metrics.
 type StageCacheStatus struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -199,96 +279,76 @@ func stageCacheSnapshot() StageCacheStatus {
 	}
 }
 
-// stageCacheDelta subtracts the run-start snapshot from the current
-// counters, keeping the shared-state gauges as-is.
-func (s *Service) stageCacheDelta() *StageCacheStatus {
+// stageCacheTraffic reports the shared cache's gauges and a run's own
+// traffic since base, the snapshot taken when the run started (none
+// while base is nil: the run has not started).
+func stageCacheTraffic(base *StageCacheStatus) *StageCacheStatus {
 	now := stageCacheSnapshot()
-	s.mu.Lock()
-	base := s.cacheBase
-	s.mu.Unlock()
-	return &StageCacheStatus{
-		Hits:      now.Hits - base.Hits,
-		Misses:    now.Misses - base.Misses,
-		Waits:     now.Waits - base.Waits,
-		Evictions: now.Evictions - base.Evictions,
-		InFlight:  now.InFlight,
-		Entries:   now.Entries,
-		Bytes:     now.Bytes,
+	st := &StageCacheStatus{InFlight: now.InFlight, Entries: now.Entries, Bytes: now.Bytes}
+	if base != nil {
+		st.Hits = now.Hits - base.Hits
+		st.Misses = now.Misses - base.Misses
+		st.Waits = now.Waits - base.Waits
+		st.Evictions = now.Evictions - base.Evictions
 	}
+	return st
 }
 
-// runState maps a finished campaign's error to the /status state
-// machine — the single definition shared by /status and /result, so the
-// two endpoints can never disagree about what "canceled" means.
-func runState(err error) string {
+// runState maps a finished campaign's error to its lifecycle state — the
+// single classification shared by /status, /result and the server's
+// counters, so they can never disagree about what "canceled" means.
+func runState(err error) RunState {
 	switch {
 	case err == nil:
-		return "done"
+		return RunDone
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return "canceled"
+		return RunCanceled
 	default:
-		return "failed"
+		return RunFailed
 	}
 }
 
 // Status aggregates the rollup-so-far. It is what /status serves.
 func (s *Service) Status() ServiceStatus {
-	results, sumErr, finished := s.snapshot()
+	s.mu.Lock()
+	results := make([]Result, 0, len(s.results))
+	for _, r := range s.results {
+		results = append(results, r)
+	}
+	state, runErr, replayed, cacheBase := s.state, s.runErr, s.replayed, s.cacheBase
+	elapsed := s.elapsed
+	if state == RunRunning {
+		elapsed = s.clock.Elapsed()
+	}
+	s.mu.Unlock()
+	sort.Slice(results, func(i, j int) bool { return results[i].Job.ID < results[j].Job.ID })
+
 	agg := Aggregate(len(s.jobs), s.workers, results)
 	st := ServiceStatus{
-		State:       "running",
+		State:       string(state),
 		Jobs:        agg.Jobs,
 		Pending:     agg.Jobs - len(results),
 		Completed:   agg.Completed,
 		Failed:      agg.Failed,
 		Canceled:    agg.Canceled,
 		Workers:     s.workers,
+		Replayed:    replayed,
+		ElapsedSec:  elapsed.Seconds(),
 		Quality:     agg.Quality,
 		Reliability: agg.Reliability,
 		Safety:      agg.Safety,
 		Security:    agg.Security,
 	}
+	if executed := len(results) - replayed; executed > 0 && st.ElapsedSec > 0 {
+		st.JobsPerSec = float64(executed) / st.ElapsedSec
+	}
+	if runErr != nil {
+		st.Error = runErr.Error()
+	}
 	if !s.cfg.DisableStageCache {
-		st.StageCache = s.stageCacheDelta()
-	}
-	s.mu.Lock()
-	started, ended, replayed := s.started, s.finished, s.replayed
-	s.mu.Unlock()
-	st.Replayed = replayed
-	if !started.IsZero() {
-		if ended.IsZero() {
-			//lint:allow determinism live /status throughput display only; never serialized into campaign.json
-			ended = time.Now()
-		}
-		st.ElapsedSec = ended.Sub(started).Seconds()
-		if executed := len(results) - replayed; executed > 0 && st.ElapsedSec > 0 {
-			st.JobsPerSec = float64(executed) / st.ElapsedSec
-		}
-	}
-	if finished {
-		st.State = runState(sumErr)
-		if sumErr != nil {
-			st.Error = sumErr.Error()
-		}
+		st.StageCache = stageCacheTraffic(cacheBase)
 	}
 	return st
-}
-
-// snapshot copies the current results sorted by job ID.
-func (s *Service) snapshot() (results []Result, runErr error, finished bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	results = make([]Result, 0, len(s.results))
-	for _, r := range s.results {
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Job.ID < results[j].Job.ID })
-	select {
-	case <-s.done:
-		finished = true
-	default:
-	}
-	return results, s.runErr, finished
 }
 
 // JobStatus is one entry of the /jobs page.
@@ -320,7 +380,7 @@ const (
 )
 
 // clampPage normalizes a page window. Negative offsets clamp to 0 here;
-// the HTTP layer is stricter (intParam rejects them with 400) so a
+// the HTTP layer is stricter (pageParams rejects them with 400) so a
 // malformed query fails loudly while programmatic callers stay total.
 func clampPage(offset, limit int) (int, int) {
 	if offset < 0 {
@@ -369,103 +429,90 @@ func (s *Service) Jobs(offset, limit int) JobsPage {
 	return page
 }
 
+// runInfo is the run's listing entry on the multi-run server.
+func (s *Service) runInfo(id int, dir string) RunInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	in := RunInfo{ID: id, State: s.state, Jobs: len(s.jobs), Results: len(s.results), Dir: dir}
+	if s.runErr != nil {
+		in.Error = s.runErr.Error()
+	}
+	return in
+}
+
 // Handler returns the service's HTTP API:
 //
 //	GET /status  — ServiceStatus JSON (rollup-so-far + throughput-so-far)
 //	GET /jobs    — JobsPage JSON; query params offset, limit (default 100)
-//	GET /result  — the canonical campaign.json once done (409 while running)
+//	GET /result  — the canonical campaign.json once done (409 before)
 //	GET /metrics — the process-wide obs registry in Prometheus text format
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Default.Handler())
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
+	mux.Handle("GET /metrics", obs.Default.Handler())
+	runRoutes(mux, "", func(http.ResponseWriter, *http.Request) *Service { return s })
+	return mux
+}
+
+// runRoutes registers one run's endpoints under prefix: GET
+// prefix/status, prefix/jobs and prefix/result, answered by the Service
+// resolve returns for the request. resolve answers the request itself
+// and returns nil when there is no such run.
+func runRoutes(mux *http.ServeMux, prefix string, resolve func(http.ResponseWriter, *http.Request) *Service) {
+	mux.HandleFunc("GET "+prefix+"/status", func(w http.ResponseWriter, r *http.Request) {
+		if s := resolve(w, r); s != nil {
+			writeJSON(w, http.StatusOK, s.Status())
 		}
-		writeJSON(w, http.StatusOK, s.Status())
 	})
-	mux.HandleFunc("/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
-			return
-		}
-		offset, err := intParam(r, "offset", 0)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		limit, err := intParam(r, "limit", defaultPageLimit)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	mux.HandleFunc("GET "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
+		s := resolve(w, r)
+		if s == nil {
 			return
 		}
 		// Jobs itself clamps (default page on limit<=0, maxPageLimit cap),
 		// so an explicit limit=0 serves the default page, never the whole
 		// expanded matrix.
-		writeJSON(w, http.StatusOK, s.Jobs(offset, limit))
+		if offset, limit, ok := pageParams(w, r); ok {
+			writeJSON(w, http.StatusOK, s.Jobs(offset, limit))
+		}
 	})
-	mux.HandleFunc("/result", func(w http.ResponseWriter, r *http.Request) {
-		if !allowGet(w, r) {
+	mux.HandleFunc("GET "+prefix+"/result", func(w http.ResponseWriter, r *http.Request) {
+		if s := resolve(w, r); s != nil {
+			s.writeResult(w)
+		}
+	})
+}
+
+// writeResult serves the canonical campaign result: the campaign.json
+// bytes once the run completed, 409 {"state":"queued"} or
+// {"state":"running"} before, 409 {"state":"canceled"} for a canceled run
+// (cancellation is a lifecycle conflict, not a server fault — matching
+// /status's state machine), and 500 {"state":"failed"} only when the
+// campaign itself errored.
+func (s *Service) writeResult(w http.ResponseWriter) {
+	s.mu.Lock()
+	state, sum, result, runErr := s.state, s.sum, s.result, s.runErr
+	s.mu.Unlock()
+	switch state {
+	case RunQueued, RunRunning:
+		writeJSON(w, http.StatusConflict, map[string]string{"state": string(state), "error": "campaign still " + string(state)})
+		return
+	case RunCanceled:
+		writeJSON(w, http.StatusConflict, map[string]string{"state": string(state), "error": runErr.Error()})
+		return
+	case RunFailed:
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"state": string(state), "error": runErr.Error()})
+		return
+	}
+	if result == nil {
+		js, err := sum.JSON()
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"state": string(RunFailed), "error": err.Error()})
 			return
 		}
-		s.writeResult(w)
-	})
-	return mux
-}
-
-// writeResult serves the canonical campaign result: the summary JSON
-// once the run completed, 409 {"state":"running"} while it is still
-// going, 409 {"state":"canceled"} for a canceled run (cancellation is a
-// lifecycle conflict, not a server fault — matching /status's state
-// machine), and 500 {"state":"failed"} only when the campaign itself
-// errored. The multi-run server's /runs/{id}/result delegates here.
-func (s *Service) writeResult(w http.ResponseWriter) {
-	// Order matters: confirm completion before reading sum/runErr.
-	// Run stores both under the mutex before closing done, so once
-	// done is closed the values read here are final — the reverse
-	// order could serve a nil summary to a request racing the
-	// campaign's last job.
-	select {
-	case <-s.done:
-	default:
-		writeJSON(w, http.StatusConflict, map[string]string{"state": "running", "error": "campaign still running"})
-		return
-	}
-	s.mu.Lock()
-	sum, runErr := s.sum, s.runErr
-	s.mu.Unlock()
-	if runErr != nil {
-		state := runState(runErr)
-		code := http.StatusInternalServerError
-		if state == "canceled" {
-			code = http.StatusConflict
-		}
-		writeJSON(w, code, map[string]string{"state": state, "error": runErr.Error()})
-		return
-	}
-	js, err := sum.JSON()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"state": "failed", "error": err.Error()})
-		return
+		result = append(js, '\n')
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(js, '\n'))
-}
-
-// ResultCount returns how many job results the service has recorded so
-// far — replayed or executed, any outcome.
-func (s *Service) ResultCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.results)
-}
-
-func allowGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		w.Header().Set("Allow", "GET, HEAD")
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
-		return false
-	}
-	return true
+	w.Write(result)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -476,16 +523,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
+// pageParams reads the offset and limit query parameters (defaults 0 and
+// defaultPageLimit), answering 400 itself when one is malformed.
+func pageParams(w http.ResponseWriter, r *http.Request) (offset, limit int, ok bool) {
+	q := r.URL.Query()
+	vals := [2]int{0, defaultPageLimit}
+	for i, name := range [2]string{"offset", "limit"} {
+		raw := q.Get(name)
+		if raw == "" {
+			continue
+		}
+		v, err := strconv.Atoi(raw)
+		if err != nil || v < 0 {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad %s parameter %q", name, raw)})
+			return 0, 0, false
+		}
+		vals[i] = v
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad %s parameter %q", name, raw)
-	}
-	return v, nil
+	return vals[0], vals[1], true
 }
 
 // Serve answers API requests on the listener until ctx is cancelled,
@@ -493,7 +548,14 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 // drain (bounded by drainTimeout) before Serve returns. The campaign
 // itself is driven by Run, typically in another goroutine.
 func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
+	return serve(ctx, ln, s.Handler(), nil)
+}
+
+// serve answers h on the listener until ctx is cancelled. It then runs
+// drain, if any, and lets in-flight requests finish, both within
+// drainTimeout, and returns drain's error first.
+func serve(ctx context.Context, ln net.Listener, h http.Handler, drain func(context.Context) error) error {
+	srv := &http.Server{Handler: h}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	select {
@@ -505,17 +567,15 @@ func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
 	case <-ctx.Done():
 		shctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
-		err := srv.Shutdown(shctx)
+		var derr error
+		if drain != nil {
+			derr = drain(shctx)
+		}
+		herr := srv.Shutdown(shctx)
 		<-errCh // Serve has returned http.ErrServerClosed
-		return err
+		if derr != nil {
+			return derr
+		}
+		return herr
 	}
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Service) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
 }

@@ -41,13 +41,13 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 	h := svc.Handler()
 
-	// Before the run finishes, /result must refuse and /status must say
-	// running with every job accounted for.
+	// Before the run starts, /result must refuse and /status must say
+	// queued with every job accounted for.
 	if code, _ := get(t, h, "/result"); code != http.StatusConflict {
 		t.Fatalf("/result before completion: status %d, want 409", code)
 	}
 	st := decode[ServiceStatus](t, second(get(t, h, "/status")))
-	if st.State != "running" || st.Jobs != 12 || st.Pending != 12 {
+	if st.State != "queued" || st.Jobs != 12 || st.Pending != 12 {
 		t.Fatalf("initial status = %+v", st)
 	}
 

@@ -122,8 +122,18 @@ type Span struct {
 	start time.Time
 }
 
-// StartSpan opens a span that will record into h.
+// StartSpan opens a span that will record into h. With a nil h the span
+// only measures: Elapsed reads it and End records nothing.
 func StartSpan(h *Histogram) Span { return Span{h: h, start: time.Now()} }
+
+// Elapsed returns the wall-clock since the span started without ending
+// it; zero for a zero Span.
+func (s Span) Elapsed() time.Duration {
+	if s.start.IsZero() {
+		return 0
+	}
+	return time.Since(s.start)
+}
 
 // End closes the span, records the elapsed wall-clock into the
 // histogram, and returns it. End on a zero Span is a no-op.

@@ -67,6 +67,27 @@ func TestSpanRecords(t *testing.T) {
 	if zero.End() != 0 {
 		t.Error("zero span End should be a no-op")
 	}
+	if zero.Elapsed() != 0 {
+		t.Error("zero span Elapsed should be 0")
+	}
+}
+
+// TestSpanElapsedWithoutRecording pins the measure-only span: Elapsed
+// reads a running span without ending it, and End on a nil-histogram
+// span records nothing.
+func TestSpanElapsedWithoutRecording(t *testing.T) {
+	sp := StartSpan(nil)
+	time.Sleep(time.Millisecond)
+	first := sp.Elapsed()
+	if first < time.Millisecond {
+		t.Errorf("Elapsed %v < 1ms", first)
+	}
+	if second := sp.Elapsed(); second < first {
+		t.Errorf("Elapsed went backwards: %v then %v", first, second)
+	}
+	if d := sp.End(); d != 0 {
+		t.Errorf("End of a nil-histogram span = %v, want 0", d)
+	}
 }
 
 func TestRegistrationConflictsPanic(t *testing.T) {
