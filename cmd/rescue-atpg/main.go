@@ -36,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	compact := flag.Bool("compact", true, "apply reverse-order static compaction")
 	parallel := flag.Int("parallel", 1, "deterministic-phase PODEM workers (results are identical at any level)")
-	sessionParallel := flag.Int("session-parallel", 1, "fault-simulation session workers for wide pattern chunks (results are identical at any level)")
 	noDrop := flag.Bool("no-drop", false, "disable test-and-drop (reference flow: one PODEM call per remaining fault)")
 	timing := flag.String("timing", "", "machine-readable wall-clock benchmark JSON path")
 	list := flag.Bool("list", false, "list available circuits and exit")
@@ -78,7 +77,6 @@ func main() {
 	res, err := atpg.GenerateTests(n, faults, atpg.FlowOptions{
 		RandomPatterns: *random, Seed: *seed, Compact: *compact,
 		Parallelism: *parallel, NoDrop: *noDrop,
-		SessionParallelism: *sessionParallel,
 	})
 	wall := time.Since(start)
 	if err != nil {

@@ -39,14 +39,12 @@ var hotFuncs = map[string]hotSpec{
 	},
 	"rescue/internal/faultsim": {
 		// The session's per-chunk stages are kernels end to end: the
-		// word-block loop, the wide snapshot/compute/merge stages and
-		// the detection recorder all run once per pattern chunk. The
-		// time-frame engine's per-cycle step and latch run once per
-		// clock cycle of every injection.
+		// word-block and wide-chunk loops and the detection recorder all
+		// run once per pattern chunk. The time-frame engine's per-cycle
+		// step and latch run once per clock cycle of every injection.
 		exact: map[string]bool{
 			"Simulate": true, "simulateWordBlock": true, "simulateWideChunk": true,
-			"coneRange": true, "snapshotUndetected": true, "recordDetection": true,
-			"stepFrame": true, "latch": true,
+			"recordDetection": true, "stepFrame": true, "latch": true,
 		},
 		prefix: []string{"RunCone"},
 	},

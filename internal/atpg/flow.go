@@ -170,12 +170,6 @@ type FlowOptions struct {
 	// phase is targeted individually, as the pre-session flow did. It is
 	// the reference side of the ablation benchmarks and regression tests.
 	NoDrop bool
-	// SessionParallelism is the fault-simulation session's wide-path
-	// worker count (<=1 runs serially). It only affects chunks of
-	// sim.BlockPatterns or more — the random bootstrap and the final
-	// verification pass — and never changes any result (the session
-	// merges detections deterministically; see Session.SetParallelism).
-	SessionParallelism int
 }
 
 // DefaultRoundSize is the deterministic-round width: wide enough to keep
@@ -198,7 +192,6 @@ func GenerateTests(n *netlist.Netlist, faults fault.List, opt FlowOptions) (*Res
 	if err != nil {
 		return nil, err
 	}
-	sess.SetParallelism(opt.SessionParallelism)
 
 	if opt.RandomPatterns > 0 {
 		pats := faultsim.RandomPatterns(n, opt.RandomPatterns, opt.Seed)

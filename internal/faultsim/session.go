@@ -3,7 +3,6 @@ package faultsim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"rescue/internal/fault"
 	"rescue/internal/logic"
@@ -49,13 +48,6 @@ func bitIndex(wi, bit int) int { return wi<<6 + bit }
 // Simulate performs zero heap allocations (asserted by
 // TestSessionSimulateZeroAlloc).
 //
-// SetParallelism distributes the wide cone passes of each chunk over a
-// bounded worker pool. Results are byte-identical at every parallelism
-// level: the undetected set is snapshotted per chunk, workers fill
-// disjoint slots of the per-fault diff arena, and detections are merged
-// serially in ascending fault-index order — the same merge the serial
-// path runs.
-//
 // A Session is single-goroutine from the caller's perspective; the
 // compiled machine and cone cache it shares through the netlist are
 // internally synchronised, but the packed machines are not. Run is a
@@ -70,13 +62,10 @@ type Session struct {
 	// circuit and shared across sessions and campaign jobs.
 	compiled  *sim.Compiled
 	good, bad *sim.Packed
-	// Wide machines and their arenas are built lazily by ensureWide on
-	// the first full-block chunk: sessions fed only short pattern runs
-	// (ATPG single-vector drops) never pay for them. wbad holds one
-	// faulty machine per worker; wbad[0] doubles as the serial machine.
-	wgood       *sim.PackedBlock
-	wbad        []*sim.PackedBlock
-	parallelism int
+	// The wide machines are built lazily by ensureWide on the first
+	// full-block chunk: sessions fed only short pattern runs (ATPG
+	// single-vector drops) never pay for them.
+	wgood, wbad *sim.PackedBlock
 	faults      fault.List
 	cones       []*netlist.Cone
 	st          []fault.Status
@@ -86,16 +75,10 @@ type Session struct {
 	patterns    int   // total patterns simulated since the last Reset
 	gateEvals   int64 // cumulative over the session lifetime (survives Reset)
 	comb        int64
-	// Per-Simulate arenas. snapBuf/diffs/coneEvals implement the wide
-	// path's snapshot-compute-merge structure (allocated by ensureWide);
-	// detBuf backs SimResult.Detected for both paths, filled by indexed
-	// store so the hot loops never append.
-	snapBuf   []int
-	diffs     []logic.BlockMask
-	coneEvals []int32
-	detBuf    []int
-	detN      int
-	wg        sync.WaitGroup
+	// detBuf backs SimResult.Detected, filled by indexed store so the hot
+	// loops never append.
+	detBuf []int
+	detN   int
 }
 
 // SimResult reports one Simulate call: which faults it newly detected
@@ -130,14 +113,13 @@ func NewSession(n *netlist.Netlist, faults fault.List) (*Session, error) {
 	}
 	s := &Session{
 		n: n, compiled: good.Compiled(), good: good, bad: good.Compiled().NewPacked(),
-		parallelism: 1,
-		faults:      faults,
-		cones:       make([]*netlist.Cone, len(faults)),
-		st:          make([]fault.Status, len(faults)),
-		detectedBy:  make([]int, len(faults)),
-		undet:       make([]uint64, undetWords(len(faults))),
-		detBuf:      make([]int, len(faults)),
-		comb:        int64(combGateCount(n)),
+		faults:     faults,
+		cones:      make([]*netlist.Cone, len(faults)),
+		st:         make([]fault.Status, len(faults)),
+		detectedBy: make([]int, len(faults)),
+		undet:      make([]uint64, undetWords(len(faults))),
+		detBuf:     make([]int, len(faults)),
+		comb:       int64(combGateCount(n)),
 	}
 	for fi, f := range faults {
 		if f.Kind != fault.StuckAt {
@@ -153,20 +135,6 @@ func NewSession(n *netlist.Netlist, faults fault.List) (*Session, error) {
 	s.Reset()
 	obsSessions.Inc()
 	return s, nil
-}
-
-// SetParallelism sets the worker count for the wide cone passes (values
-// below 1 select 1). Parallelism never changes any result: Status,
-// DetectedBy, SimResult and GateEvals are byte-identical at every level,
-// because detections are merged serially in fault-index order from
-// per-fault diffs computed independently. Only full 256-pattern chunks
-// fan out; word-path tails always run serially. Must not be called
-// concurrently with Simulate.
-func (s *Session) SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	s.parallelism = p
 }
 
 // Reset clears the detection state — statuses, first-detecting-pattern
@@ -190,19 +158,11 @@ func (s *Session) Reset() {
 	}
 }
 
-// ensureWide lazily builds the wide good machine, the per-worker faulty
-// machines and the snapshot/diff/eval arenas. Idempotent and cheap once
-// warm; growing parallelism adds machines without discarding existing
-// ones.
+// ensureWide lazily builds the wide good and faulty machines.
 func (s *Session) ensureWide() {
 	if s.wgood == nil {
 		s.wgood = s.compiled.NewPackedBlock()
-		s.snapBuf = make([]int, len(s.faults))
-		s.diffs = make([]logic.BlockMask, len(s.faults))
-		s.coneEvals = make([]int32, len(s.faults))
-	}
-	for len(s.wbad) < s.parallelism {
-		s.wbad = append(s.wbad, s.compiled.NewPackedBlock())
+		s.wbad = s.compiled.NewPackedBlock()
 	}
 }
 
@@ -288,97 +248,35 @@ func (s *Session) simulateWordBlock(block []logic.Vector, base int, res *SimResu
 }
 
 // simulateWideChunk runs one full 256-pattern chunk on the wide
-// machines in three phases: snapshot the undetected set, compute every
-// fault's wide diff mask (serially or fanned over the worker pool), and
-// merge detections serially in ascending snapshot order. The merge is
-// shared by both modes, which is what makes parallelism invisible in
-// the results.
+// machines: one wide good pass, then one wide cone pass per undetected
+// fault, walking the undetected bitset and dropping in place as
+// simulateWordBlock does.
 func (s *Session) simulateWideChunk(chunk []logic.Vector, base int, res *SimResult) error {
 	s.ensureWide()
 	if err := s.wgood.LoadPatterns(chunk); err != nil {
 		return err
 	}
 	s.wgood.Run()
+	s.wbad.AlignTo(s.wgood)
 	res.GateEvals += int64(logic.BlockWords) * s.comb
-	nsnap := s.snapshotUndetected()
-	if nsnap == 0 {
-		return nil
-	}
-	workers := s.parallelism
-	if workers > nsnap {
-		workers = nsnap
-	}
-	for w := 0; w < workers; w++ {
-		s.wbad[w].AlignTo(s.wgood)
-	}
-	if workers <= 1 {
-		s.coneRange(s.wbad[0], 0, nsnap)
-	} else {
-		per := (nsnap + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > nsnap {
-				hi = nsnap
-			}
-			s.wg.Add(1)
-			go s.coneWorker(w, lo, hi)
-		}
-		s.wg.Wait()
-	}
-	for k := 0; k < nsnap; k++ {
-		fi := s.snapBuf[k]
-		res.GateEvals += int64(s.coneEvals[k]) * logic.BlockWords
-		d := &s.diffs[k]
-		if d.Any() {
-			s.recordDetection(fi, base+d.FirstSlot())
-		} else if s.st[fi] == fault.NotSimulated {
-			s.st[fi] = fault.Undetected
-		}
-	}
-	return nil
-}
-
-// snapshotUndetected copies the undetected fault indices into snapBuf
-// in ascending order and returns the count — the fixed work list of one
-// wide chunk, immune to the drops the merge phase applies.
-func (s *Session) snapshotUndetected() int {
-	k := 0
+	mask := logic.BlockMaskAll()
 	for wi, w := range s.undet {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
 			w &^= 1 << uint(bit)
-			s.snapBuf[k] = bitIndex(wi, bit)
-			k++
+			fi := bitIndex(wi, bit)
+			f := s.faults[fi]
+			diff, evals := s.wbad.RunConeAligned(s.wgood, s.cones[fi],
+				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, &mask)
+			res.GateEvals += int64(evals) * logic.BlockWords
+			if diff.Any() {
+				s.recordDetection(fi, base+diff.FirstSlot())
+			} else if s.st[fi] == fault.NotSimulated {
+				s.st[fi] = fault.Undetected
+			}
 		}
 	}
-	return k
-}
-
-// coneWorker is one wide-path worker: it computes its contiguous
-// snapshot range on its own faulty machine and signals completion.
-// Spawned as a plain method goroutine so the hot compute loop itself
-// (coneRange) stays closure-free.
-func (s *Session) coneWorker(w, lo, hi int) {
-	s.coneRange(s.wbad[w], lo, hi)
-	s.wg.Done()
-}
-
-// coneRange computes the wide cone passes for snapshot entries [lo,hi),
-// filling disjoint slots of the diff and eval arenas. It only reads
-// shared session state (snapshot, faults, cones, the good machine), so
-// any partition of the snapshot across workers is race-free, and the
-// arena contents are independent of the partition.
-func (s *Session) coneRange(bad *sim.PackedBlock, lo, hi int) {
-	mask := logic.BlockMaskAll()
-	for k := lo; k < hi; k++ {
-		fi := s.snapBuf[k]
-		f := s.faults[fi]
-		diff, evals := bad.RunConeAligned(s.wgood, s.cones[fi],
-			sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, &mask)
-		s.diffs[k] = diff
-		s.coneEvals[k] = int32(evals)
-	}
+	return nil
 }
 
 // recordDetection marks fault fi detected by chunk-local pattern slot
