@@ -1,6 +1,7 @@
 package fusa
 
 import (
+	"reflect"
 	"testing"
 
 	"rescue/internal/atpg"
@@ -396,5 +397,70 @@ func TestDuplicateSynthesis(t *testing.T) {
 	_ = seq.MarkOutput(q)
 	if _, err := Duplicate(seq); err == nil {
 		t.Error("sequential must be rejected")
+	}
+}
+
+// TestSharedVerdictsMatchFreshSearches runs the quality stage's test
+// generation and the safety stage's cross-check over the same netlist,
+// the way a holistic campaign job does, on every scan-viewed registry
+// circuit. Each setting gets a fresh netlist: test generation alone,
+// the cross-check alone, and the two one after the other in both
+// orders. A PODEM search depends only on the netlist, the fault and the
+// backtrack limit, so whichever runs first, every Result and every
+// CrossCheckReport must equal the one computed alone.
+func TestSharedVerdictsMatchFreshSearches(t *testing.T) {
+	for _, name := range circuits.Names() {
+		fresh := func() *netlist.Netlist {
+			n := circuits.Registry[name]()
+			if n.IsSequential() {
+				sv, err := atpg.ScanView(n)
+				if err != nil {
+					t.Fatalf("%s: scan view: %v", name, err)
+				}
+				n = sv.Comb
+			}
+			return n
+		}
+		generate := func(n *netlist.Netlist) *atpg.Result {
+			res, err := atpg.GenerateTests(n, fault.Collapse(n, fault.AllStuckAt(n)), atpg.FlowOptions{
+				RandomPatterns: 64, Seed: 3, Compact: true,
+			})
+			if err != nil {
+				t.Fatalf("%s: GenerateTests: %v", name, err)
+			}
+			return res
+		}
+		crossCheck := func(n *netlist.Netlist) *CrossCheckReport {
+			faults := fault.Collapse(n, fault.AllStuckAt(n))
+			sc := &SafetyCircuit{N: n, FunctionalOutputs: n.Outputs}
+			classes, err := Classify(sc, faults, faultsim.RandomPatterns(n, 64, 4))
+			if err != nil {
+				t.Fatalf("%s: Classify: %v", name, err)
+			}
+			cc, err := CrossCheck(sc, faults, classes, atpg.Options{})
+			if err != nil {
+				t.Fatalf("%s: CrossCheck: %v", name, err)
+			}
+			return cc
+		}
+		genAlone, ccAlone := generate(fresh()), crossCheck(fresh())
+		n := fresh()
+		genFirst := generate(n)
+		ccSecond := crossCheck(n)
+		n = fresh()
+		ccFirst := crossCheck(n)
+		genSecond := generate(n)
+		if !reflect.DeepEqual(genFirst, genAlone) {
+			t.Errorf("%s: test generation before the cross-check differs from it alone", name)
+		}
+		if !reflect.DeepEqual(genSecond, genAlone) {
+			t.Errorf("%s: test generation after the cross-check differs from it alone", name)
+		}
+		if !reflect.DeepEqual(ccSecond, ccAlone) {
+			t.Errorf("%s: cross-check after test generation differs from it alone", name)
+		}
+		if !reflect.DeepEqual(ccFirst, ccAlone) {
+			t.Errorf("%s: cross-check before test generation differs from it alone", name)
+		}
 	}
 }
