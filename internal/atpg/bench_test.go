@@ -14,7 +14,9 @@ import (
 // (identical at every parallelism level); ns/op and flows_per_sec track
 // the realised wall-clock. The drop-vs-nodrop sub-benchmark on mul8
 // prints both PODEM call counts — the figure fault dropping exists to
-// shrink — and fails if dropping ever stops paying.
+// shrink — and fails if dropping ever stops paying. Every flow runs on
+// a fresh copy of the netlist, made outside the timer, so it searches
+// instead of recalling an earlier iteration's PODEM verdicts.
 func BenchmarkATPG(b *testing.B) {
 	for _, name := range circuits.Names() {
 		n := combRegistry(b, name)
@@ -30,8 +32,11 @@ func BenchmarkATPG(b *testing.B) {
 				b.ReportAllocs()
 				var res *Result
 				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					fresh := n.Clone()
+					b.StartTimer()
 					var err error
-					res, err = GenerateTests(n, faults, FlowOptions{
+					res, err = GenerateTests(fresh, faults, FlowOptions{
 						RandomPatterns: 16, Seed: 3, Compact: true, Parallelism: mode.workers,
 					})
 					if err != nil {
@@ -49,14 +54,17 @@ func BenchmarkATPG(b *testing.B) {
 		faults := fault.Collapse(n, fault.AllStuckAt(n))
 		var drop, nodrop *Result
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dn, nn := n.Clone(), n.Clone()
+			b.StartTimer()
 			var err error
 			// No random bootstrap: the deterministic phase carries the
 			// whole fault list, isolating the dropping effect.
-			drop, err = GenerateTests(n, faults, FlowOptions{Seed: 3, Compact: true})
+			drop, err = GenerateTests(dn, faults, FlowOptions{Seed: 3, Compact: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			nodrop, err = GenerateTests(n, faults, FlowOptions{Seed: 3, Compact: true, NoDrop: true})
+			nodrop, err = GenerateTests(nn, faults, FlowOptions{Seed: 3, Compact: true, NoDrop: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,9 @@ package atpg
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"sync"
 
 	"rescue/internal/fault"
 	"rescue/internal/faultsim"
@@ -10,14 +13,18 @@ import (
 	"rescue/internal/obs"
 )
 
-// ATPG instrumentation. PODEM call, backtrack, implication gate-eval and
-// lent-worker counters are flushed once per round (or per classification
-// pass), and every deterministic round — generation plus the sequential
-// drop pass — records its wall-clock into the round-latency histogram.
+// ATPG instrumentation. PODEM call, backtrack, implication gate-eval,
+// verdict-hit and lent-worker counters are flushed once per round (or
+// per classification pass), and every deterministic round — generation
+// plus the sequential drop pass — records its wall-clock into the
+// round-latency histogram. The call, backtrack and gate-eval counters
+// count searches performed; a verdict recalled from the netlist's
+// verdict table counts as a hit instead.
 var (
 	obsPODEMCalls   = obs.NewCounter("atpg_podem_calls_total", "Deterministic PODEM searches performed.")
-	obsBacktracks   = obs.NewCounter("atpg_backtracks_total", "PODEM backtracks across all searches.")
+	obsBacktracks   = obs.NewCounter("atpg_backtracks_total", "PODEM backtracks across all searches performed.")
 	obsImplyEvals   = obs.NewCounter("atpg_imply_gate_evals_total", "Gate evaluations (both machines) performed by PODEM implication.")
+	obsVerdictHits  = obs.NewCounter("atpg_verdict_hits_total", "PODEM verdicts recalled from a netlist's verdict table instead of searched.")
 	obsLentWorkers  = obs.NewCounter("atpg_lent_workers_total", "Helper goroutines PODEM loops started on borrowed worker slots.")
 	obsRoundSeconds = obs.NewHistogram("atpg_round_seconds", "Wall-clock of one deterministic test-and-drop round (generation + drop).", obs.DurationBuckets)
 )
@@ -128,14 +135,17 @@ type Result struct {
 	// PODEM search was spent on them: another target's vector detected
 	// them while they were still queued.
 	DropDetected int
-	// DiscardedTests counts targets whose PODEM search did run (they are
-	// included in PODEMCalls) but whose vector was discarded because an
-	// earlier vector of the same round already detected them.
+	// DiscardedTests counts targets whose PODEM verdict was taken (they
+	// are included in PODEMCalls) but whose vector was discarded because
+	// an earlier vector of the same round already detected them.
 	DiscardedTests int
-	// PODEMCalls counts deterministic-phase Generate invocations — the
-	// figure test-and-drop exists to shrink.
+	// PODEMCalls counts the deterministic phase's PODEM verdicts — the
+	// figure test-and-drop exists to shrink. A verdict recalled from the
+	// netlist's verdict table counts like one searched, so the figure
+	// does not depend on what ran on the netlist before.
 	PODEMCalls int
-	// Backtracks accumulates PODEM backtracks across all targets.
+	// Backtracks accumulates the PODEM backtracks of those verdicts,
+	// searched or recalled.
 	Backtracks int
 	// SimGateEvals is the exact fault-simulation cost of the flow (random
 	// bootstrap, test-and-drop, compaction and final verification), in
@@ -286,20 +296,14 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		if err != nil {
 			return err
 		}
-		evals := 0
-		defer func() {
-			obsPODEMCalls.Add(int64(res.PODEMCalls))
-			obsBacktracks.Add(int64(res.Backtracks))
-			obsImplyEvals.Add(int64(evals))
-		}()
+		var cost searchCost
+		defer cost.flush()
 		for _, fi := range pending {
 			g, err := safeGenerate(eng, faults[fi])
 			if err != nil {
 				return err
 			}
-			res.PODEMCalls++
-			res.Backtracks += g.backtracks
-			evals += g.evals
+			cost.add(g)
 			switch g.out {
 			case TestFound:
 				res.Status[fi] = fault.Detected
@@ -310,6 +314,7 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 				res.Status[fi] = fault.Aborted
 			}
 		}
+		res.PODEMCalls, res.Backtracks = cost.calls, cost.backtracks
 		return nil
 	}
 
@@ -328,7 +333,6 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 	queue := pending
 	for len(queue) > 0 {
 		span := obs.StartSpan(obsRoundSeconds)
-		callsBefore, backtracksBefore := res.PODEMCalls, res.Backtracks
 		round = round[:0]
 		for len(queue) > 0 && len(round) < roundSize {
 			fi := queue[0]
@@ -351,12 +355,10 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		if err != nil {
 			return err
 		}
-		evals := 0
+		var cost searchCost
 		for ri, fi := range round {
 			g := gens[ri]
-			res.PODEMCalls++
-			res.Backtracks += g.backtracks
-			evals += g.evals
+			cost.add(g)
 			if sess.StatusOf(fi) == fault.Detected {
 				// Dropped by an earlier vector of this same round; the
 				// speculatively generated test is redundant — discard it.
@@ -386,9 +388,9 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 				sess.Exclude(fi)
 			}
 		}
-		obsPODEMCalls.Add(int64(res.PODEMCalls - callsBefore))
-		obsBacktracks.Add(int64(res.Backtracks - backtracksBefore))
-		obsImplyEvals.Add(int64(evals))
+		res.PODEMCalls += cost.calls
+		res.Backtracks += cost.backtracks
+		cost.flush()
 		obsLentWorkers.Add(int64(lent))
 		span.End()
 	}
@@ -396,27 +398,168 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 }
 
 // podemResult carries one speculative Generate outcome from a worker to
-// the sequential drop pass.
+// the sequential drop pass. hit marks a verdict recalled from the
+// verdict table: no search ran, so it carries no implication evals.
 type podemResult struct {
 	vec        logic.Vector
 	out        Outcome
 	backtracks int
 	evals      int
+	hit        bool
 }
 
-// safeGenerate runs one PODEM search with the campaign engine's
+// safeGenerate takes one PODEM verdict with the campaign engine's
 // per-unit recovery idiom: a panic inside Generate becomes an error
 // instead of taking down the flow, identically on the calling goroutine,
 // on a lent helper (where no caller's recover could catch it) and on the
-// NoDrop path.
+// NoDrop path. Every GenerateTests round, NoDrop pass and ClassifyFaults
+// chunk searches through it, so it is where the engine's verdict table
+// is consulted: a stuck-at site searched before on this netlist at this
+// backtrack limit is recalled, and a new verdict is stored.
 func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("atpg: PODEM panic on %v: %v", f, r)
 		}
 	}()
+	s := e.verdicts.slot(f)
+	if g, ok := e.verdicts.recall(s); ok {
+		return g, nil
+	}
 	vec, out := e.Generate(f)
-	return podemResult{vec: vec, out: out, backtracks: e.Backtracks(), evals: e.ImplyGateEvals()}, nil
+	g = podemResult{vec: vec, out: out, backtracks: e.Backtracks(), evals: e.ImplyGateEvals()}
+	e.verdicts.store(s, g)
+	return g, nil
+}
+
+// searchCost sums the PODEM verdicts one pass used. Calls and backtracks
+// count every verdict, searched or recalled, as the pass's reports do;
+// flush hands the obs counters only the searches performed, and the
+// recalls as hits.
+type searchCost struct {
+	calls, backtracks   int // every verdict used
+	hits, hitBacktracks int // the recalled ones among them
+	evals               int // implication gate evals of the searches
+}
+
+func (c *searchCost) add(g podemResult) {
+	c.calls++
+	c.backtracks += g.backtracks
+	c.evals += g.evals
+	if g.hit {
+		c.hits++
+		c.hitBacktracks += g.backtracks
+	}
+}
+
+func (c *searchCost) merge(o searchCost) {
+	c.calls += o.calls
+	c.backtracks += o.backtracks
+	c.hits += o.hits
+	c.hitBacktracks += o.hitBacktracks
+	c.evals += o.evals
+}
+
+func (c *searchCost) flush() {
+	obsPODEMCalls.Add(int64(c.calls - c.hits))
+	obsBacktracks.Add(int64(c.backtracks - c.hitBacktracks))
+	obsImplyEvals.Add(int64(c.evals))
+	obsVerdictHits.Add(int64(c.hits))
+}
+
+// verdictTableKey names a netlist's verdict table at one backtrack limit.
+func verdictTableKey(limit int) string { return "atpg.verdicts." + strconv.Itoa(limit) }
+
+// verdictTable holds the PODEM verdicts of one netlist at one backtrack
+// limit, as a netlist artifact, so the AddGate, AddInput and MarkOutput
+// that invalidate the netlist's other artifacts drop it too. A search
+// is a pure function of netlist, fault and limit, so a stored verdict —
+// outcome, vector and backtrack count — is exactly what searching again
+// would return. It is dense: one slot per stuck-at site and value, at
+// 2·(first[g]+1+pin)+value, where first is the prefix sum of
+// 1+len(Fanin) over the gates (pin -1 is the gate's output). TestFound
+// vectors sit in one append-only arena, len(Inputs) values each, and are
+// handed out as capped slices that no caller writes. A slot is written
+// once: a concurrent duplicate search keeps the first verdict.
+type verdictTable struct {
+	first []int32 // slot base per gate; first[NumGates] ends the last gate
+	width int     // values per vector
+
+	mu    sync.Mutex
+	slots []verdict
+	arena []logic.V
+}
+
+// verdict is one stored search outcome; vec is the offset of a TestFound
+// vector in the arena.
+type verdict struct {
+	vec        int32
+	backtracks int32
+	out        Outcome
+	known      bool
+}
+
+func newVerdictTable(n *netlist.Netlist) *verdictTable {
+	first := make([]int32, n.NumGates()+1)
+	for id, g := range n.Gates {
+		first[id+1] = first[id] + 1 + int32(len(g.Fanin))
+	}
+	return &verdictTable{
+		first: first,
+		width: len(n.Inputs),
+		slots: make([]verdict, 2*first[n.NumGates()]),
+	}
+}
+
+// slot is f's slot index, or -1 when f has none: not a stuck-at at 0 or
+// 1, or a site outside the netlist, which the search itself reports.
+func (t *verdictTable) slot(f fault.Fault) int {
+	if f.Kind != fault.StuckAt || f.Value > logic.One || f.Gate < 0 || f.Gate >= len(t.first)-1 || f.Pin < -1 {
+		return -1
+	}
+	site := t.first[f.Gate] + 1 + int32(f.Pin)
+	if site >= t.first[f.Gate+1] {
+		return -1
+	}
+	return 2*int(site) + int(f.Value)
+}
+
+// recall returns slot s's stored verdict, if any.
+func (t *verdictTable) recall(s int) (podemResult, bool) {
+	if s < 0 {
+		return podemResult{}, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.slots[s]
+	if !v.known {
+		return podemResult{}, false
+	}
+	g := podemResult{out: v.out, backtracks: int(v.backtracks), hit: true}
+	if v.out == TestFound {
+		end := int(v.vec) + t.width
+		g.vec = t.arena[v.vec:end:end]
+	}
+	return g, true
+}
+
+// store records a searched verdict in slot s unless the slot is already
+// written or the verdict does not fit its int32 fields.
+func (t *verdictTable) store(s int, g podemResult) {
+	if s < 0 || g.backtracks > math.MaxInt32 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.slots[s].known || len(t.arena) > math.MaxInt32-t.width {
+		return
+	}
+	v := verdict{backtracks: int32(g.backtracks), out: g.out, known: true}
+	if g.out == TestFound {
+		v.vec = int32(len(t.arena))
+		t.arena = append(t.arena, g.vec...)
+	}
+	t.slots[s] = v
 }
 
 // fillX replaces don't-cares with deterministic pseudo-random values so
@@ -478,9 +621,10 @@ type Classification struct {
 	// Outcomes is parallel to the fault list; non-stuck-at faults report
 	// NotApplicable without a search.
 	Outcomes []Outcome
-	// Calls counts actual PODEM searches (NotApplicable excluded).
+	// Calls counts the PODEM verdicts taken (NotApplicable excluded),
+	// searched or recalled from the netlist's verdict table alike.
 	Calls int
-	// Backtracks totals PODEM backtracks across all searches — the cost
+	// Backtracks totals the PODEM backtracks of those verdicts — the cost
 	// figure surfaced by timing outputs.
 	Backtracks int
 }
@@ -506,8 +650,7 @@ func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classi
 		}
 	}
 	c := &Classification{Outcomes: make([]Outcome, len(faults))}
-	type cost struct{ calls, backtracks, evals int }
-	costs := make([]cost, (len(faults)+classifyChunk-1)/classifyChunk)
+	costs := make([]searchCost, (len(faults)+classifyChunk-1)/classifyChunk)
 	lent, err := (&crew{n: n, opt: opt}).run(len(costs), func(e *Engine, k int) error {
 		lo := k * classifyChunk
 		hi := min(lo+classifyChunk, len(faults))
@@ -517,27 +660,21 @@ func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classi
 				return err
 			}
 			c.Outcomes[i] = g.out
-			if g.out == NotApplicable {
-				continue
+			if g.out != NotApplicable {
+				costs[k].add(g)
 			}
-			costs[k].calls++
-			costs[k].backtracks += g.backtracks
-			costs[k].evals += g.evals
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	evals := 0
+	var total searchCost
 	for _, k := range costs {
-		c.Calls += k.calls
-		c.Backtracks += k.backtracks
-		evals += k.evals
+		total.merge(k)
 	}
-	obsPODEMCalls.Add(int64(c.Calls))
-	obsBacktracks.Add(int64(c.Backtracks))
-	obsImplyEvals.Add(int64(evals))
+	c.Calls, c.Backtracks = total.calls, total.backtracks
+	total.flush()
 	obsLentWorkers.Add(int64(lent))
 	return c, nil
 }

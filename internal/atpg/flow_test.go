@@ -33,14 +33,16 @@ func TestGenerateTestsParallelDeterminism(t *testing.T) {
 	// The acceptance bar: Status, Coverage and Tests byte-identical at
 	// parallelism 1, 4 and NumCPU, and serially with budgets of 1 and 3
 	// spare slots — and the cost counters too, since the round schedule
-	// is fixed by fault index, not worker timing.
+	// is fixed by fault index, not worker timing. Each setting gets a
+	// fresh netlist, so it searches instead of recalling the verdicts an
+	// earlier setting left in the netlist's verdict table.
 	type setting struct{ workers, spare int }
 	settings := []setting{{1, 0}, {4, 0}, {runtime.NumCPU(), 0}, {1, 1}, {1, 3}}
 	for _, name := range []string{"c17", "s27", "rca8", "mul4"} {
-		n := combRegistry(t, name)
-		faults := fault.Collapse(n, fault.AllStuckAt(n))
 		var ref *Result
 		for _, s := range settings {
+			n := combRegistry(t, name)
+			faults := fault.Collapse(n, fault.AllStuckAt(n))
 			res, err := GenerateTests(n, faults, FlowOptions{
 				RandomPatterns: 16, Seed: 5, Compact: true, Parallelism: s.workers,
 				PODEM: Options{Spare: NewSlots(s.spare)},
@@ -81,7 +83,8 @@ func TestGenerateTestsDropMatchesNoDropStatus(t *testing.T) {
 	// fault), and test-and-drop must classify every fault identically —
 	// a dropped fault is exactly a fault the old flow proved testable.
 	// Equality is exact as long as nothing aborts (an aborted fault's
-	// final status depends on which collateral tests exist).
+	// final status depends on which collateral tests exist). The NoDrop
+	// side runs on a fresh netlist, so it searches every fault itself.
 	for _, name := range []string{"c17", "rca8", "mul4", "dec4"} {
 		n := combRegistry(t, name)
 		faults := fault.Collapse(n, fault.AllStuckAt(n))
@@ -89,7 +92,7 @@ func TestGenerateTestsDropMatchesNoDropStatus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s drop: %v", name, err)
 		}
-		nodrop, err := GenerateTests(n, faults, FlowOptions{RandomPatterns: 0, Seed: 2, NoDrop: true})
+		nodrop, err := GenerateTests(n.Clone(), faults, FlowOptions{RandomPatterns: 0, Seed: 2, NoDrop: true})
 		if err != nil {
 			t.Fatalf("%s nodrop: %v", name, err)
 		}
@@ -206,8 +209,8 @@ func TestCompactTestsNeverLowersCoverageOnRegistry(t *testing.T) {
 
 func TestClassifyFaultsSharedPath(t *testing.T) {
 	// The redundant-cone circuit exercises all outcome kinds; the shared
-	// classification must agree with IdentifyUntestable and report its
-	// search cost.
+	// classification must agree with IdentifyUntestable, run on a fresh
+	// copy so it searches too, and report its search cost.
 	n := netlist.New("mix")
 	a, _ := n.AddInput("a")
 	b, _ := n.AddInput("b")
@@ -234,7 +237,7 @@ func TestClassifyFaultsSharedPath(t *testing.T) {
 	if cls.Backtracks <= 0 {
 		t.Errorf("proving untestability must cost backtracks, got %d", cls.Backtracks)
 	}
-	ident, err := IdentifyUntestable(n, faults, Options{})
+	ident, err := IdentifyUntestable(n.Clone(), faults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,9 @@ func TestClassifyFaultsRejectsBadSites(t *testing.T) {
 
 // TestImplyGateEvalsCounted pins atpg_imply_gate_evals_total to the
 // engine's exact per-search counts, each of which includes at least the
-// search's first full pass.
+// search's first full pass. Engine.Generate leaves no verdicts behind,
+// so the classification searches every fault; the flow runs on a fresh
+// netlist, where it searches too.
 func TestImplyGateEvalsCounted(t *testing.T) {
 	n := combRegistry(t, "mul4")
 	faults := fault.Collapse(n, fault.AllStuckAt(n))
@@ -312,7 +317,7 @@ func TestImplyGateEvalsCounted(t *testing.T) {
 		t.Errorf("classification counted %d implication evals, want %d", got, want)
 	}
 	before = obsImplyEvals.Value()
-	if _, err := GenerateTests(n, faults, FlowOptions{Seed: 1}); err != nil {
+	if _, err := GenerateTests(combRegistry(t, "mul4"), faults, FlowOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if obsImplyEvals.Value() == before {
@@ -324,19 +329,20 @@ func TestImplyGateEvalsCounted(t *testing.T) {
 // test-generation flow at once on one shared budget of two slots, the
 // way two jobs of one campaign share its idle workers. Both must match
 // their serial runs, helpers must have started, and every slot must be
-// back in the budget afterwards.
+// back in the budget afterwards. Every run gets fresh netlists, so the
+// lent runs search rather than recall the serial runs' verdicts.
 func TestLentSlotsSharedBetweenSearches(t *testing.T) {
 	mul4 := combRegistry(t, "mul4")
-	view := mul4.Clone()
-	view.Outputs = append([]int(nil), mul4.Outputs[1:]...)
 	cfaults := fault.Collapse(mul4, fault.AllStuckAt(mul4))
 	rca8 := combRegistry(t, "rca8")
 	gfaults := fault.Collapse(rca8, fault.AllStuckAt(rca8))
 	classify := func(spare *Slots) (*Classification, error) {
+		view := combRegistry(t, "mul4")
+		view.Outputs = append([]int(nil), mul4.Outputs[1:]...)
 		return ClassifyFaults(view, cfaults, Options{Spare: spare})
 	}
 	generate := func(spare *Slots) (*Result, error) {
-		return GenerateTests(rca8, gfaults, FlowOptions{
+		return GenerateTests(combRegistry(t, "rca8"), gfaults, FlowOptions{
 			RandomPatterns: 8, Seed: 3, Compact: true, PODEM: Options{Spare: spare},
 		})
 	}
@@ -376,5 +382,109 @@ func TestLentSlotsSharedBetweenSearches(t *testing.T) {
 	}
 	if free := spare.free.Load(); free != 2 {
 		t.Errorf("budget holds %d free slots after both searches, want 2", free)
+	}
+}
+
+// TestVerdictTableSharesSearches runs the quality stage's flow and then a
+// classification on one fresh mul8, the way a holistic campaign job runs
+// its quality and safety stages. The classification recalls every
+// verdict the flow took and searches only the rest, so the search
+// counters move by the difference and the hit counter by the flow's
+// verdicts. The reports still count every verdict. A second
+// classification searches nothing and reports the same, and a pass at
+// another backtrack limit has a table of its own and searches again.
+func TestVerdictTableSharesSearches(t *testing.T) {
+	n := combRegistry(t, "mul8")
+	faults := fault.Collapse(n, fault.AllStuckAt(n))
+	flow, err := GenerateTests(n, faults, FlowOptions{RandomPatterns: 64, Seed: 1, Compact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ calls, hits, backtracks int64 }
+	read := func() counts {
+		return counts{obsPODEMCalls.Value(), obsVerdictHits.Value(), obsBacktracks.Value()}
+	}
+	classify := func(opt Options) (*Classification, counts) {
+		t.Helper()
+		before := read()
+		cls, err := ClassifyFaults(n, faults, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := read()
+		return cls, counts{after.calls - before.calls, after.hits - before.hits, after.backtracks - before.backtracks}
+	}
+
+	cls, got := classify(Options{})
+	if flow.PODEMCalls == 0 || cls.Calls != len(faults) {
+		t.Fatalf("flow took %d verdicts and classification %d of %d faults", flow.PODEMCalls, cls.Calls, len(faults))
+	}
+	want := counts{int64(cls.Calls - flow.PODEMCalls), int64(flow.PODEMCalls), int64(cls.Backtracks - flow.Backtracks)}
+	if got != want {
+		t.Errorf("classification after the flow moved (searches, hits, backtracks) by %+v, want %+v", got, want)
+	}
+
+	again, got := classify(Options{})
+	if want := (counts{0, int64(cls.Calls), 0}); got != want {
+		t.Errorf("second classification moved (searches, hits, backtracks) by %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(again, cls) {
+		t.Error("second classification differs from the first")
+	}
+
+	tight, got := classify(Options{BacktrackLimit: 50})
+	if want := (counts{int64(tight.Calls), 0, int64(tight.Backtracks)}); got != want {
+		t.Errorf("classification at limit 50 moved (searches, hits, backtracks) by %+v, want %+v", got, want)
+	}
+}
+
+// TestVerdictTableConcurrent classifies one fresh netlist from two
+// goroutines at once, sharing a budget of two slots, so up to four
+// searches of one fault can race to its slot. Both results must equal a
+// serial classification of another fresh netlist, and the table must
+// hold one vector per TestFound slot: a duplicate search stores nothing.
+func TestVerdictTableConcurrent(t *testing.T) {
+	ref := combRegistry(t, "alu8")
+	faults := fault.Collapse(ref, fault.AllStuckAt(ref))
+	want, err := ClassifyFaults(ref, faults, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ref.Clone()
+	spare := NewSlots(2)
+	var (
+		wg   sync.WaitGroup
+		got  [2]*Classification
+		errs [2]error
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = ClassifyFaults(n, faults, Options{Spare: spare})
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("goroutine %d: classification differs from the serial one", i)
+		}
+	}
+	e, err := NewEngine(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vt := e.verdicts
+	found := 0
+	for _, v := range vt.slots {
+		if v.known && v.out == TestFound {
+			found++
+		}
+	}
+	if len(vt.arena) != found*vt.width {
+		t.Errorf("arena holds %d values for %d TestFound verdicts of %d inputs", len(vt.arena), found, vt.width)
 	}
 }

@@ -63,7 +63,8 @@ type Options struct {
 const DefaultBacktrackLimit = 20000
 
 // Engine generates tests for one circuit. It is not safe for concurrent
-// use; create one Engine per goroutine.
+// use; create one Engine per goroutine. Generate always searches; the
+// flows consult the netlist's verdict table the engine carries first.
 //
 // Implication is event-driven: gv/fv stay consistent with piVal for a
 // whole Generate call. The first imply of a target is one full
@@ -108,6 +109,10 @@ type Engine struct {
 	backtracks int
 	evals      int
 	limit      int
+
+	// verdicts is the netlist's verdict table at limit, shared by every
+	// engine of the netlist and limit.
+	verdicts *verdictTable
 }
 
 // frame is one PODEM decision: an input assignment, and whether its
@@ -157,6 +162,11 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	if e.limit <= 0 {
 		e.limit = DefaultBacktrackLimit
 	}
+	vt, err := n.Artifact(verdictTableKey(e.limit), func() (any, error) { return newVerdictTable(n), nil })
+	if err != nil {
+		return nil, err
+	}
+	e.verdicts = vt.(*verdictTable)
 	for id := range e.piOf {
 		e.piOf[id] = -1
 	}

@@ -44,8 +44,9 @@ func digestSearches(t *testing.T, h hash.Hash, name string, n *netlist.Netlist, 
 // AbortedLimit paths. The mul8 view drops the two lowest product bits
 // from the outputs, the way fusa.CrossCheck keeps only functional
 // outputs, so it adds untestability proofs on a deep circuit. The view
-// is classified serially and with budgets of 1 and 3 spare slots, and
-// every budget must hash the same line.
+// is classified serially and with budgets of 1 and 3 spare slots, each
+// on a view of its own so that every budget searches, and every budget
+// must hash the same line.
 func TestPODEMMatchesSeedDigest(t *testing.T) {
 	h := sha256.New()
 	for _, name := range circuits.Names() {
@@ -55,10 +56,10 @@ func TestPODEMMatchesSeedDigest(t *testing.T) {
 		digestSearches(t, h, name, n, faults, Options{BacktrackLimit: 50})
 	}
 	mul8 := circuits.ArrayMultiplier(8)
-	view := mul8.Clone()
-	view.Outputs = append([]int(nil), mul8.Outputs[2:]...)
 	var line string
 	for _, spare := range []int{0, 1, 3} {
+		view := mul8.Clone()
+		view.Outputs = append([]int(nil), mul8.Outputs[2:]...)
 		cls, err := ClassifyFaults(view, fault.Collapse(mul8, fault.AllStuckAt(mul8)), Options{Spare: NewSlots(spare)})
 		if err != nil {
 			t.Fatal(err)

@@ -309,11 +309,22 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
+// forgetCircuitArtifacts drops circuits from the process-wide artifact
+// cache, so the next run builds fresh netlists and searches every PODEM
+// verdict again instead of recalling it from the netlist's verdict
+// table.
+func forgetCircuitArtifacts(names ...string) {
+	for _, name := range names {
+		artifactCache.Delete(name)
+	}
+}
+
 // TestLendingMatchesSerial forces lending: at parallelism 2 the worker
 // that finishes c17 finds the queue drained and lends itself to mul8's
 // quality and safety stages. The summary must be byte-identical to the
 // serial run's, and PODEM helpers must have run on the lent slot. The
-// stage cache is off, so the second run recomputes every stage.
+// stage cache is off and each run starts from fresh circuit artifacts,
+// so the lent run recomputes every stage and searches every verdict.
 func TestLendingMatchesSerial(t *testing.T) {
 	m := Matrix{
 		Circuits:  []string{"c17", "mul8"},
@@ -322,14 +333,19 @@ func TestLendingMatchesSerial(t *testing.T) {
 		Years:     5,
 		Seed:      1,
 	}
-	lentWorkers := func() float64 { return obs.Default.Snapshot()["atpg_lent_workers_total"] }
+	counter := func(name string) float64 { return obs.Default.Snapshot()[name] }
+	forgetCircuitArtifacts(m.Circuits...)
 	serial := cacheJSON(t, m, 1, true)
-	before := lentWorkers()
+	forgetCircuitArtifacts(m.Circuits...)
+	lent, searched := counter("atpg_lent_workers_total"), counter("atpg_podem_calls_total")
 	if got := cacheJSON(t, m, 2, true); !bytes.Equal(got, serial) {
 		t.Fatal("parallelism 2 with lending: summary differs from the serial run")
 	}
-	if lentWorkers() == before {
+	if counter("atpg_lent_workers_total") == lent {
 		t.Error("no PODEM helper ran on a lent worker slot")
+	}
+	if counter("atpg_podem_calls_total") == searched {
+		t.Error("the lent run performed no PODEM search")
 	}
 }
 

@@ -68,8 +68,9 @@ type Service struct {
 	// cacheBase is the process-wide stage-cache counter snapshot taken
 	// when this run started (nil before); /status reports deltas against
 	// it so a multi-run process never misattributes other runs' cache
-	// traffic.
-	cacheBase *StageCacheStatus
+	// traffic. cacheEnd freezes the block when the run ends, so traffic
+	// of runs made after it never reaches its /status either.
+	cacheBase, cacheEnd *StageCacheStatus
 }
 
 // drainTimeout bounds the graceful-shutdown drain of in-flight requests.
@@ -169,6 +170,7 @@ func (s *Service) run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
 	s.mu.Lock()
 	s.state, s.sum, s.runErr = runState(err), sum, err
 	s.elapsed = s.clock.Elapsed()
+	s.cacheEnd = stageCacheTraffic(s.cacheBase)
 	s.mu.Unlock()
 	return sum, err
 }
@@ -183,6 +185,7 @@ func (s *Service) cancelQueued() bool {
 		return false
 	}
 	s.state, s.runErr = RunCanceled, errCanceledBeforeExecution
+	s.cacheEnd = stageCacheTraffic(nil)
 	return true
 }
 
@@ -254,8 +257,9 @@ type ServiceStatus struct {
 // the process-wide counters since the run started (zero until it
 // starts), so two campaigns sharing the process (the multi-run server's
 // whole point) each report only their own dedup rate. InFlight, Entries
-// and Bytes are point-in-time gauges of the shared cache itself. The raw
-// cumulative series stay on /metrics.
+// and Bytes are point-in-time gauges of the shared cache itself. The
+// whole block is frozen when the run ends. The raw cumulative series
+// stay on /metrics.
 type StageCacheStatus struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -315,7 +319,8 @@ func (s *Service) Status() ServiceStatus {
 	for _, r := range s.results {
 		results = append(results, r)
 	}
-	state, runErr, replayed, cacheBase := s.state, s.runErr, s.replayed, s.cacheBase
+	state, runErr, replayed := s.state, s.runErr, s.replayed
+	cacheBase, cacheEnd := s.cacheBase, s.cacheEnd
 	elapsed := s.elapsed
 	if state == RunRunning {
 		elapsed = s.clock.Elapsed()
@@ -346,7 +351,12 @@ func (s *Service) Status() ServiceStatus {
 		st.Error = runErr.Error()
 	}
 	if !s.cfg.DisableStageCache {
-		st.StageCache = stageCacheTraffic(cacheBase)
+		if cacheEnd != nil {
+			frozen := *cacheEnd
+			st.StageCache = &frozen
+		} else {
+			st.StageCache = stageCacheTraffic(cacheBase)
+		}
 	}
 	return st
 }

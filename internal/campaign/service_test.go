@@ -141,6 +141,7 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		"artifact_cache_hits_total",
 		"atpg_podem_calls_total",
 		"atpg_imply_gate_evals_total",
+		"atpg_verdict_hits_total",
 		"atpg_lent_workers_total",
 		"flow_stage_seconds_bucket",
 	} {
@@ -383,6 +384,38 @@ func TestStatusStageCachePerRun(t *testing.T) {
 	}
 	if run2.Hits == 0 {
 		t.Error("second identical run saw no stage-cache hits")
+	}
+}
+
+// TestStatusStageCacheFrozenAtEnd pins a finished run's stage-cache
+// block: it is frozen when the run ends, so an identical run made
+// afterwards in the same process — all hits on the first run's entries
+// — leaves the first run's /status unchanged.
+func TestStatusStageCacheFrozenAtEnd(t *testing.T) {
+	run := func() http.Handler {
+		t.Helper()
+		svc, err := NewService(testMatrix(), Config{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Run(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		return svc.Handler()
+	}
+	stageCache := func(h http.Handler) StageCacheStatus {
+		t.Helper()
+		st := decode[ServiceStatus](t, second(get(t, h, "/status")))
+		if st.StageCache == nil {
+			t.Fatal("stage-cache status missing from /status")
+		}
+		return *st.StageCache
+	}
+	first := run()
+	before := stageCache(first)
+	run()
+	if after := stageCache(first); after != before {
+		t.Errorf("finished run's stage cache moved with a later run: %+v, then %+v", before, after)
 	}
 }
 

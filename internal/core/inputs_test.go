@@ -93,6 +93,7 @@ func TestStageSeedsNilFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	withSeeds := cfg
+	withSeeds.Netlist = n.Clone() // searches afresh, recalling no PODEM verdict
 	withSeeds.StageSeeds = map[StageID]int64{
 		StageQuality: 9, StageReliability: 9, StageSafety: 9, StageSecurity: 9,
 	}
@@ -127,6 +128,7 @@ func TestMemoInterceptsEveryStage(t *testing.T) {
 	}
 	memo := &countingMemo{}
 	cfg.Memo = memo
+	cfg.Netlist = n.Clone() // searches afresh, recalling no PODEM verdict
 	memoised, err := RunStages(context.Background(), cfg, AllStages()...)
 	if err != nil {
 		t.Fatal(err)

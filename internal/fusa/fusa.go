@@ -9,6 +9,7 @@ package fusa
 
 import (
 	"fmt"
+	"slices"
 
 	"rescue/internal/atpg"
 	"rescue/internal/fault"
@@ -266,7 +267,10 @@ type CrossCheckReport struct {
 	// Outcomes is the per-fault PODEM verdict over the functional view
 	// (parallel to the fault list).
 	Outcomes []atpg.Outcome
-	// PODEMCalls and Backtracks measure the classification search cost.
+	// PODEMCalls and Backtracks measure the classification search cost:
+	// every verdict counts, whether searched here or recalled from the
+	// netlist's PODEM verdict table, so the figures do not depend on
+	// what ran on the netlist before.
 	PODEMCalls int
 	Backtracks int
 }
@@ -285,8 +289,12 @@ type CrossCheckReport struct {
 // The classification runs through atpg.ClassifyFaults — the same engine
 // allocation path as IdentifyUntestable — so both tools share one PODEM
 // setup per netlist view and report comparable backtrack costs; opt.Spare
-// lends it helper workers. Classes must be parallel to faults, and every
-// output inside the circuit: both are checked before any search.
+// lends it helper workers. When the functional outputs are the
+// circuit's outputs, the view is sc.N itself, so the cross-check recalls
+// every verdict an earlier search on sc.N left in its verdict table
+// (the quality stage's, in a campaign job). Classes must be parallel to
+// faults, and every output inside the circuit: both are checked before
+// any search.
 func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt atpg.Options) (*CrossCheckReport, error) {
 	if err := sc.validateOutputs(); err != nil {
 		return nil, err
@@ -294,10 +302,13 @@ func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt 
 	if len(classes) != len(faults) {
 		return nil, fmt.Errorf("fusa: CrossCheck got %d classes for %d faults", len(classes), len(faults))
 	}
-	// Build a view whose outputs are only the functional ones, so PODEM
-	// reasons about safety-goal observability.
-	view := sc.N.Clone()
-	view.Outputs = append([]int(nil), sc.FunctionalOutputs...)
+	// PODEM reasons about safety-goal observability, so it searches a
+	// view whose outputs are only the functional ones.
+	view := sc.N
+	if !slices.Equal(sc.FunctionalOutputs, sc.N.Outputs) {
+		view = sc.N.Clone()
+		view.Outputs = append([]int(nil), sc.FunctionalOutputs...)
+	}
 	cls, err := atpg.ClassifyFaults(view, faults, opt)
 	if err != nil {
 		return nil, err
