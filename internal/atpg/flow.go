@@ -3,7 +3,6 @@ package atpg
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"rescue/internal/fault"
@@ -466,9 +465,6 @@ func (c *searchCost) flush() {
 	obsImplyEvals.Add(int64(c.evals))
 	obsVerdictHits.Add(int64(c.hits))
 }
-
-// verdictTableKey names a netlist's verdict table at one backtrack limit.
-func verdictTableKey(limit int) string { return "atpg.verdicts." + strconv.Itoa(limit) }
 
 // verdictTable holds the PODEM verdicts of one netlist at one backtrack
 // limit, as a netlist artifact, so the AddGate, AddInput and MarkOutput

@@ -8,6 +8,7 @@ package atpg
 
 import (
 	"fmt"
+	"strconv"
 
 	"rescue/internal/fault"
 	"rescue/internal/logic"
@@ -162,7 +163,7 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	if e.limit <= 0 {
 		e.limit = DefaultBacktrackLimit
 	}
-	vt, err := n.Artifact(verdictTableKey(e.limit), func() (any, error) { return newVerdictTable(n), nil })
+	vt, err := n.Artifact("atpg.verdicts."+strconv.Itoa(e.limit), func() (any, error) { return newVerdictTable(n), nil })
 	if err != nil {
 		return nil, err
 	}

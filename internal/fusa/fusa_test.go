@@ -10,6 +10,7 @@ import (
 	"rescue/internal/faultsim"
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
+	"rescue/internal/obs"
 )
 
 // dupCircuit builds a duplicated cone with an XOR comparator — the
@@ -240,6 +241,34 @@ func TestCrossCheckFindsSeededMisclassifications(t *testing.T) {
 	}
 	if len(cc.Suspicions) != 1 || cc.Suspicions[0].FaultIndex != 1 {
 		t.Errorf("expected exactly fault 1 flagged, got %+v", cc.Suspicions)
+	}
+}
+
+// TestCrossCheckRecallsVerdicts pins where the cross-check searches:
+// when the functional outputs are the circuit's outputs it searches sc.N
+// itself, so a second cross-check of the same circuit recalls every
+// verdict from the netlist's verdict table and performs no search.
+func TestCrossCheckRecallsVerdicts(t *testing.T) {
+	n := circuits.ArrayMultiplier(4)
+	faults := fault.Collapse(n, fault.AllStuckAt(n))
+	sc := &SafetyCircuit{N: n, FunctionalOutputs: n.Outputs}
+	classes, err := Classify(sc, faults, faultsim.RandomPatterns(n, 16, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	searches := func() float64 {
+		t.Helper()
+		before := obs.Default.Snapshot()["atpg_podem_calls_total"]
+		if _, err := CrossCheck(sc, faults, classes, atpg.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return obs.Default.Snapshot()["atpg_podem_calls_total"] - before
+	}
+	if got := searches(); got != float64(len(faults)) {
+		t.Fatalf("first cross-check searched %v faults, want all %d", got, len(faults))
+	}
+	if got := searches(); got != 0 {
+		t.Errorf("second cross-check of the same netlist searched %v faults, want none", got)
 	}
 }
 
