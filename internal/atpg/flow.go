@@ -62,14 +62,13 @@ func ScanView(n *netlist.Netlist) (*ScanViewResult, error) {
 		oldToNew[id] = nid
 	}
 	// One pseudo input per DFF.
-	for di, id := range n.DFFs {
+	for _, id := range n.DFFs {
 		nid, err := c.AddInput(n.Gate(id).Name + "_scan")
 		if err != nil {
 			return nil, err
 		}
 		oldToNew[id] = nid
 		res.PseudoInputs = append(res.PseudoInputs, len(c.Inputs)-1)
-		_ = di
 	}
 	order, err := n.TopoOrder()
 	if err != nil {
@@ -169,21 +168,17 @@ type FlowOptions struct {
 	// by fault index before generation, and dropping is applied
 	// sequentially afterwards.
 	Parallelism int
-	// RoundSize is the number of lowest-index undetected targets each
-	// deterministic round generates before its vectors are simulated and
-	// dropped (0 selects DefaultRoundSize). Smaller rounds drop more
-	// eagerly (fewer PODEM calls); larger rounds expose more parallelism.
-	// It must be held constant for byte-identical results.
-	RoundSize int
 	// NoDrop disables test-and-drop: every fault left after the random
 	// phase is targeted individually, as the pre-session flow did. It is
 	// the reference side of the ablation benchmarks and regression tests.
 	NoDrop bool
 }
 
-// DefaultRoundSize is the deterministic-round width: wide enough to keep
-// a typical worker pool busy, narrow enough that dropping stays fresh.
-const DefaultRoundSize = 16
+// roundSize is the number of lowest-index undetected targets each
+// deterministic round generates before its vectors are simulated and
+// dropped: wide enough to keep a typical worker pool busy, narrow enough
+// that dropping stays fresh.
+const roundSize = 16
 
 // GenerateTests runs the full ATPG flow on a combinational circuit:
 // random-pattern bootstrap, deterministic PODEM with test-and-drop
@@ -265,7 +260,7 @@ func GenerateTests(n *netlist.Netlist, faults fault.List, opt FlowOptions) (*Res
 // are skipped outright (their status stays NotSimulated — the
 // NotApplicable outcome, not an abort).
 //
-// With dropping enabled the phase proceeds in rounds: the RoundSize
+// With dropping enabled the phase proceeds in rounds: the roundSize
 // lowest-index still-undetected targets are generated — widened over
 // every slot the spare budget can lend, one Engine per goroutine — and
 // then dropped sequentially in fault-index order: each TestFound vector
@@ -317,10 +312,6 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		return nil
 	}
 
-	roundSize := opt.RoundSize
-	if roundSize <= 0 {
-		roundSize = DefaultRoundSize
-	}
 	podem := opt.PODEM
 	if opt.Parallelism > 1 {
 		podem.Spare = NewSlots(opt.Parallelism - 1)

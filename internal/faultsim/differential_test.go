@@ -115,6 +115,39 @@ func TestSessionChunksMatchOneShotOnRegistry(t *testing.T) {
 	}
 }
 
+// TestSessionAlarmsMatchFullPassOnRegistry pins a session's alarm
+// outputs to the full-pass reference engine on every registry circuit:
+// reading its last output, its last half and all of its outputs as
+// alarms must give the same Status and DetectedBy. 300 patterns run one
+// wide chunk and a word-block tail.
+func TestSessionAlarmsMatchFullPassOnRegistry(t *testing.T) {
+	for _, name := range circuits.Names() {
+		n := combView(t, name)
+		faults := fault.AllStuckAt(n)
+		pats := faultsim.RandomPatterns(n, 300, 23)
+		for _, alarms := range []int{1, len(n.Outputs) / 2, len(n.Outputs)} {
+			s, err := faultsim.NewSessionWithAlarms(n, faults, alarms)
+			if err != nil {
+				t.Fatalf("%s: session with %d alarms: %v", name, alarms, err)
+			}
+			if _, err := s.Simulate(pats); err != nil {
+				t.Fatalf("%s: %d alarms: %v", name, alarms, err)
+			}
+			got := s.Report()
+			want, err := faultsim.RunFullWithAlarms(n, faults, pats, alarms)
+			if err != nil {
+				t.Fatalf("%s: full engine with %d alarms: %v", name, alarms, err)
+			}
+			for fi := range faults {
+				if got.Status[fi] != want.Status[fi] || got.DetectedBy[fi] != want.DetectedBy[fi] {
+					t.Errorf("%s: %d alarms: fault %s: session %v@%d != full %v@%d", name, alarms,
+						faults[fi].Describe(n), got.Status[fi], got.DetectedBy[fi], want.Status[fi], want.DetectedBy[fi])
+				}
+			}
+		}
+	}
+}
+
 func TestConeEngineCostAdvantageOnLargestCircuit(t *testing.T) {
 	largest := ""
 	gates := 0

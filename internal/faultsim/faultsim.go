@@ -10,17 +10,16 @@
 // re-evaluates only the gates inside the fault's transitive fanout cone,
 // comparing only the primary outputs that cone can reach. Gates outside
 // the cone cannot depend on the fault site, so results are bit-identical
-// to the full-pass reference engine (RunFull, kept for differential
-// testing and cost baselines) at a fraction of the cost. The engine
-// lives in Session, a persistent fault-dropping kernel that keeps packed
-// machines and cone caches warm across calls; Run wraps a single-use
-// Session for one-shot campaigns.
+// to the full-pass reference engine the tests compare against (RunFull,
+// in runfull_test.go) at a fraction of the cost. The engine lives in
+// Session, a persistent fault-dropping kernel that keeps packed machines
+// and cone caches warm across calls; Run wraps a single-use Session for
+// one-shot campaigns.
 package faultsim
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"rescue/internal/fault"
@@ -58,37 +57,10 @@ func (r *Report) Coverage() fault.Coverage {
 	return c
 }
 
-// newStuckAtReport allocates a report with every status NotSimulated.
-func newStuckAtReport(n *netlist.Netlist, faults fault.List, patterns []logic.Vector) *Report {
-	rep := &Report{
-		Circuit:    n.Name,
-		Patterns:   len(patterns),
-		Faults:     len(faults),
-		Status:     make([]fault.Status, len(faults)),
-		DetectedBy: make([]int, len(faults)),
-	}
-	for i := range rep.Status {
-		rep.Status[i] = fault.NotSimulated
-		rep.DetectedBy[i] = -1
-	}
-	return rep
-}
-
 // combGateCount returns the number of gates one combinational pass
 // actually evaluates (everything except primary inputs and DFF state).
 func combGateCount(n *netlist.Netlist) int {
 	return n.NumGates() - len(n.Inputs) - len(n.DFFs)
-}
-
-// detectionSlot folds a block-local diff mask into the report: the lowest
-// set bit across *all* compared outputs is the first detecting pattern.
-func (r *Report) detectionSlot(fi, base int, diff uint64) {
-	if diff != 0 {
-		r.Status[fi] = fault.Detected
-		r.DetectedBy[fi] = base + bits.TrailingZeros64(diff)
-	} else if r.Status[fi] == fault.NotSimulated {
-		r.Status[fi] = fault.Undetected
-	}
 }
 
 // Run fault-simulates the given stuck-at fault list against the pattern
@@ -96,8 +68,8 @@ func (r *Report) detectionSlot(fi, base int, diff uint64) {
 // 64-pattern block is simulated once fault-free, then every
 // still-undetected fault re-evaluates only its fanout cone against the
 // good machine and compares only the cone's reachable primary outputs.
-// Status, DetectedBy and Coverage are bit-identical to RunFull;
-// GateEvals counts the gates actually evaluated.
+// Status, DetectedBy and Coverage are bit-identical to the full-pass
+// reference engine; GateEvals counts the gates actually evaluated.
 //
 // Run is a thin wrapper over a single-use Session; callers that simulate
 // the same circuit and fault list repeatedly (ATPG test-and-drop,
@@ -112,74 +84,6 @@ func Run(n *netlist.Netlist, faults fault.List, patterns []logic.Vector) (*Repor
 		return nil, err
 	}
 	return s.Report(), nil
-}
-
-// RunFull is the full-pass PPSFP reference engine: every faulty machine
-// re-simulates the entire netlist and compares every primary output. It
-// exists as the differential-testing oracle and cost baseline for the
-// cone-restricted Run; results (Status/DetectedBy/Coverage) are
-// bit-identical, only GateEvals differs.
-func RunFull(n *netlist.Netlist, faults fault.List, patterns []logic.Vector) (*Report, error) {
-	if n.IsSequential() {
-		return nil, fmt.Errorf("faultsim: RunFull handles combinational circuits; use SequentialRun")
-	}
-	good, err := sim.NewPacked(n)
-	if err != nil {
-		return nil, err
-	}
-	bad, err := sim.NewPacked(n)
-	if err != nil {
-		return nil, err
-	}
-	rep := newStuckAtReport(n, faults, patterns)
-	for _, f := range faults {
-		if f.Kind != fault.StuckAt {
-			continue
-		}
-		if err := fault.ValidateSite(n, f); err != nil {
-			return nil, fmt.Errorf("faultsim: %w", err)
-		}
-	}
-	comb := int64(combGateCount(n))
-	for base := 0; base < len(patterns); base += 64 {
-		hi := base + 64
-		if hi > len(patterns) {
-			hi = len(patterns)
-		}
-		block := patterns[base:hi]
-		if err := good.LoadPatterns(block); err != nil {
-			return nil, err
-		}
-		good.Run()
-		rep.GateEvals += comb
-		blockMask := ^uint64(0)
-		if len(block) < 64 {
-			blockMask = (uint64(1) << uint(len(block))) - 1
-		}
-		for fi := range faults {
-			if rep.Status[fi] == fault.Detected {
-				continue // dropped
-			}
-			f := faults[fi]
-			if f.Kind != fault.StuckAt {
-				continue
-			}
-			if err := bad.LoadPatterns(block); err != nil {
-				return nil, err
-			}
-			bad.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0))
-			rep.GateEvals += comb
-			// Accumulate the diff over *all* outputs before taking the
-			// lowest bit: breaking on the first differing output reported
-			// a wrong (non-minimal) DetectedBy pattern.
-			var diff uint64
-			for _, oid := range n.Outputs {
-				diff |= logic.DiffW(good.Word(oid), bad.Word(oid))
-			}
-			rep.detectionSlot(fi, base, diff&blockMask)
-		}
-	}
-	return rep, nil
 }
 
 // TransientOutcome classifies the effect of one injected transient fault.

@@ -48,14 +48,22 @@ func bitIndex(wi, bit int) int { return wi<<6 + bit }
 // Simulate performs zero heap allocations (asserted by
 // TestSessionSimulateZeroAlloc).
 //
+// A pattern detects a fault when one of the netlist's outputs differs
+// from the good machine. A session may read its netlist's last outputs
+// as alarms (NewSessionWithAlarms): a pattern then detects a fault only
+// when a non-alarm output differs and no alarm output differs with it,
+// so the fault escapes the safety mechanism those alarms report.
+//
 // A Session is single-goroutine from the caller's perspective; the
 // compiled machine and cone cache it shares through the netlist are
 // internally synchronised, but the packed machines are not. Run is a
 // thin wrapper over a fresh Session, and its results are bit-identical
 // to the pre-session engine (enforced by the differential tests against
-// RunFull).
+// the full-pass reference engine).
 type Session struct {
 	n *netlist.Netlist
+	// alarms is how many of n's last outputs are alarms.
+	alarms int
 	// compiled is the netlist's shared SoA machine: all packed machines
 	// execute it, so constructing a session allocates only word state —
 	// the structure (fanin arena, schedule, cones) is compiled once per
@@ -98,21 +106,32 @@ type SimResult struct {
 	GateEvals int64
 }
 
-// NewSession builds a session for a combinational circuit. Stuck-at
-// fault sites are validated and their fanout cones resolved up front
-// (the per-root cache on the netlist makes repeated sites free and
-// shares cones across sessions on the same circuit). Non-stuck-at faults
-// are carried but never simulated: their status stays NotSimulated.
+// NewSession builds a session for a combinational circuit with no alarm
+// outputs. Stuck-at fault sites are validated and their fanout cones
+// resolved up front (the per-root cache on the netlist makes repeated
+// sites free and shares cones across sessions on the same circuit).
+// Non-stuck-at faults are carried but never simulated: their status
+// stays NotSimulated.
 func NewSession(n *netlist.Netlist, faults fault.List) (*Session, error) {
+	return NewSessionWithAlarms(n, faults, 0)
+}
+
+// NewSessionWithAlarms builds a session that reads the netlist's last
+// alarms outputs as alarms: a pattern detects a fault only when a
+// non-alarm output differs and no alarm output does.
+func NewSessionWithAlarms(n *netlist.Netlist, faults fault.List, alarms int) (*Session, error) {
 	if n.IsSequential() {
 		return nil, fmt.Errorf("faultsim: Session handles combinational circuits; use SequentialRun")
+	}
+	if alarms < 0 || alarms > len(n.Outputs) {
+		return nil, fmt.Errorf("faultsim: %d alarm outputs out of the circuit's %d outputs", alarms, len(n.Outputs))
 	}
 	good, err := sim.NewPacked(n)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{
-		n: n, compiled: good.Compiled(), good: good, bad: good.Compiled().NewPacked(),
+		n: n, alarms: alarms, compiled: good.Compiled(), good: good, bad: good.Compiled().NewPacked(),
 		faults:     faults,
 		cones:      make([]*netlist.Cone, len(faults)),
 		st:         make([]fault.Status, len(faults)),
@@ -126,7 +145,7 @@ func NewSession(n *netlist.Netlist, faults fault.List) (*Session, error) {
 			continue
 		}
 		if err := fault.ValidateSite(n, f); err != nil {
-			return nil, fmt.Errorf("faultsim: %w", err)
+			return nil, fmt.Errorf("faultsim: fault %d: %w", fi, err)
 		}
 		if s.cones[fi], err = n.FanoutConeOrdered(f.Gate); err != nil {
 			return nil, err
@@ -220,7 +239,7 @@ func (s *Session) simulateWordBlock(block []logic.Vector, base int, res *SimResu
 	s.good.Run()
 	// Align the faulty machine to the fresh good pass once; every cone
 	// pass below then runs membership-test-free and restores the
-	// alignment itself (sim.RunConeAligned).
+	// alignment itself (sim.RunConeWithAlarms).
 	s.bad.AlignTo(s.good)
 	res.GateEvals += s.comb
 	blockMask := ^uint64(0)
@@ -233,8 +252,8 @@ func (s *Session) simulateWordBlock(block []logic.Vector, base int, res *SimResu
 			w &^= 1 << uint(bit)
 			fi := bitIndex(wi, bit)
 			f := s.faults[fi]
-			diff, evals := s.bad.RunConeAligned(s.good, s.cones[fi],
-				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0))
+			diff, evals := s.bad.RunConeWithAlarms(s.good, s.cones[fi],
+				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0), s.alarms)
 			res.GateEvals += int64(evals)
 			diff &= blockMask
 			if diff != 0 {
@@ -266,8 +285,8 @@ func (s *Session) simulateWideChunk(chunk []logic.Vector, base int, res *SimResu
 			w &^= 1 << uint(bit)
 			fi := bitIndex(wi, bit)
 			f := s.faults[fi]
-			diff, evals := s.wbad.RunConeAligned(s.wgood, s.cones[fi],
-				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, &mask)
+			diff, evals := s.wbad.RunConeWithAlarms(s.wgood, s.cones[fi],
+				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, &mask, s.alarms)
 			res.GateEvals += int64(evals) * logic.BlockWords
 			if diff.Any() {
 				s.recordDetection(fi, base+diff.FirstSlot())

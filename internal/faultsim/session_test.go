@@ -194,3 +194,15 @@ func TestSessionRejectsSequentialAndBadSites(t *testing.T) {
 		t.Error("NewSession must reject out-of-range fault sites")
 	}
 }
+
+// TestSessionRejectsBadAlarmCount checks that an alarm count outside
+// 0..len(Outputs) is an error, not an index panic in the cone passes.
+func TestSessionRejectsBadAlarmCount(t *testing.T) {
+	n := circuits.C17()
+	faults := fault.AllStuckAt(n)
+	for _, alarms := range []int{-1, len(n.Outputs) + 1} {
+		if _, err := NewSessionWithAlarms(n, faults, alarms); err == nil {
+			t.Errorf("NewSessionWithAlarms(c17, %d alarms) must error", alarms)
+		}
+	}
+}

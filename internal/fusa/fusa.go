@@ -13,9 +13,9 @@ import (
 
 	"rescue/internal/atpg"
 	"rescue/internal/fault"
+	"rescue/internal/faultsim"
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
-	"rescue/internal/sim"
 )
 
 // FaultClass is the ISO 26262 fault classification.
@@ -92,10 +92,14 @@ func (sc *SafetyCircuit) validateOutputs() error {
 //   - neither, but the fault can reach a functional output ⇒ MultiPointLatent;
 //   - unobservable faults ⇒ Safe.
 //
-// Each block of up to 64 patterns is loaded into the good machine once;
-// the faulty machine is aligned to it before every fault's pass. An
-// output or a stuck-at site outside the circuit is an error, reported
-// before any simulation.
+// The campaign runs on faultsim sessions over a view of the circuit whose
+// outputs are the functional outputs followed by the alarm outputs. A
+// session that reads the alarm outputs as alarms detects exactly the
+// faults with a violating, undetected pattern. Only with a safety
+// mechanism does a second session, with no alarms, find the faults some
+// pattern violates or detects: without one, nothing is detected and those
+// are the first session's faults. An output or a stuck-at site outside
+// the circuit is an error, reported before any simulation.
 func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]FaultClass, error) {
 	if sc.N.IsSequential() {
 		return nil, fmt.Errorf("fusa: Classify expects a combinational (or scan-view) netlist")
@@ -103,74 +107,37 @@ func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]
 	if err := sc.validateOutputs(); err != nil {
 		return nil, err
 	}
-	for i, f := range faults {
-		if f.Kind != fault.StuckAt {
-			continue
-		}
-		if err := fault.ValidateSite(sc.N, f); err != nil {
-			return nil, fmt.Errorf("fusa: fault %d: %w", i, err)
-		}
-	}
-	good, err := sim.NewPacked(sc.N)
+	view := outputView(sc.N, slices.Concat(sc.FunctionalOutputs, sc.AlarmOutputs))
+	escapes, err := faultsim.NewSessionWithAlarms(view, faults, len(sc.AlarmOutputs))
 	if err != nil {
 		return nil, err
 	}
-	bad := good.Compiled().NewPacked()
-	type verdict struct{ violated, detected, violatedUndetected bool }
-	verdicts := make([]verdict, len(faults))
-	for base := 0; base < len(patterns); base += 64 {
-		hiIdx := base + 64
-		if hiIdx > len(patterns) {
-			hiIdx = len(patterns)
-		}
-		block := patterns[base:hiIdx]
-		if err := good.LoadPatterns(block); err != nil {
+	if _, err := escapes.Simulate(patterns); err != nil {
+		return nil, err
+	}
+	observed := escapes
+	if sc.HasSM() {
+		if observed, err = faultsim.NewSession(view, faults); err != nil {
 			return nil, err
 		}
-		good.Run()
-		blockMask := ^uint64(0)
-		if len(block) < 64 {
-			blockMask = (uint64(1) << uint(len(block))) - 1
+		for fi := range faults {
+			if escapes.StatusOf(fi) == fault.Detected {
+				observed.Exclude(fi) // already Residual
+			}
 		}
-		for fi, f := range faults {
-			if f.Kind != fault.StuckAt {
-				continue
-			}
-			if verdicts[fi].violatedUndetected {
-				continue // worst class already proven; drop
-			}
-			bad.AlignTo(good)
-			bad.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0))
-			var viol, det uint64
-			for _, o := range sc.FunctionalOutputs {
-				viol |= logic.DiffW(good.Word(o), bad.Word(o))
-			}
-			for _, o := range sc.AlarmOutputs {
-				det |= logic.DiffW(good.Word(o), bad.Word(o))
-			}
-			viol &= blockMask
-			det &= blockMask
-			if viol != 0 {
-				verdicts[fi].violated = true
-			}
-			if det != 0 {
-				verdicts[fi].detected = true
-			}
-			if viol&^det != 0 {
-				verdicts[fi].violatedUndetected = true
-			}
+		if _, err := observed.Simulate(patterns); err != nil {
+			return nil, err
 		}
 	}
 	reachFunc := sc.N.FaninCone(sc.FunctionalOutputs, false)
 	classes := make([]FaultClass, len(faults))
 	for fi, f := range faults {
-		v := verdicts[fi]
 		switch {
-		case v.violatedUndetected && !sc.HasSM():
+		case escapes.StatusOf(fi) == fault.Detected && !sc.HasSM():
 			classes[fi] = SinglePoint
-		case v.violatedUndetected:
+		case escapes.StatusOf(fi) == fault.Detected:
 			classes[fi] = Residual
-		case v.violated || v.detected:
+		case observed.StatusOf(fi) == fault.Detected:
 			classes[fi] = MultiPointDetected
 		case reachFunc[f.Gate]:
 			classes[fi] = MultiPointLatent
@@ -179,6 +146,17 @@ func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]
 		}
 	}
 	return classes, nil
+}
+
+// outputView returns n when its outputs are exactly outputs, in order,
+// and otherwise a clone of n whose outputs are.
+func outputView(n *netlist.Netlist, outputs []int) *netlist.Netlist {
+	if slices.Equal(outputs, n.Outputs) {
+		return n
+	}
+	view := n.Clone()
+	view.Outputs = slices.Clone(outputs)
+	return view
 }
 
 // ASIL is an automotive safety integrity level.
@@ -196,7 +174,11 @@ const (
 
 // String names the level.
 func (a ASIL) String() string {
-	return [...]string{"QM", "ASIL-A", "ASIL-B", "ASIL-C", "ASIL-D"}[a]
+	names := [...]string{"QM", "ASIL-A", "ASIL-B", "ASIL-C", "ASIL-D"}
+	if int(a) < len(names) {
+		return names[a]
+	}
+	return fmt.Sprintf("ASIL(%d)", uint8(a))
 }
 
 // thresholds returns (SPFM, LFM) minimums; QM and ASIL-A have none.
@@ -304,12 +286,7 @@ func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt 
 	}
 	// PODEM reasons about safety-goal observability, so it searches a
 	// view whose outputs are only the functional ones.
-	view := sc.N
-	if !slices.Equal(sc.FunctionalOutputs, sc.N.Outputs) {
-		view = sc.N.Clone()
-		view.Outputs = append([]int(nil), sc.FunctionalOutputs...)
-	}
-	cls, err := atpg.ClassifyFaults(view, faults, opt)
+	cls, err := atpg.ClassifyFaults(outputView(sc.N, sc.FunctionalOutputs), faults, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +320,9 @@ func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt 
 func Duplicate(n *netlist.Netlist) (*SafetyCircuit, error) {
 	if n.IsSequential() {
 		return nil, fmt.Errorf("fusa: Duplicate expects a combinational netlist")
+	}
+	if len(n.Outputs) == 0 {
+		return nil, fmt.Errorf("fusa: Duplicate needs an output to compare")
 	}
 	d := netlist.New(n.Name + "_dup")
 	// Shared primary inputs.

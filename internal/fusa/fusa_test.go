@@ -166,6 +166,9 @@ func TestASILStrings(t *testing.T) {
 	if ASILD.String() != "ASIL-D" || QM.String() != "QM" {
 		t.Error("ASIL naming wrong")
 	}
+	if got := ASIL(9).String(); got != "ASIL(9)" {
+		t.Errorf("unknown level = %q, want ASIL(9)", got)
+	}
 	for _, c := range []FaultClass{Safe, SinglePoint, Residual, MultiPointDetected, MultiPointLatent} {
 		if c.String() == "" {
 			t.Error("class must have a name")
@@ -426,6 +429,12 @@ func TestDuplicateSynthesis(t *testing.T) {
 	_ = seq.MarkOutput(q)
 	if _, err := Duplicate(seq); err == nil {
 		t.Error("sequential must be rejected")
+	}
+	// A combinational netlist with no outputs has nothing to compare.
+	silent := netlist.New("silent")
+	_, _ = silent.AddInput("a")
+	if _, err := Duplicate(silent); err == nil {
+		t.Error("a netlist without outputs must be rejected")
 	}
 }
 

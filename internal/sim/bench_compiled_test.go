@@ -65,7 +65,7 @@ func newBenchSetup(b *testing.B) *benchSetup {
 func (s *benchSetup) coneSweepAligned() uint64 {
 	var acc uint64
 	for i, site := range s.sites {
-		diff, _ := s.bad.RunConeAligned(s.good, s.cones[i], site, ^uint64(0))
+		diff, _ := s.bad.RunConeWithAlarms(s.good, s.cones[i], site, ^uint64(0), 0)
 		acc ^= diff
 	}
 	return acc

@@ -81,5 +81,12 @@ func (p *PackedBlock) AlignTo(good *PackedBlock) { copy(p.blocks, good.blocks) }
 // invariant before returning. p must have been aligned to good since
 // good's last Run.
 func (p *PackedBlock) RunConeAligned(good *PackedBlock, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask) (diff logic.BlockMask, evals int) {
-	return p.c.RunConeAlignedBlock(p.blocks, good.blocks, p.scratch, cone, f, mask)
+	return p.RunConeWithAlarms(good, cone, f, mask, 0)
+}
+
+// RunConeWithAlarms is RunConeAligned with the netlist's last alarms
+// primary outputs read as alarms: a slot differs only when a non-alarm
+// output differs and no alarm output does.
+func (p *PackedBlock) RunConeWithAlarms(good *PackedBlock, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask, alarms int) (diff logic.BlockMask, evals int) {
+	return p.c.RunConeAlignedBlock(p.blocks, good.blocks, p.scratch, cone, f, mask, alarms)
 }

@@ -111,9 +111,9 @@ func TestRunBlockMatchesWordOracleOnRegistry(t *testing.T) {
 }
 
 // TestRunConeAlignedBlockMatchesWordOracle pins the wide cone pass to
-// four 64-bit cone passes: per fault site, the wide diff mask's words
-// must equal the four word diffs, and the per-pass gate count must
-// match.
+// four 64-bit cone passes: per fault site, with no alarm output and with
+// the last output read as an alarm, the wide diff mask's words must
+// equal the four word diffs, and the per-pass gate count must match.
 func TestRunConeAlignedBlockMatchesWordOracle(t *testing.T) {
 	for _, name := range circuits.Names() {
 		n := combView(t, name)
@@ -155,16 +155,18 @@ func TestRunConeAlignedBlockMatchesWordOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			site := sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}
-			diffB, evalsB := badB.RunConeAligned(goodB, cone, site, &mask)
-			for w := 0; w < logic.BlockWords; w++ {
-				diffW, evalsW := badWs[w].RunConeAligned(goodWs[w], cone, site, ^uint64(0))
-				if diffB[w] != diffW {
-					t.Fatalf("%s: fault %s word %d: block diff %x != word diff %x",
-						name, f.Describe(n), w, diffB[w], diffW)
-				}
-				if evalsB != evalsW {
-					t.Fatalf("%s: fault %s: block evals %d != word evals %d",
-						name, f.Describe(n), evalsB, evalsW)
+			for alarms := range 2 {
+				diffB, evalsB := badB.RunConeWithAlarms(goodB, cone, site, &mask, alarms)
+				for w := 0; w < logic.BlockWords; w++ {
+					diffW, evalsW := badWs[w].RunConeWithAlarms(goodWs[w], cone, site, ^uint64(0), alarms)
+					if diffB[w] != diffW {
+						t.Fatalf("%s: fault %s, %d alarms, word %d: block diff %x != word diff %x",
+							name, f.Describe(n), alarms, w, diffB[w], diffW)
+					}
+					if evalsB != evalsW {
+						t.Fatalf("%s: fault %s: block evals %d != word evals %d",
+							name, f.Describe(n), evalsB, evalsW)
+					}
 				}
 			}
 		}

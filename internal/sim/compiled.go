@@ -522,16 +522,25 @@ func (c *Compiled) RunWithFault(words, scratch []logic.Word, f FaultSite, mask u
 // words from good, re-establishing the invariant for the next call. It
 // returns the diff mask (over all 64 slots; callers apply their block
 // mask) and the exact number of gates evaluated.
-func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, mask uint64) (diff uint64, evals int) {
+//
+// The last alarms primary outputs are alarms: a slot is set in diff only
+// when a non-alarm output differs and no alarm output differs in it.
+func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, mask uint64, alarms int) (diff uint64, evals int) {
 	evals = c.runConeEval(words, good, scratch, cone, f, mask)
+	firstAlarm := len(c.outputs) - alarms
+	var alarm uint64
 	for _, oi := range cone.Outputs {
 		oid := c.outputs[oi]
-		diff |= logic.DiffW(good[oid], words[oid])
+		if oi < firstAlarm {
+			diff |= logic.DiffW(good[oid], words[oid])
+		} else {
+			alarm |= logic.DiffW(good[oid], words[oid])
+		}
 	}
 	for _, id := range cone.Order {
 		words[id] = good[id]
 	}
-	return diff, evals
+	return diff &^ alarm, evals
 }
 
 // runConeEval is the cone evaluation loop of RunConeAligned. It assumes

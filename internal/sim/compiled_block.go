@@ -115,15 +115,25 @@ func (c *Compiled) RunBlock(blocks []logic.Block) {
 // per-word difference masks over the cone's reachable primary outputs,
 // and restores the cone gates' blocks from good. It returns the wide
 // diff mask (callers apply their pattern mask) and the number of gates
-// evaluated; each counted gate processed BlockWords words.
-func (c *Compiled) RunConeAlignedBlock(blocks, good, scratch []logic.Block, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask) (diff logic.BlockMask, evals int) {
+// evaluated; each counted gate processed BlockWords words. The last
+// alarms primary outputs are alarms, as in RunConeAligned.
+func (c *Compiled) RunConeAlignedBlock(blocks, good, scratch []logic.Block, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask, alarms int) (diff logic.BlockMask, evals int) {
 	evals = c.runConeEvalBlock(blocks, good, scratch, cone, f, mask)
+	firstAlarm := len(c.outputs) - alarms
+	var alarm logic.BlockMask
 	for _, oi := range cone.Outputs {
 		oid := c.outputs[oi]
-		logic.DiffB(&good[oid], &blocks[oid], &diff)
+		if oi < firstAlarm {
+			logic.DiffB(&good[oid], &blocks[oid], &diff)
+		} else {
+			logic.DiffB(&good[oid], &blocks[oid], &alarm)
+		}
 	}
 	for _, id := range cone.Order {
 		blocks[id] = good[id]
+	}
+	for w := range diff {
+		diff[w] &^= alarm[w]
 	}
 	return diff, evals
 }

@@ -199,7 +199,7 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 			// the oracle's cone outputs, and the invariant restored.
 			aligned, _ := NewPacked(n)
 			aligned.AlignTo(good)
-			diff, evA := aligned.RunConeAligned(good, cone, site, ^uint64(0))
+			diff, evA := aligned.RunConeWithAlarms(good, cone, site, ^uint64(0), 0)
 			if evA != evI {
 				t.Fatalf("%s: fault %d: aligned eval count %d != interpreted %d", name, fi, evA, evI)
 			}
@@ -213,7 +213,7 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 			}
 			for id := 0; id < n.NumGates(); id++ {
 				if aligned.Word(id) != good.Word(id) {
-					t.Fatalf("%s: fault %d gate %q: alignment invariant broken after RunConeAligned",
+					t.Fatalf("%s: fault %d gate %q: alignment invariant broken after RunConeWithAlarms",
 						name, fi, n.Gate(id).Name)
 				}
 			}

@@ -106,18 +106,20 @@ func (p *Packed) RunWithFault(f FaultSite, mask uint64) {
 }
 
 // AlignTo copies the good machine's complete word state into p,
-// establishing the alignment invariant RunConeAligned relies on: p's
+// establishing the alignment invariant RunConeWithAlarms relies on: p's
 // words equal good's everywhere outside a cone pass. One AlignTo per
 // completed good pass amortises over every fault simulated against it.
 func (p *Packed) AlignTo(good *Packed) { copy(p.words, good.words) }
 
-// RunConeAligned is the hot-path cone pass over an aligned machine (see
-// Compiled.RunConeAligned): it evaluates only the cone's gates with
+// RunConeWithAlarms is the hot-path cone pass over an aligned machine
+// (see Compiled.RunConeAligned): it evaluates only the cone's gates with
 // plain indexed reads, returns the output difference mask and the exact
 // evaluation count, and restores the alignment invariant before
 // returning. p must have been aligned to good since good's last Run.
-func (p *Packed) RunConeAligned(good *Packed, cone *netlist.Cone, f FaultSite, mask uint64) (diff uint64, evals int) {
-	return p.c.RunConeAligned(p.words, good.words, p.scratch, cone, f, mask)
+// The netlist's last alarms primary outputs are read as alarms: a slot
+// differs only when a non-alarm output differs and no alarm output does.
+func (p *Packed) RunConeWithAlarms(good *Packed, cone *netlist.Cone, f FaultSite, mask uint64, alarms int) (diff uint64, evals int) {
+	return p.c.RunConeAligned(p.words, good.words, p.scratch, cone, f, mask, alarms)
 }
 
 // mergeMask returns base with the masked slots replaced by repl.

@@ -150,13 +150,6 @@ func FaultSimulate(n *Netlist, faults FaultList, patterns []Vector) (*faultsim.R
 	return faultsim.Run(n, faults, patterns)
 }
 
-// FaultSimulateFull runs the full-pass reference engine. Results are
-// bit-identical to FaultSimulate; it exists as a differential-testing
-// oracle and cost baseline (Report.GateEvals shows the cone advantage).
-func FaultSimulateFull(n *Netlist, faults FaultList, patterns []Vector) (*faultsim.Report, error) {
-	return faultsim.RunFull(n, faults, patterns)
-}
-
 // RandomPatterns generates deterministic random test patterns.
 func RandomPatterns(n *Netlist, count int, seed int64) []Vector {
 	return faultsim.RandomPatterns(n, count, seed)
