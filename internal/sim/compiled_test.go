@@ -221,6 +221,74 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 	}
 }
 
+// TestRunConeAlignedMaskMatchesInterpretedOnRegistry pins the contract
+// of the wide cone pass's slot mask: for every stuck-at of every
+// registry circuit as built (sequential ones too, with random DFF state,
+// so DFF output and D-pin faults sit at the cone root), a random partial
+// mask per fault must yield, word for word, the output diff the
+// interpreted cone oracle gives with that word's mask, and the pass
+// must report the cone's evaluation count.
+func TestRunConeAlignedMaskMatchesInterpretedOnRegistry(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, name := range circuits.Names() {
+		n := circuits.Registry[name]()
+		goodB, err := NewPackedBlock(n)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := goodB.Compiled()
+		var goodWs [logic.BlockWords]*Packed
+		for w := range goodWs {
+			patterns := make([]logic.Vector, 64)
+			states := make([]logic.Vector, len(patterns))
+			for k := range patterns {
+				patterns[k] = randXVector(rng, len(n.Inputs))
+				states[k] = randXVector(rng, len(n.DFFs))
+			}
+			goodWs[w] = c.NewPacked()
+			loadBlock(t, goodWs[w], patterns, states)
+			for _, ids := range [][]int32{c.inputs, c.dffs} {
+				for _, id := range ids {
+					goodB.blocks[id][w] = goodWs[w].words[id]
+				}
+			}
+			goodWs[w].Run()
+		}
+		goodB.Run()
+		badB := c.NewPackedBlock()
+		badB.AlignTo(goodB)
+		oracle := c.NewPacked()
+		for fi, f := range fault.AllStuckAt(n) {
+			cone, err := n.FanoutConeOrdered(f.Gate)
+			if err != nil {
+				t.Fatalf("%s: cone of %d: %v", name, f.Gate, err)
+			}
+			site := FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}
+			var mask logic.BlockMask
+			for w := range mask {
+				mask[w] = rng.Uint64()
+			}
+			diff, evals := badB.RunConeAligned(goodB, cone, site, &mask)
+			if evals != cone.Evals {
+				t.Fatalf("%s: fault %d: wide cone pass counted %d evals, cone has %d", name, fi, evals, cone.Evals)
+			}
+			for w, good := range goodWs {
+				oracle.AlignTo(good)
+				oracle.runConeWithFaultInterpreted(good, cone, site, mask[w])
+				var want uint64
+				for _, oi := range cone.Outputs {
+					oid := n.Outputs[oi]
+					want |= logic.DiffW(good.Word(oid), oracle.Word(oid))
+				}
+				if diff[w] != want {
+					t.Fatalf("%s: fault %d word %d (mask %#x): wide diff %#x != interpreted %#x",
+						name, fi, w, mask[w], diff[w], want)
+				}
+			}
+		}
+	}
+}
+
 // TestKernelVariantsAgree pins the four evaluation kernels — the shared
 // generic interpreter (through EvalGate / EvalGateWithPin / evalGateW /
 // evalGateWPin) and the compiled scalar and word kernels — to each
