@@ -56,46 +56,6 @@ func BenchmarkAblation_FaultCollapsing(b *testing.B) {
 		fullLen, collLen, float64(fullLen)/float64(collLen), float64(fullEvals)/float64(collEvals))
 }
 
-// BenchmarkAblation_TestAndDrop ablates test-and-drop in the
-// deterministic ATPG phase: with dropping, each generated vector is
-// fault-simulated against the remaining set and its collateral
-// detections never reach PODEM; without, every fault pays a full
-// deterministic search. Reports each side's flows/s alongside the PODEM
-// call reduction (the counts BenchmarkATPG prints per circuit). Each
-// side runs on a fresh copy of the netlist, made outside the timer, so
-// neither recalls the other's PODEM verdicts.
-func BenchmarkAblation_TestAndDrop(b *testing.B) {
-	n := circuits.ArrayMultiplier(8)
-	faults := fault.Collapse(n, fault.AllStuckAt(n))
-	var drop, nodrop *atpg.Result
-	var tDrop, tNoDrop time.Duration
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dn, nn := n.Clone(), n.Clone()
-		b.StartTimer()
-		var err error
-		t0 := time.Now()
-		drop, err = atpg.GenerateTests(dn, faults, atpg.FlowOptions{Seed: 3, Compact: true})
-		tDrop += time.Since(t0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t0 = time.Now()
-		nodrop, err = atpg.GenerateTests(nn, faults, atpg.FlowOptions{Seed: 3, Compact: true, NoDrop: true})
-		tNoDrop += time.Since(t0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/tDrop.Seconds(), "drop_flows_per_sec")
-	b.ReportMetric(float64(b.N)/tNoDrop.Seconds(), "nodrop_flows_per_sec")
-	b.ReportMetric(float64(nodrop.PODEMCalls)/float64(drop.PODEMCalls), "podem_call_reduction_x")
-	b.Logf("test-and-drop on mul8: %d vs %d PODEM calls (%.1fx), %.2f vs %.2f flows/s",
-		drop.PODEMCalls, nodrop.PODEMCalls,
-		float64(nodrop.PODEMCalls)/float64(drop.PODEMCalls),
-		float64(b.N)/tDrop.Seconds(), float64(b.N)/tNoDrop.Seconds())
-}
-
 // BenchmarkAblation_RandomBootstrap compares ATPG with and without the
 // random-pattern phase: PODEM alone reaches the same coverage but pays
 // for every easy fault individually.

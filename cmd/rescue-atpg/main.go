@@ -36,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	compact := flag.Bool("compact", true, "apply reverse-order static compaction")
 	parallel := flag.Int("parallel", 1, "deterministic-phase PODEM workers (results are identical at any level)")
-	noDrop := flag.Bool("no-drop", false, "disable test-and-drop (reference flow: one PODEM call per remaining fault)")
 	timing := flag.String("timing", "", "machine-readable wall-clock benchmark JSON path")
 	list := flag.Bool("list", false, "list available circuits and exit")
 	prof := profiling.AddFlags(flag.CommandLine)
@@ -76,7 +75,7 @@ func main() {
 	start := time.Now()
 	res, err := atpg.GenerateTests(n, faults, atpg.FlowOptions{
 		RandomPatterns: *random, Seed: *seed, Compact: *compact,
-		Parallelism: *parallel, NoDrop: *noDrop,
+		Parallelism: *parallel,
 	})
 	wall := time.Since(start)
 	if err != nil {
@@ -96,10 +95,7 @@ func main() {
 
 	if *timing != "" {
 		tr := bench.New("atpg", 1)
-		tr.Params = map[string]any{
-			"circuit": *circuit,
-			"no_drop": *noDrop,
-		}
+		tr.Params = map[string]any{"circuit": *circuit}
 		tr.Metrics["faults"] = float64(len(faults))
 		tr.Metrics["random_patterns"] = float64(*random)
 		tr.Metrics["random_detected"] = float64(res.RandomDetected)

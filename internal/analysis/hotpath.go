@@ -34,16 +34,17 @@ var hotFuncs = map[string]hotSpec{
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
-		// word and block evaluators (evalOpV/W/B and the *Vals forms).
-		prefix: []string{"RunCone", "EvalGate", "evalOp", "runConeEval", "mergeMask"},
+		// word and block evaluators (evalOpV/W/B and the *Vals and
+		// *Faulted forms).
+		prefix: []string{"RunCone", "EvalGate", "evalOp", "runConeEval"},
 	},
 	"rescue/internal/faultsim": {
 		// The session's per-chunk stages are kernels end to end: the
-		// word-block and wide-chunk loops and the detection recorder all
-		// run once per pattern chunk. The time-frame engine's per-cycle
-		// step and latch run once per clock cycle of every injection.
+		// chunk loop and the detection recorder run once per pattern
+		// chunk. The time-frame engine's per-cycle step and latch run
+		// once per clock cycle of every injection.
 		exact: map[string]bool{
-			"Simulate": true, "simulateWordBlock": true, "simulateWideChunk": true,
+			"Simulate": true, "simulateChunk": true,
 			"recordDetection": true, "stepFrame": true, "latch": true,
 		},
 		prefix: []string{"RunCone"},

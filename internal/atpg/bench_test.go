@@ -52,7 +52,8 @@ func BenchmarkATPG(b *testing.B) {
 	b.Run("mul8/drop-vs-nodrop", func(b *testing.B) {
 		n := circuits.ArrayMultiplier(8)
 		faults := fault.Collapse(n, fault.AllStuckAt(n))
-		var drop, nodrop *Result
+		var drop *Result
+		var nodrop *Classification
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dn, nn := n.Clone(), n.Clone()
@@ -64,19 +65,20 @@ func BenchmarkATPG(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nodrop, err = GenerateTests(nn, faults, FlowOptions{Seed: 3, Compact: true, NoDrop: true})
+			// Without dropping, every fault takes its own PODEM verdict.
+			nodrop, err = ClassifyFaults(nn, faults, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		if drop.PODEMCalls >= nodrop.PODEMCalls {
+		if drop.PODEMCalls >= nodrop.Calls {
 			b.Fatalf("dropping must reduce PODEM calls on mul8: %d (drop) >= %d (no-drop)",
-				drop.PODEMCalls, nodrop.PODEMCalls)
+				drop.PODEMCalls, nodrop.Calls)
 		}
 		b.ReportMetric(float64(drop.PODEMCalls), "podem_calls_drop")
-		b.ReportMetric(float64(nodrop.PODEMCalls), "podem_calls_nodrop")
+		b.ReportMetric(float64(nodrop.Calls), "podem_calls_nodrop")
 		b.Logf("mul8 (%d faults): %d PODEM calls with dropping vs %d without (%.1fx fewer)",
-			len(faults), drop.PODEMCalls, nodrop.PODEMCalls,
-			float64(nodrop.PODEMCalls)/float64(drop.PODEMCalls))
+			len(faults), drop.PODEMCalls, nodrop.Calls,
+			float64(nodrop.Calls)/float64(drop.PODEMCalls))
 	})
 }

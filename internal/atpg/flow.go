@@ -168,10 +168,6 @@ type FlowOptions struct {
 	// by fault index before generation, and dropping is applied
 	// sequentially afterwards.
 	Parallelism int
-	// NoDrop disables test-and-drop: every fault left after the random
-	// phase is targeted individually, as the pre-session flow did. It is
-	// the reference side of the ablation benchmarks and regression tests.
-	NoDrop bool
 }
 
 // roundSize is the number of lowest-index undetected targets each
@@ -260,10 +256,10 @@ func GenerateTests(n *netlist.Netlist, faults fault.List, opt FlowOptions) (*Res
 // are skipped outright (their status stays NotSimulated — the
 // NotApplicable outcome, not an abort).
 //
-// With dropping enabled the phase proceeds in rounds: the roundSize
-// lowest-index still-undetected targets are generated — widened over
-// every slot the spare budget can lend, one Engine per goroutine — and
-// then dropped sequentially in fault-index order: each TestFound vector
+// The phase proceeds in rounds: the roundSize lowest-index
+// still-undetected targets are generated — widened over every slot the
+// spare budget can lend, one Engine per goroutine — and then dropped
+// sequentially in fault-index order: each TestFound vector
 // is filled, emitted and fault-simulated on the session, removing its
 // collateral detections from every later round. A target that an
 // earlier vector of its own round already detected keeps the Detected
@@ -282,33 +278,6 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		}
 	}
 	if len(pending) == 0 {
-		return nil
-	}
-
-	if opt.NoDrop {
-		eng, err := NewEngine(n, opt.PODEM)
-		if err != nil {
-			return err
-		}
-		var cost searchCost
-		defer cost.flush()
-		for _, fi := range pending {
-			g, err := safeGenerate(eng, faults[fi])
-			if err != nil {
-				return err
-			}
-			cost.add(g)
-			switch g.out {
-			case TestFound:
-				res.Status[fi] = fault.Detected
-				res.Tests = append(res.Tests, fillX(g.vec, opt.Seed+int64(fi)))
-			case ProvenUntestable:
-				res.Status[fi] = fault.Untestable
-			case AbortedLimit:
-				res.Status[fi] = fault.Aborted
-			}
-		}
-		res.PODEMCalls, res.Backtracks = cost.calls, cost.backtracks
 		return nil
 	}
 
@@ -400,10 +369,10 @@ type podemResult struct {
 
 // safeGenerate takes one PODEM verdict with the campaign engine's
 // per-unit recovery idiom: a panic inside Generate becomes an error
-// instead of taking down the flow, identically on the calling goroutine,
-// on a lent helper (where no caller's recover could catch it) and on the
-// NoDrop path. Every GenerateTests round, NoDrop pass and ClassifyFaults
-// chunk searches through it, so it is where the engine's verdict table
+// instead of taking down the flow, identically on the calling goroutine
+// and on a lent helper (where no caller's recover could catch it). Every
+// GenerateTests round and ClassifyFaults chunk searches through it, so
+// it is where the engine's verdict table
 // is consulted: a stuck-at site searched before on this netlist at this
 // backtrack limit is recalled, and a new verdict is stored.
 func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {

@@ -77,14 +77,19 @@ func TestGenerateTestsParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestGenerateTestsDropMatchesNoDropStatus(t *testing.T) {
-	// Regression against the pre-session flow: with RandomPatterns=0 the
-	// NoDrop path reproduces the old algorithm (one PODEM call per
-	// fault), and test-and-drop must classify every fault identically —
-	// a dropped fault is exactly a fault the old flow proved testable.
-	// Equality is exact as long as nothing aborts (an aborted fault's
-	// final status depends on which collateral tests exist). The NoDrop
-	// side runs on a fresh netlist, so it searches every fault itself.
+func TestGenerateTestsDropMatchesClassifyFaults(t *testing.T) {
+	// Regression against one PODEM verdict per fault: with
+	// RandomPatterns=0, test-and-drop must give every fault the status
+	// its ClassifyFaults outcome maps to — a dropped fault is exactly a
+	// fault PODEM proves testable. Equality is exact as long as nothing
+	// aborts (an aborted fault's final status depends on which
+	// collateral tests exist). ClassifyFaults runs on a fresh netlist,
+	// so it searches every fault itself.
+	statusOf := map[Outcome]fault.Status{
+		TestFound:        fault.Detected,
+		ProvenUntestable: fault.Untestable,
+		AbortedLimit:     fault.Aborted,
+	}
 	for _, name := range []string{"c17", "rca8", "mul4", "dec4"} {
 		n := combRegistry(t, name)
 		faults := fault.Collapse(n, fault.AllStuckAt(n))
@@ -92,29 +97,35 @@ func TestGenerateTestsDropMatchesNoDropStatus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s drop: %v", name, err)
 		}
-		nodrop, err := GenerateTests(n.Clone(), faults, FlowOptions{RandomPatterns: 0, Seed: 2, NoDrop: true})
+		ref, err := ClassifyFaults(n.Clone(), faults, Options{})
 		if err != nil {
-			t.Fatalf("%s nodrop: %v", name, err)
+			t.Fatalf("%s classify: %v", name, err)
 		}
-		if drop.Coverage.Aborted != 0 || nodrop.Coverage.Aborted != 0 {
-			t.Fatalf("%s: aborts (%d/%d) make the status comparison unsound — pick another circuit",
-				name, drop.Coverage.Aborted, nodrop.Coverage.Aborted)
-		}
-		if !reflect.DeepEqual(drop.Status, nodrop.Status) {
-			for i := range drop.Status {
-				if drop.Status[i] != nodrop.Status[i] {
-					t.Errorf("%s: fault %s: drop %v != no-drop %v",
-						name, faults[i].Describe(n), drop.Status[i], nodrop.Status[i])
-				}
+		want := make([]fault.Status, len(faults))
+		aborted := 0
+		for i, out := range ref.Outcomes {
+			want[i] = statusOf[out]
+			if out == AbortedLimit {
+				aborted++
 			}
 		}
-		if drop.PODEMCalls >= nodrop.PODEMCalls {
-			t.Errorf("%s: dropping must reduce PODEM calls: %d >= %d",
-				name, drop.PODEMCalls, nodrop.PODEMCalls)
+		if drop.Coverage.Aborted != 0 || aborted != 0 {
+			t.Fatalf("%s: aborts (%d/%d) make the status comparison unsound — pick another circuit",
+				name, drop.Coverage.Aborted, aborted)
 		}
-		if nodrop.PODEMCalls != len(faults) {
-			t.Errorf("%s: no-drop flow must target every fault: %d calls for %d faults",
-				name, nodrop.PODEMCalls, len(faults))
+		for i := range drop.Status {
+			if drop.Status[i] != want[i] {
+				t.Errorf("%s: fault %s: drop %v != classified %v",
+					name, faults[i].Describe(n), drop.Status[i], want[i])
+			}
+		}
+		if drop.PODEMCalls >= ref.Calls {
+			t.Errorf("%s: dropping must reduce PODEM calls: %d >= %d",
+				name, drop.PODEMCalls, ref.Calls)
+		}
+		if ref.Calls != len(faults) {
+			t.Errorf("%s: classification must target every fault: %d calls for %d faults",
+				name, ref.Calls, len(faults))
 		}
 	}
 }
@@ -151,25 +162,22 @@ func TestGenerateTestsMixedFaultListNotPoisoned(t *testing.T) {
 		fault.Fault{Kind: fault.SEU, Gate: n.Outputs[0], Pin: -1},
 		fault.Fault{Kind: fault.SET, Gate: n.Outputs[0], Pin: -1},
 	)
-	for _, noDrop := range []bool{false, true} {
-		res, err := GenerateTests(n, mixed, FlowOptions{RandomPatterns: 8, Seed: 4, NoDrop: noDrop})
-		if err != nil {
-			t.Fatal(err)
+	res, err := GenerateTests(n, mixed, FlowOptions{RandomPatterns: 8, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Coverage.Aborted != 0 {
+		t.Errorf("transient faults counted as aborted (%d)", res.Coverage.Aborted)
+	}
+	for i := len(mixed) - 2; i < len(mixed); i++ {
+		if res.Status[i] != fault.NotSimulated {
+			t.Errorf("transient fault %d status = %v, want not-simulated", i, res.Status[i])
 		}
-		if res.Coverage.Aborted != 0 {
-			t.Errorf("noDrop=%v: transient faults counted as aborted (%d)", noDrop, res.Coverage.Aborted)
-		}
-		for i := len(mixed) - 2; i < len(mixed); i++ {
-			if res.Status[i] != fault.NotSimulated {
-				t.Errorf("noDrop=%v: transient fault %d status = %v, want not-simulated",
-					noDrop, i, res.Status[i])
-			}
-		}
-		// Every stuck-at fault on c17 is testable: effective coverage
-		// must not be poisoned by the transient entries.
-		if got := res.Coverage.Detected; got != len(mixed)-2 {
-			t.Errorf("noDrop=%v: detected %d of %d stuck-at faults", noDrop, got, len(mixed)-2)
-		}
+	}
+	// Every stuck-at fault on c17 is testable: effective coverage must
+	// not be poisoned by the transient entries.
+	if got := res.Coverage.Detected; got != len(mixed)-2 {
+		t.Errorf("detected %d of %d stuck-at faults", got, len(mixed)-2)
 	}
 }
 

@@ -103,7 +103,7 @@ func RunFullWithAlarms(n *netlist.Netlist, faults fault.List, patterns []logic.V
 			if err := bad.LoadPatterns(block); err != nil {
 				return nil, err
 			}
-			bad.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0))
+			bad.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
 			rep.GateEvals += comb
 			// Accumulate the diff over *all* outputs before taking the
 			// lowest bit: breaking on the first differing output reported

@@ -196,25 +196,20 @@ func (s *Session) Simulate(patterns []logic.Vector) (SimResult, error) {
 	res := SimResult{Patterns: len(patterns)}
 	s.detN = 0
 	var goodEvals int64
-	base := 0
-	// Every full 256-pattern block runs wide; the tail falls back to
-	// 64-pattern word blocks so short runs (ATPG drop calls) keep the
-	// word path's exact cost profile.
-	for ; base+sim.BlockPatterns <= len(patterns); base += sim.BlockPatterns {
-		if err := s.simulateWideChunk(patterns[base:base+sim.BlockPatterns], base, &res); err != nil {
+	for base := 0; base < len(patterns); {
+		// Every full 256-pattern chunk runs wide; the tail falls back to
+		// 64-pattern word chunks so short runs (ATPG drop calls) keep the
+		// word path's exact cost profile.
+		words := 1
+		if len(patterns)-base >= sim.BlockPatterns {
+			words = logic.BlockWords
+		}
+		hi := min(base+64*words, len(patterns))
+		if err := s.simulateChunk(patterns[base:hi], base, words, &res); err != nil {
 			return res, err
 		}
-		goodEvals += int64(logic.BlockWords) * s.comb
-	}
-	for ; base < len(patterns); base += 64 {
-		hi := base + 64
-		if hi > len(patterns) {
-			hi = len(patterns)
-		}
-		if err := s.simulateWordBlock(patterns[base:hi], base, &res); err != nil {
-			return res, err
-		}
-		goodEvals += s.comb
+		goodEvals += int64(words) * s.comb
+		base = hi
 	}
 	res.Detected = s.detBuf[:s.detN:s.detN]
 	s.patterns += len(patterns)
@@ -229,67 +224,53 @@ func (s *Session) Simulate(patterns []logic.Vector) (SimResult, error) {
 	return res, nil
 }
 
-// simulateWordBlock runs one <=64-pattern block on the word machines:
-// the original serial hot loop, walking the undetected bitset directly
-// and dropping in place.
-func (s *Session) simulateWordBlock(block []logic.Vector, base int, res *SimResult) error {
-	if err := s.good.LoadPatterns(block); err != nil {
-		return err
-	}
-	s.good.Run()
-	// Align the faulty machine to the fresh good pass once; every cone
-	// pass below then runs membership-test-free and restores the
-	// alignment itself (sim.RunConeWithAlarms).
-	s.bad.AlignTo(s.good)
-	res.GateEvals += s.comb
-	blockMask := ^uint64(0)
-	if len(block) < 64 {
-		blockMask = (uint64(1) << uint(len(block))) - 1
-	}
-	for wi, w := range s.undet {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			w &^= 1 << uint(bit)
-			fi := bitIndex(wi, bit)
-			f := s.faults[fi]
-			diff, evals := s.bad.RunConeWithAlarms(s.good, s.cones[fi],
-				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, ^uint64(0), s.alarms)
-			res.GateEvals += int64(evals)
-			diff &= blockMask
-			if diff != 0 {
-				s.recordDetection(fi, base+bits.TrailingZeros64(diff))
-			} else if s.st[fi] == fault.NotSimulated {
-				s.st[fi] = fault.Undetected
-			}
+// simulateChunk runs one chunk on the machines of its width: a full
+// BlockPatterns chunk (words == logic.BlockWords) on the wide machines,
+// a chunk of at most 64 patterns (words == 1) on the word machines. It
+// runs one good pass, then walks the undetected bitset in ascending
+// fault order with one cone pass per fault, dropping each detected
+// fault in place. Each pass charges its gate count times its width.
+func (s *Session) simulateChunk(chunk []logic.Vector, base, words int, res *SimResult) error {
+	wide := words > 1
+	if wide {
+		s.ensureWide()
+		if err := s.wgood.LoadPatterns(chunk); err != nil {
+			return err
 		}
+		s.wgood.Run()
+		// Align the faulty machine to the fresh good pass once; every
+		// cone pass below restores the alignment itself.
+		s.wbad.AlignTo(s.wgood)
+	} else {
+		if err := s.good.LoadPatterns(chunk); err != nil {
+			return err
+		}
+		s.good.Run()
+		s.bad.AlignTo(s.good)
 	}
-	return nil
-}
-
-// simulateWideChunk runs one full 256-pattern chunk on the wide
-// machines: one wide good pass, then one wide cone pass per undetected
-// fault, walking the undetected bitset and dropping in place as
-// simulateWordBlock does.
-func (s *Session) simulateWideChunk(chunk []logic.Vector, base int, res *SimResult) error {
-	s.ensureWide()
-	if err := s.wgood.LoadPatterns(chunk); err != nil {
-		return err
+	res.GateEvals += int64(words) * s.comb
+	// Slots past a short tail's last pattern hold no pattern: never
+	// report them.
+	tail := ^uint64(0)
+	if len(chunk) < 64 {
+		tail = (uint64(1) << uint(len(chunk))) - 1
 	}
-	s.wgood.Run()
-	s.wbad.AlignTo(s.wgood)
-	res.GateEvals += int64(logic.BlockWords) * s.comb
-	mask := logic.BlockMaskAll()
 	for wi, w := range s.undet {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
 			w &^= 1 << uint(bit)
 			fi := bitIndex(wi, bit)
-			f := s.faults[fi]
-			diff, evals := s.wbad.RunConeWithAlarms(s.wgood, s.cones[fi],
-				sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, &mask, s.alarms)
-			res.GateEvals += int64(evals) * logic.BlockWords
-			if diff.Any() {
-				s.recordDetection(fi, base+diff.FirstSlot())
+			f, cone := s.faults[fi], s.cones[fi]
+			site := sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}
+			var diff logic.BlockMask
+			if wide {
+				diff = s.wbad.RunConeWithAlarms(s.wgood, cone, site, s.alarms)
+			} else {
+				diff[0] = s.bad.RunConeWithAlarms(s.good, cone, site, s.alarms) & tail
+			}
+			res.GateEvals += int64(words * cone.Evals)
+			if slot := diff.FirstSlot(); slot >= 0 {
+				s.recordDetection(fi, base+slot)
 			} else if s.st[fi] == fault.NotSimulated {
 				s.st[fi] = fault.Undetected
 			}

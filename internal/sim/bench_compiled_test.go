@@ -65,7 +65,7 @@ func newBenchSetup(b *testing.B) *benchSetup {
 func (s *benchSetup) coneSweepAligned() uint64 {
 	var acc uint64
 	for i, site := range s.sites {
-		diff, _ := s.bad.RunConeWithAlarms(s.good, s.cones[i], site, ^uint64(0), 0)
+		diff := s.bad.RunConeWithAlarms(s.good, s.cones[i], site, 0)
 		acc ^= diff
 	}
 	return acc

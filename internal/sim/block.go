@@ -75,18 +75,24 @@ func (p *PackedBlock) Run() { p.c.RunBlock(p.blocks) }
 func (p *PackedBlock) AlignTo(good *PackedBlock) { copy(p.blocks, good.blocks) }
 
 // RunConeAligned is the wide hot-path cone pass over an aligned machine
-// (see Compiled.RunConeAlignedBlock): it evaluates only the cone's
-// gates across all BlockWords words, returns the wide output difference
-// mask and the gate count evaluated, and restores the alignment
-// invariant before returning. p must have been aligned to good since
-// good's last Run.
+// (see Compiled.RunConeAlignedBlock) with no alarm outputs, reporting
+// only the slots mask selects. Slots evaluate independently, so the
+// diff equals that of a fault injected in those slots alone. It returns
+// the masked output difference mask and the gates the pass evaluated,
+// cone.Evals, and restores the alignment invariant before returning. p
+// must have been aligned to good since good's last Run.
 func (p *PackedBlock) RunConeAligned(good *PackedBlock, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask) (diff logic.BlockMask, evals int) {
-	return p.RunConeWithAlarms(good, cone, f, mask, 0)
+	diff = p.RunConeWithAlarms(good, cone, f, 0)
+	for w := range diff {
+		diff[w] &= mask[w]
+	}
+	return diff, cone.Evals
 }
 
-// RunConeWithAlarms is RunConeAligned with the netlist's last alarms
+// RunConeWithAlarms is the wide cone pass with the netlist's last alarms
 // primary outputs read as alarms: a slot differs only when a non-alarm
-// output differs and no alarm output does.
-func (p *PackedBlock) RunConeWithAlarms(good *PackedBlock, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask, alarms int) (diff logic.BlockMask, evals int) {
-	return p.c.RunConeAlignedBlock(p.blocks, good.blocks, p.scratch, cone, f, mask, alarms)
+// output differs and no alarm output does. The fault is injected in
+// every slot, and the cone must be grown from f.Gate.
+func (p *PackedBlock) RunConeWithAlarms(good *PackedBlock, cone *netlist.Cone, f FaultSite, alarms int) logic.BlockMask {
+	return p.c.RunConeAlignedBlock(p.blocks, good.blocks, p.scratch, cone, f, alarms)
 }

@@ -480,53 +480,58 @@ func (c *Compiled) Run(words []logic.Word) {
 	}
 }
 
-// RunWithFault performs a full pass with a stuck-at fault injected, with
-// RunWithFault's classic semantics: an output fault forces the site's
-// word to the stuck value for the masked slots; an input-pin fault makes
-// only the faulty gate observe the forced value on that pin. scratch
-// must hold at least maxFanin words (use newScratch).
-func (c *Compiled) RunWithFault(words, scratch []logic.Word, f FaultSite, mask uint64) {
-	forced := logic.WordAll(f.SA)
+// RunWithFault performs a full pass with a stuck-at fault injected in
+// every slot: an output fault forces the site's word to the stuck value
+// (an Input/DFF site up front, since it is never recomputed); an
+// input-pin fault makes only the faulty gate observe the forced value
+// on that pin. scratch must hold at least maxFanin words (use
+// newScratch).
+func (c *Compiled) RunWithFault(words, scratch []logic.Word, f FaultSite) {
 	fg := int32(f.Gate)
 	if f.Pin < 0 && c.code[fg] == opHold {
-		words[fg] = mergeMask(words[fg], forced, mask)
+		words[fg] = logic.WordAll(f.SA)
 	}
 	fanin, off := c.fanin, c.faninOff
 	for _, id := range c.schedule {
-		var w logic.Word
-		if id == fg && f.Pin >= 0 {
-			// A pin fault must only affect this one pin even when the
-			// same driver feeds several pins of this gate.
-			fan := fanin[off[id]:off[id+1]]
-			vals := scratch[:len(fan)]
-			for i, fi := range fan {
-				vals[i] = words[fi]
-			}
-			vals[f.Pin] = mergeMask(vals[f.Pin], forced, mask)
-			w = c.evalOpVals(c.code[id], vals)
+		fan := fanin[off[id]:off[id+1]]
+		if id == fg {
+			words[id] = c.evalOpFaultedW(c.code[id], fan, words, scratch, f)
 		} else {
-			w = evalOpW(c.code[id], fanin[off[id]:off[id+1]], words)
+			words[id] = evalOpW(c.code[id], fan, words)
 		}
-		if id == fg && f.Pin < 0 {
-			w = mergeMask(w, forced, mask)
-		}
-		words[id] = w
 	}
 }
 
+// evalOpFaultedW evaluates the fault-site gate of a word pass, as
+// evalOpFaultedV does for a scalar one: an output fault yields the stuck
+// value in every slot, a pin fault makes only that pin observe it, even
+// when the same net feeds several pins of the gate. scratch must hold
+// at least maxFanin words.
+func (c *Compiled) evalOpFaultedW(op opcode, fan []int32, words, scratch []logic.Word, f FaultSite) logic.Word {
+	if f.Pin < 0 {
+		return logic.WordAll(f.SA)
+	}
+	vals := scratch[:len(fan)]
+	for i, fi := range fan {
+		vals[i] = words[fi]
+	}
+	vals[f.Pin] = logic.WordAll(f.SA)
+	return c.evalOpVals(op, vals)
+}
+
 // RunConeAligned is the hot-path cone pass: it requires the alignment
-// invariant — words[i] == good[i] for every gate outside the cone (e.g.
-// established by one AlignTo per good pass) — evaluates the cone's gates
-// in place with plain indexed reads, folds the difference mask over the
-// cone's reachable primary outputs, and then restores the cone gates'
-// words from good, re-establishing the invariant for the next call. It
-// returns the diff mask (over all 64 slots; callers apply their block
-// mask) and the exact number of gates evaluated.
+// invariant — words[i] == good[i] for every gate (established by one
+// AlignTo per good pass, and restored by every cone pass) — faults the
+// cone root in every slot, evaluates the rest of the cone in place with
+// plain indexed reads, folds the difference mask over the cone's
+// reachable primary outputs, and then restores the cone gates' words
+// from good, re-establishing the invariant for the next call. The pass
+// evaluates cone.Evals gates. f.Gate must be cone.Root.
 //
 // The last alarms primary outputs are alarms: a slot is set in diff only
 // when a non-alarm output differs and no alarm output differs in it.
-func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, mask uint64, alarms int) (diff uint64, evals int) {
-	evals = c.runConeEval(words, good, scratch, cone, f, mask)
+func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, alarms int) (diff uint64) {
+	c.runConeEval(words, scratch, cone, f)
 	firstAlarm := len(c.outputs) - alarms
 	var alarm uint64
 	for _, oi := range cone.Outputs {
@@ -540,95 +545,32 @@ func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netli
 	for _, id := range cone.Order {
 		words[id] = good[id]
 	}
-	return diff &^ alarm, evals
+	return diff &^ alarm
 }
 
-// runConeEval is the cone evaluation loop of RunConeAligned. It assumes
-// every out-of-cone word a cone gate reads already equals its
-// good-machine value.
-//
-// In every standard use the fault site is the cone's root (the cone was
-// grown from it), so the fault is applied once while evaluating the
-// root and the rest of the cone runs as a plain pass with no per-gate
-// fault tests. A fault site elsewhere (a foreign cone) falls back to
-// the general checking loop.
-func (c *Compiled) runConeEval(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, mask uint64) int {
-	order := cone.Order
-	if len(order) == 0 {
-		return 0
+// foreignCone builds the panic message for a fault passed with a cone
+// not grown from its gate, out of line like unhandledOpcode.
+func foreignCone(f FaultSite, cone *netlist.Cone) string {
+	return fmt.Sprintf("sim: fault at gate %d passed with the cone of gate %d", f.Gate, cone.Root)
+}
+
+// runConeEval is the cone evaluation loop of RunConeAligned over an
+// aligned machine. The fault sits at the cone root: an output fault
+// writes the stuck value into it, a pin fault evaluates it with that pin
+// forced, and a DFF root's D-pin fault acts only at latch time, so that
+// root keeps its aligned good word. Every later cone gate is a strict
+// combinational successor of the root, so the rest of the cone runs as
+// a plain pass with no per-gate fault tests.
+func (c *Compiled) runConeEval(words, scratch []logic.Word, cone *netlist.Cone, f FaultSite) {
+	if f.Gate != cone.Root {
+		panic(foreignCone(f, cone))
 	}
-	forced := logic.WordAll(f.SA)
 	fanin, off := c.fanin, c.faninOff
-	if root := order[0]; root == f.Gate {
-		evals := 0
-		id := int32(root)
-		if op := c.code[id]; op == opHold {
-			// An Input/DFF root holds its value; only an output-site
-			// fault forces it.
-			w := good[id]
-			if f.Pin < 0 {
-				w = mergeMask(w, forced, mask)
-			}
-			words[id] = w
-		} else {
-			var w logic.Word
-			if f.Pin >= 0 {
-				// A pin fault must only affect this one pin even when
-				// the same driver feeds several pins of this gate.
-				fan := fanin[off[id]:off[id+1]]
-				vals := scratch[:len(fan)]
-				for i, fi := range fan {
-					vals[i] = words[fi]
-				}
-				vals[f.Pin] = mergeMask(vals[f.Pin], forced, mask)
-				w = c.evalOpVals(op, vals)
-			} else {
-				w = mergeMask(evalOpW(op, fanin[off[id]:off[id+1]], words), forced, mask)
-			}
-			words[id] = w
-			evals++
-		}
-		// Strict combinational successors of the root: never opHold,
-		// never the fault site — the maximally lean inner loop.
-		for _, oid := range order[1:] {
-			id := int32(oid)
-			words[id] = evalOpW(c.code[id], fanin[off[id]:off[id+1]], words)
-			evals++
-		}
-		return evals
+	if root := int32(cone.Root); f.Pin < 0 || c.code[root] != opHold {
+		words[root] = c.evalOpFaultedW(c.code[root], fanin[off[root]:off[root+1]], words, scratch, f)
 	}
-	evals := 0
-	fg := int32(f.Gate)
-	for _, oid := range order {
+	for _, oid := range cone.Order[1:] {
 		id := int32(oid)
-		op := c.code[id]
-		if op == opHold {
-			// Only the root can be a cone Input/DFF (nothing combinational
-			// drives them), and only an output-site fault forces it.
-			w := good[id]
-			if id == fg && f.Pin < 0 {
-				w = mergeMask(w, forced, mask)
-			}
-			words[id] = w
-			continue
-		}
-		var w logic.Word
-		if id == fg && f.Pin >= 0 {
-			fan := fanin[off[id]:off[id+1]]
-			vals := scratch[:len(fan)]
-			for i, fi := range fan {
-				vals[i] = words[fi]
-			}
-			vals[f.Pin] = mergeMask(vals[f.Pin], forced, mask)
-			w = c.evalOpVals(op, vals)
-		} else {
-			w = evalOpW(op, fanin[off[id]:off[id+1]], words)
-		}
-		if id == fg && f.Pin < 0 {
-			w = mergeMask(w, forced, mask)
-		}
-		words[id] = w
-		evals++
+		words[id] = evalOpW(c.code[id], fanin[off[id]:off[id+1]], words)
 	}
-	return evals
 }

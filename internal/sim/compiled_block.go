@@ -90,15 +90,6 @@ func (c *Compiled) evalOpValsB(op opcode, vals []logic.Block, dst *logic.Block) 
 	evalOpB(op, c.identity[:len(vals)], vals, dst)
 }
 
-// mergeMaskB replaces the masked slots of dst with the forced word,
-// word by word — the wide mirror of mergeMask with a splatted operand.
-func mergeMaskB(dst *logic.Block, forced logic.Word, mask *logic.BlockMask) {
-	dst[0] = mergeMask(dst[0], forced, mask[0])
-	dst[1] = mergeMask(dst[1], forced, mask[1])
-	dst[2] = mergeMask(dst[2], forced, mask[2])
-	dst[3] = mergeMask(dst[3], forced, mask[3])
-}
-
 // RunBlock performs one fault-free full combinational pass over the wide
 // machine state in blocks (indexed by gate ID; inputs and DFF slots are
 // consumed as-is) — the 256-pattern mirror of Run.
@@ -109,16 +100,31 @@ func (c *Compiled) RunBlock(blocks []logic.Block) {
 	}
 }
 
+// evalOpFaultedB is the wide mirror of evalOpFaultedW, writing the
+// fault-site gate's block through dst.
+func (c *Compiled) evalOpFaultedB(op opcode, fan []int32, blocks, scratch []logic.Block, f FaultSite, dst *logic.Block) {
+	if f.Pin < 0 {
+		*dst = logic.BlockAll(f.SA)
+		return
+	}
+	vals := scratch[:len(fan)]
+	for i, fi := range fan {
+		vals[i] = blocks[fi]
+	}
+	vals[f.Pin] = logic.BlockAll(f.SA)
+	c.evalOpValsB(op, vals, dst)
+}
+
 // RunConeAlignedBlock is the wide hot-path cone pass: it requires the
-// alignment invariant — blocks[i] == good[i] for every gate outside the
-// cone — evaluates the cone's gates over all BlockWords words, folds the
-// per-word difference masks over the cone's reachable primary outputs,
-// and restores the cone gates' blocks from good. It returns the wide
-// diff mask (callers apply their pattern mask) and the number of gates
-// evaluated; each counted gate processed BlockWords words. The last
-// alarms primary outputs are alarms, as in RunConeAligned.
-func (c *Compiled) RunConeAlignedBlock(blocks, good, scratch []logic.Block, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask, alarms int) (diff logic.BlockMask, evals int) {
-	evals = c.runConeEvalBlock(blocks, good, scratch, cone, f, mask)
+// alignment invariant — blocks[i] == good[i] for every gate — faults the
+// cone root in all BlockWords words, evaluates the rest of the cone,
+// folds the per-word difference masks over the cone's reachable primary
+// outputs, and restores the cone gates' blocks from good. The pass
+// evaluates cone.Evals gates over BlockWords words each. f.Gate must be
+// cone.Root, and the last alarms primary outputs are alarms, as in
+// RunConeAligned.
+func (c *Compiled) RunConeAlignedBlock(blocks, good, scratch []logic.Block, cone *netlist.Cone, f FaultSite, alarms int) (diff logic.BlockMask) {
+	c.runConeEvalBlock(blocks, scratch, cone, f)
 	firstAlarm := len(c.outputs) - alarms
 	var alarm logic.BlockMask
 	for _, oi := range cone.Outputs {
@@ -135,86 +141,22 @@ func (c *Compiled) RunConeAlignedBlock(blocks, good, scratch []logic.Block, cone
 	for w := range diff {
 		diff[w] &^= alarm[w]
 	}
-	return diff, evals
+	return diff
 }
 
 // runConeEvalBlock is the wide cone evaluation loop, mirroring
-// runConeEval: the fault is applied once at the cone root (the standard
-// case, membership-test-free) with a general checking loop for foreign
-// cones. It assumes every out-of-cone block a cone gate reads already
-// equals its good-machine value.
-func (c *Compiled) runConeEvalBlock(blocks, good, scratch []logic.Block, cone *netlist.Cone, f FaultSite, mask *logic.BlockMask) int {
-	order := cone.Order
-	if len(order) == 0 {
-		return 0
+// runConeEval: the fault is applied once at the cone root and the rest
+// of the cone runs as a plain pass.
+func (c *Compiled) runConeEvalBlock(blocks, scratch []logic.Block, cone *netlist.Cone, f FaultSite) {
+	if f.Gate != cone.Root {
+		panic(foreignCone(f, cone))
 	}
-	forced := logic.WordAll(f.SA)
 	fanin, off := c.fanin, c.faninOff
-	if root := order[0]; root == f.Gate {
-		evals := 0
-		id := int32(root)
-		if op := c.code[id]; op == opHold {
-			// An Input/DFF root holds its value; only an output-site
-			// fault forces it.
-			blocks[id] = good[id]
-			if f.Pin < 0 {
-				mergeMaskB(&blocks[id], forced, mask)
-			}
-		} else {
-			if f.Pin >= 0 {
-				// A pin fault must only affect this one pin even when
-				// the same driver feeds several pins of this gate.
-				fan := fanin[off[id]:off[id+1]]
-				vals := scratch[:len(fan)]
-				for i, fi := range fan {
-					vals[i] = blocks[fi]
-				}
-				mergeMaskB(&vals[f.Pin], forced, mask)
-				c.evalOpValsB(op, vals, &blocks[id])
-			} else {
-				evalOpB(op, fanin[off[id]:off[id+1]], blocks, &blocks[id])
-				mergeMaskB(&blocks[id], forced, mask)
-			}
-			evals++
-		}
-		// Strict combinational successors of the root: never opHold,
-		// never the fault site — the maximally lean inner loop.
-		for _, oid := range order[1:] {
-			id := int32(oid)
-			evalOpB(c.code[id], fanin[off[id]:off[id+1]], blocks, &blocks[id])
-			evals++
-		}
-		return evals
+	if root := int32(cone.Root); f.Pin < 0 || c.code[root] != opHold {
+		c.evalOpFaultedB(c.code[root], fanin[off[root]:off[root+1]], blocks, scratch, f, &blocks[root])
 	}
-	evals := 0
-	fg := int32(f.Gate)
-	for _, oid := range order {
+	for _, oid := range cone.Order[1:] {
 		id := int32(oid)
-		op := c.code[id]
-		if op == opHold {
-			// Only the root can be a cone Input/DFF (nothing combinational
-			// drives them), and only an output-site fault forces it.
-			blocks[id] = good[id]
-			if id == fg && f.Pin < 0 {
-				mergeMaskB(&blocks[id], forced, mask)
-			}
-			continue
-		}
-		if id == fg && f.Pin >= 0 {
-			fan := fanin[off[id]:off[id+1]]
-			vals := scratch[:len(fan)]
-			for i, fi := range fan {
-				vals[i] = blocks[fi]
-			}
-			mergeMaskB(&vals[f.Pin], forced, mask)
-			c.evalOpValsB(op, vals, &blocks[id])
-		} else {
-			evalOpB(op, fanin[off[id]:off[id+1]], blocks, &blocks[id])
-		}
-		if id == fg && f.Pin < 0 {
-			mergeMaskB(&blocks[id], forced, mask)
-		}
-		evals++
+		evalOpB(c.code[id], fanin[off[id]:off[id+1]], blocks, &blocks[id])
 	}
-	return evals
 }

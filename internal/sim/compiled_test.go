@@ -146,7 +146,7 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 			badI, _ := NewPacked(n)
 			loadBlock(t, badC, patterns, states)
 			loadBlock(t, badI, patterns, states)
-			badC.RunWithFault(site, ^uint64(0))
+			badC.RunWithFault(site)
 			badI.runWithFaultInterpreted(site, ^uint64(0))
 			for id := 0; id < n.NumGates(); id++ {
 				if badC.Word(id) != badI.Word(id) {
@@ -183,10 +183,10 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 			coneC, _ := NewPacked(n)
 			coneI, _ := NewPacked(n)
 			coneC.AlignTo(good)
-			evC := coneC.c.runConeEval(coneC.words, good.words, coneC.scratch, cone, site, ^uint64(0))
+			coneC.c.runConeEval(coneC.words, coneC.scratch, cone, site)
 			evI := coneI.runConeWithFaultInterpreted(good, cone, site, ^uint64(0))
-			if evC != evI {
-				t.Fatalf("%s: fault %d: cone eval count compiled %d != interpreted %d", name, fi, evC, evI)
+			if cone.Evals != evI {
+				t.Fatalf("%s: fault %d: cone eval count %d != interpreted %d", name, fi, cone.Evals, evI)
 			}
 			for _, id := range cone.Order {
 				if coneC.Word(id) != coneI.Word(id) {
@@ -195,14 +195,11 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 				}
 			}
 
-			// Aligned fused pass: same evals, diff mask consistent with
-			// the oracle's cone outputs, and the invariant restored.
+			// Aligned fused pass: diff mask consistent with the oracle's
+			// cone outputs, and the invariant restored.
 			aligned, _ := NewPacked(n)
 			aligned.AlignTo(good)
-			diff, evA := aligned.RunConeWithAlarms(good, cone, site, ^uint64(0), 0)
-			if evA != evI {
-				t.Fatalf("%s: fault %d: aligned eval count %d != interpreted %d", name, fi, evA, evI)
-			}
+			diff := aligned.RunConeWithAlarms(good, cone, site, 0)
 			var want uint64
 			for _, oi := range cone.Outputs {
 				oid := n.Outputs[oi]

@@ -147,6 +147,14 @@ func (p *Packed) runInterpreted() {
 	}
 }
 
+// mergeMask returns base with the masked slots replaced by repl.
+func mergeMask(base, repl logic.Word, mask uint64) logic.Word {
+	return logic.Word{
+		V0: (base.V0 &^ mask) | (repl.V0 & mask),
+		V1: (base.V1 &^ mask) | (repl.V1 & mask),
+	}
+}
+
 // runWithFaultInterpreted is the interpreted oracle of RunWithFault.
 func (p *Packed) runWithFaultInterpreted(f FaultSite, mask uint64) {
 	forced := logic.WordAll(f.SA)

@@ -37,11 +37,6 @@ func NewPacked(n *netlist.Netlist) (*Packed, error) {
 // Compiled returns the shared compiled machine this simulator executes.
 func (p *Packed) Compiled() *Compiled { return p.c }
 
-// SetInputWord assigns the idx-th primary input across all 64 slots.
-func (p *Packed) SetInputWord(idx int, w logic.Word) {
-	p.words[p.N.Inputs[idx]] = w
-}
-
 // SetStateWord assigns the idx-th flip-flop across all 64 slots.
 func (p *Packed) SetStateWord(idx int, w logic.Word) {
 	p.words[p.N.DFFs[idx]] = w
@@ -96,13 +91,12 @@ type FaultSite struct {
 	SA   logic.V
 }
 
-// RunWithFault performs a full pass with a stuck-at fault injected. An
-// output fault forces the gate's computed word to the stuck value; an
-// input-pin fault makes only the faulty gate observe the forced value on
-// that pin. The mask selects which pattern slots carry the fault (use
-// ^uint64(0) for all).
-func (p *Packed) RunWithFault(f FaultSite, mask uint64) {
-	p.c.RunWithFault(p.words, p.scratch, f, mask)
+// RunWithFault performs a full pass with a stuck-at fault injected in
+// every slot. An output fault forces the gate's computed word to the
+// stuck value; an input-pin fault makes only the faulty gate observe the
+// forced value on that pin.
+func (p *Packed) RunWithFault(f FaultSite) {
+	p.c.RunWithFault(p.words, p.scratch, f)
 }
 
 // AlignTo copies the good machine's complete word state into p,
@@ -112,22 +106,15 @@ func (p *Packed) RunWithFault(f FaultSite, mask uint64) {
 func (p *Packed) AlignTo(good *Packed) { copy(p.words, good.words) }
 
 // RunConeWithAlarms is the hot-path cone pass over an aligned machine
-// (see Compiled.RunConeAligned): it evaluates only the cone's gates with
-// plain indexed reads, returns the output difference mask and the exact
-// evaluation count, and restores the alignment invariant before
-// returning. p must have been aligned to good since good's last Run.
-// The netlist's last alarms primary outputs are read as alarms: a slot
-// differs only when a non-alarm output differs and no alarm output does.
-func (p *Packed) RunConeWithAlarms(good *Packed, cone *netlist.Cone, f FaultSite, mask uint64, alarms int) (diff uint64, evals int) {
-	return p.c.RunConeAligned(p.words, good.words, p.scratch, cone, f, mask, alarms)
-}
-
-// mergeMask returns base with the masked slots replaced by repl.
-func mergeMask(base, repl logic.Word, mask uint64) logic.Word {
-	return logic.Word{
-		V0: (base.V0 &^ mask) | (repl.V0 & mask),
-		V1: (base.V1 &^ mask) | (repl.V1 & mask),
-	}
+// (see Compiled.RunConeAligned): it faults the cone root in every slot,
+// evaluates only the cone's gates with plain indexed reads, returns the
+// output difference mask, and restores the alignment invariant before
+// returning. p must have been aligned to good since good's last Run, and
+// the cone must be grown from f.Gate. The netlist's last alarms primary
+// outputs are read as alarms: a slot differs only when a non-alarm
+// output differs and no alarm output does.
+func (p *Packed) RunConeWithAlarms(good *Packed, cone *netlist.Cone, f FaultSite, alarms int) uint64 {
+	return p.c.RunConeAligned(p.words, good.words, p.scratch, cone, f, alarms)
 }
 
 // OutputVector extracts the scalar outputs of pattern slot k.

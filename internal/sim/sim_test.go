@@ -402,7 +402,7 @@ func TestRunWithFaultOutputSite(t *testing.T) {
 	if err := p.LoadPatterns([]logic.Vector{pat}); err != nil {
 		t.Fatal(err)
 	}
-	p.RunWithFault(FaultSite{Gate: g10.ID, Pin: -1, SA: logic.One}, 1)
+	p.RunWithFault(FaultSite{Gate: g10.ID, Pin: -1, SA: logic.One})
 	if p.Word(g10.ID).Get(0) != logic.One {
 		t.Error("fault site must carry the stuck value")
 	}
@@ -433,7 +433,7 @@ func TestRunWithFaultPinSiteIsLocal(t *testing.T) {
 	// so check s-a-1 with a=0: faulty AND sees (1, 0) -> 0, while a
 	// net fault would give (1,1) -> 1.
 	_ = p.LoadPatterns([]logic.Vector{{logic.Zero}})
-	p.RunWithFault(FaultSite{Gate: y, Pin: 0, SA: logic.One}, 1)
+	p.RunWithFault(FaultSite{Gate: y, Pin: 0, SA: logic.One})
 	if got := p.Word(y).Get(0); got != logic.Zero {
 		t.Errorf("pin fault leaked to sibling pin: y = %v, want 0", got)
 	}
@@ -503,17 +503,13 @@ func TestRunConeEvalMatchesFullPass(t *testing.T) {
 					if err := full.LoadPatterns(patterns); err != nil {
 						t.Fatal(err)
 					}
-					full.RunWithFault(site, ^uint64(0))
+					full.RunWithFault(site)
 					fc, err := n.FanoutConeOrdered(site.Gate)
 					if err != nil {
 						t.Fatal(err)
 					}
 					cone.AlignTo(good)
-					evals := cone.c.runConeEval(cone.words, good.words, cone.scratch, fc, site, ^uint64(0))
-					if evals != fc.Evals {
-						t.Fatalf("%s: site %+v evaluated %d gates, cone says %d",
-							n.Name, site, evals, fc.Evals)
-					}
+					cone.c.runConeEval(cone.words, cone.scratch, fc, site)
 					for _, id := range fc.Order {
 						if cone.Word(id) != full.Word(id) {
 							t.Fatalf("%s: site %+v: cone gate %q word %v != full %v",
@@ -536,5 +532,43 @@ func TestRunConeEvalMatchesFullPass(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestConePassRejectsForeignCone(t *testing.T) {
+	// A cone pass faults the root of the cone grown from the fault's
+	// gate. A fault passed with another gate's cone — here G22, which
+	// lies inside G10's cone — is a caller bug and must panic on both
+	// widths instead of being evaluated.
+	n := circuits.C17()
+	g10, _ := n.Lookup("G10")
+	g22, _ := n.Lookup("G22")
+	cone, err := n.FanoutConeOrdered(g10.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := NewPacked(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good.Compiled().NewPacked()
+	goodB := good.Compiled().NewPackedBlock()
+	badB := good.Compiled().NewPackedBlock()
+	site := FaultSite{Gate: g22.ID, Pin: -1, SA: logic.One}
+	for _, pass := range []struct {
+		name string
+		run  func()
+	}{
+		{"Packed", func() { bad.RunConeWithAlarms(good, cone, site, 0) }},
+		{"PackedBlock", func() { badB.RunConeWithAlarms(goodB, cone, site, 0) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s.RunConeWithAlarms evaluated a fault at G22 over G10's cone", pass.name)
+				}
+			}()
+			pass.run()
+		}()
 	}
 }
