@@ -259,14 +259,14 @@ func GenerateTests(n *netlist.Netlist, faults fault.List, opt FlowOptions) (*Res
 // The phase proceeds in rounds: the roundSize lowest-index
 // still-undetected targets are generated — widened over every slot the
 // spare budget can lend, one Engine per goroutine — and then dropped
-// sequentially in fault-index order: each TestFound vector
-// is filled, emitted and fault-simulated on the session, removing its
-// collateral detections from every later round. A target that an
-// earlier vector of its own round already detected keeps the Detected
-// status and its redundant vector is discarded. Because round
-// composition, generation and dropping order depend only on fault
-// indices — never on worker scheduling — the result is byte-identical
-// at any parallelism level and spare budget.
+// sequentially in fault-index order: each TestFound vector is filled,
+// emitted and fault-simulated on the session, removing its collateral
+// detections from every later round. A target that an earlier vector
+// of its own round already detected keeps the Detected status and its
+// redundant vector is discarded. Because round composition, generation
+// and dropping order depend only on fault indices — never on worker
+// scheduling — the result is byte-identical at any parallelism level
+// and spare budget.
 func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOptions, sess *faultsim.Session, res *Result) error {
 	pending := make([]int, 0, len(faults))
 	for i := range faults {
@@ -372,9 +372,9 @@ type podemResult struct {
 // instead of taking down the flow, identically on the calling goroutine
 // and on a lent helper (where no caller's recover could catch it). Every
 // GenerateTests round and ClassifyFaults chunk searches through it, so
-// it is where the engine's verdict table
-// is consulted: a stuck-at site searched before on this netlist at this
-// backtrack limit is recalled, and a new verdict is stored.
+// it is where the engine's verdict table is consulted: a stuck-at site
+// searched before on this netlist at this backtrack limit is recalled,
+// and a new verdict is stored.
 func safeGenerate(e *Engine, f fault.Fault) (g podemResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
