@@ -30,7 +30,7 @@ var hotFuncs = map[string]hotSpec{
 	"rescue/internal/sim": {
 		exact: map[string]bool{
 			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
-			"RunDualWithFault": true, "EvalDualWithFault": true, "RunBlock": true,
+			"EvalDualWithFault": true, "RunBlock": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
@@ -51,10 +51,10 @@ var hotFuncs = map[string]hotSpec{
 	},
 	"rescue/internal/atpg": {
 		// PODEM's per-decision work: event-driven implication (imply,
-		// its event loop and enqueue), the single D-frontier scan, the
-		// X-path search and the state classification.
+		// its event loop and the two enqueues), the single D-frontier
+		// scan, the X-path search and the state classification.
 		exact: map[string]bool{
-			"imply": true, "propagate": true, "enqueueFanout": true,
+			"imply": true, "propagate": true, "enqueue": true, "enqueueFanout": true,
 			"scanFrontier": true, "xPathExists": true, "state": true,
 		},
 	},

@@ -10,17 +10,36 @@ import (
 
 // BenchmarkATPG tracks the test-generation hot path across the whole
 // registry: the session-based test-and-drop flow, serial vs parallel
-// deterministic phase. podem_calls and tests are deterministic
-// (identical at every parallelism level); ns/op and flows_per_sec track
-// the realised wall-clock. The drop-vs-nodrop sub-benchmark on mul8
-// prints both PODEM call counts — the figure fault dropping exists to
-// shrink — and fails if dropping ever stops paying. Every flow runs on
-// a fresh copy of the netlist, made outside the timer, so it searches
+// deterministic phase, and the PODEM layer alone, as a serial
+// classification of every collapsed fault. podem_calls, tests and
+// backtracks are deterministic (identical at every parallelism level),
+// and so is imply_evals, the implication gate evaluations of one
+// classification; ns/op and flows_per_sec track the realised
+// wall-clock. The drop-vs-nodrop sub-benchmark on mul8 prints both PODEM
+// call counts — the figure fault dropping exists to shrink — and fails
+// if dropping ever stops paying. Every flow and classification runs on a
+// fresh copy of the netlist, made outside the timer, so it searches
 // instead of recalling an earlier iteration's PODEM verdicts.
 func BenchmarkATPG(b *testing.B) {
 	for _, name := range circuits.Names() {
 		n := combRegistry(b, name)
 		faults := fault.Collapse(n, fault.AllStuckAt(n))
+		b.Run(name+"/classify", func(b *testing.B) {
+			b.ReportAllocs()
+			var cls *Classification
+			evals := obsImplyEvals.Value()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := n.Clone()
+				b.StartTimer()
+				var err error
+				if cls, err = ClassifyFaults(fresh, faults, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(cls.Backtracks), "backtracks")
+			b.ReportMetric(float64(obsImplyEvals.Value()-evals)/float64(b.N), "imply_evals")
+		})
 		for _, mode := range []struct {
 			tag     string
 			workers int

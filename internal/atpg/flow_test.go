@@ -299,9 +299,9 @@ func TestClassifyFaultsRejectsBadSites(t *testing.T) {
 
 // TestImplyGateEvalsCounted pins atpg_imply_gate_evals_total to the
 // engine's exact per-search counts, each of which includes at least the
-// search's first full pass. Engine.Generate leaves no verdicts behind,
-// so the classification searches every fault; the flow runs on a fresh
-// netlist, where it searches too.
+// site's evaluation in the search's first cone pass. Engine.Generate
+// leaves no verdicts behind, so the classification searches every
+// fault; the flow runs on a fresh netlist, where it searches too.
 func TestImplyGateEvalsCounted(t *testing.T) {
 	n := combRegistry(t, "mul4")
 	faults := fault.Collapse(n, fault.AllStuckAt(n))
@@ -312,8 +312,8 @@ func TestImplyGateEvalsCounted(t *testing.T) {
 	want := 0
 	for _, f := range faults {
 		eng.Generate(f)
-		if eng.ImplyGateEvals() < eng.c.ScheduleLen() {
-			t.Fatalf("%s: %d implication evals, below one full pass", f.Describe(n), eng.ImplyGateEvals())
+		if eng.ImplyGateEvals() < 1 {
+			t.Fatalf("%s: %d implication evals, want at least 1", f.Describe(n), eng.ImplyGateEvals())
 		}
 		want += eng.ImplyGateEvals()
 	}
@@ -448,7 +448,8 @@ func TestVerdictTableSharesSearches(t *testing.T) {
 
 // TestVerdictTableConcurrent classifies one fresh netlist from two
 // goroutines at once, sharing a budget of two slots, so up to four
-// searches of one fault can race to its slot. Both results must equal a
+// searches of one fault can race to its slot, and every search fetches
+// its cone from the clone's cold cone cache. Both results must equal a
 // serial classification of another fresh netlist, and the table must
 // hold one vector per TestFound slot: a duplicate search stores nothing.
 func TestVerdictTableConcurrent(t *testing.T) {

@@ -68,37 +68,42 @@ const DefaultBacktrackLimit = 20000
 // flows consult the netlist's verdict table the engine carries first.
 //
 // Implication is event-driven: gv/fv stay consistent with piVal for a
-// whole Generate call. The first imply of a target is one full
-// RunDualWithFault pass; after that every piVal write goes through setPI,
-// which records the input as dirty, and imply re-evaluates only the
-// fanout of the dirty inputs whose values changed, level by level.
+// whole Generate call. A search starts from every input X, where the
+// good machine is all X, so the first imply evaluates only the target's
+// fanout cone, seeded at the fault site. After that every piVal write
+// goes through setPI, which records the input as dirty, and imply
+// re-evaluates only the fanout of the dirty inputs whose values changed,
+// level by level. The faulty machine can differ from the good one only
+// inside the cone, so gates outside it are evaluated once, in the good
+// machine, and the state checks walk the cone alone.
 type Engine struct {
 	n       *netlist.Netlist
 	c       *sim.Compiled // shared compiled machine driving imply
 	cc      *Controllability
-	gv      []logic.V // good-machine values
-	fv      []logic.V // faulty-machine values
-	scratch []logic.V // fanin gather buffer for pin-fault evaluation
-	piVal   []logic.V // current PI assignment, indexed like n.Inputs
-	piOf    []int32   // gate ID -> PI index, -1 for non-inputs
-	outBits []uint64  // PO membership bitset over gate IDs
-	level   []int32   // combinational level per gate ID
+	cone    *netlist.Cone // the target's fanout cone, cached on n
+	gv      []logic.V     // good-machine values
+	fv      []logic.V     // faulty-machine values, equal to gv outside cone
+	scratch []logic.V     // fanin gather buffer for pin-fault evaluation
+	piVal   []logic.V     // current PI assignment, indexed like n.Inputs
+	piOf    []int32       // gate ID -> PI index, -1 for non-inputs
+	outBits []uint64      // PO membership bitset over gate IDs
+	level   []int32       // combinational level per gate ID
 
 	// Event queue: one bucket per level, laid out in queue at
-	// levelOff[l] with qlen[l] entries; queued dedups multi-pin fanouts.
+	// levelOff[l] with qlen[l] entries; hi is the highest level queued
+	// since the last propagate, and queued dedups multi-pin fanouts.
 	queue    []int32
 	levelOff []int32
 	qlen     []int32
+	hi       int32
 	queued   []bool
 
-	// Inputs written since the last imply; fullPass forces a full dual
-	// pass (the first imply of a target).
-	dirty    []int32
-	ndirty   int
-	piDirty  []bool
-	fullPass bool
+	// Inputs written since the last imply.
+	dirty   []int32
+	ndirty  int
+	piDirty []bool
 
-	frontier []int32  // D-frontier of the current assignment, in gate-ID order
+	frontier []int32  // D-frontier of the current assignment, in cone order
 	seen     []uint32 // xPathExists visit stamps
 	epoch    uint32
 	dfs      []int32 // xPathExists explicit stack
@@ -230,10 +235,16 @@ func (e *Engine) Generate(f fault.Fault) (logic.Vector, Outcome) {
 	}
 }
 
-// retarget starts a search for f: every input back to X, an empty
-// decision stack, and a full implication pass pending.
+// retarget starts a search for f: every input and gate back to X, an
+// empty decision stack, and the fault site queued, so that the first
+// imply is an event pass over f's cone. The site is the faulted gate,
+// or the readers of an input site once its faulty value is forced.
 func (e *Engine) retarget(f fault.Fault) {
-	e.target = f
+	cone, err := e.n.FanoutConeOrdered(f.Gate)
+	if err != nil {
+		panic(err)
+	}
+	e.target, e.cone = f, cone
 	e.site = sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}
 	e.siteNet = int32(f.Gate)
 	if f.Pin >= 0 {
@@ -247,7 +258,15 @@ func (e *Engine) retarget(f fault.Fault) {
 	}
 	e.ndirty = 0
 	e.stack = e.stack[:0]
-	e.fullPass = true
+	for id := range e.gv {
+		e.gv[id], e.fv[id] = logic.X, logic.X
+	}
+	if site := int32(f.Gate); e.piOf[site] >= 0 {
+		e.fv[site] = f.Value
+		e.enqueueFanout(site)
+	} else {
+		e.enqueue(site)
+	}
 }
 
 // setPI is the single writer of piVal after retarget: it records the
@@ -290,8 +309,9 @@ func (e *Engine) backtrack() (bool, Outcome) {
 func (e *Engine) Backtracks() int { return e.backtracks }
 
 // ImplyGateEvals reports how many gate evaluations the most recent
-// Generate call's implication performed, the first full pass included;
-// one evaluation covers the gate in both machines.
+// Generate call's implication performed, the first cone pass included.
+// One evaluation covers a cone gate in both machines, or a gate outside
+// the cone in the good machine, whose value the faulty one shares.
 func (e *Engine) ImplyGateEvals() int { return e.evals }
 
 type searchState uint8
@@ -303,25 +323,14 @@ const (
 )
 
 // imply brings gv/fv to the values of both machines under the current
-// PI assignment. The first call for a target is one compiled dual pass.
-// Later calls load only the dirty inputs (an input-site output fault
-// keeps its forced faulty value) and propagate from those that changed.
+// PI assignment. It loads only the dirty inputs (an input-site output
+// fault keeps its forced faulty value) and propagates from those that
+// changed, after the site events retarget queued for a new target.
 // Values are a pure function of the assignment, so the level-ordered
-// event pass reaches exactly the full pass's values, and undoing an
+// event pass reaches exactly a full pass's values, and undoing an
 // assignment is just another event on that input's cone.
 func (e *Engine) imply() {
 	gv, fv := e.gv, e.fv
-	if e.fullPass {
-		for i, id := range e.n.Inputs {
-			gv[id] = e.piVal[i]
-			fv[id] = e.piVal[i]
-		}
-		e.c.RunDualWithFault(gv, fv, e.scratch, e.site)
-		e.evals += e.c.ScheduleLen()
-		e.fullPass = false
-		return
-	}
-	var hi int32
 	for _, pi := range e.dirty[:e.ndirty] {
 		e.piDirty[pi] = false
 		id := int32(e.n.Inputs[pi])
@@ -333,51 +342,64 @@ func (e *Engine) imply() {
 			continue
 		}
 		gv[id], fv[id] = g, f
-		hi = e.enqueueFanout(id, hi)
+		e.enqueueFanout(id)
 	}
 	e.ndirty = 0
-	e.evals += e.propagate(hi)
+	e.evals += e.propagate()
 }
 
-// enqueueFanout queues every not-yet-queued reader of gate id in its
-// level bucket and returns the highest queued level seen so far.
-func (e *Engine) enqueueFanout(id, hi int32) int32 {
-	for _, fo := range e.c.Fanout(int(id)) {
-		if e.queued[fo] {
-			continue
-		}
-		e.queued[fo] = true
-		l := e.level[fo]
-		e.queue[e.levelOff[l]+e.qlen[l]] = fo
-		e.qlen[l]++
-		if l > hi {
-			hi = l
-		}
+// enqueue queues gate id in its level bucket unless it is queued
+// already, raising hi to its level.
+func (e *Engine) enqueue(id int32) {
+	if e.queued[id] {
+		return
 	}
-	return hi
+	e.queued[id] = true
+	l := e.level[id]
+	e.queue[e.levelOff[l]+e.qlen[l]] = id
+	e.qlen[l]++
+	e.hi = max(e.hi, l)
+}
+
+// enqueueFanout queues every reader of gate id.
+func (e *Engine) enqueueFanout(id int32) {
+	for _, fo := range e.c.Fanout(int(id)) {
+		e.enqueue(fo)
+	}
 }
 
 // propagate drains the event queue in level order up to level hi (which
 // grows as events fan out) and returns the number of gates evaluated. A
-// gate's readers are queued only when its good or faulty value changed.
-// Readers sit at strictly higher levels, so a bucket never grows while
-// it drains.
-func (e *Engine) propagate(hi int32) int {
+// cone gate is evaluated in both machines. A gate outside the cone is
+// evaluated in the good machine and its value copied into the faulty
+// one: none of its fanins lies in the cone, so they agree in both. A
+// gate's readers are queued only when its value changed. Readers sit at
+// strictly higher levels, so a bucket never grows while it drains.
+func (e *Engine) propagate() int {
 	evals := 0
-	for l := int32(1); l <= hi; l++ {
+	for l := int32(1); l <= e.hi; l++ {
 		q := e.queue[e.levelOff[l] : e.levelOff[l]+e.qlen[l]]
 		e.qlen[l] = 0
 		for _, id := range q {
 			e.queued[id] = false
-			g, f := e.c.EvalDualWithFault(id, e.gv, e.fv, e.scratch, e.site)
 			evals++
-			if g == e.gv[id] && f == e.fv[id] {
-				continue
+			if e.cone.Contains(int(id)) {
+				g, f := e.c.EvalDualWithFault(id, e.gv, e.fv, e.scratch, e.site)
+				if g == e.gv[id] && f == e.fv[id] {
+					continue
+				}
+				e.gv[id], e.fv[id] = g, f
+			} else {
+				g := e.c.EvalGateV(id, e.gv)
+				if g == e.gv[id] {
+					continue
+				}
+				e.gv[id], e.fv[id] = g, g
 			}
-			e.gv[id], e.fv[id] = g, f
-			hi = e.enqueueFanout(id, hi)
+			e.enqueueFanout(id)
 		}
 	}
+	e.hi = 0
 	return evals
 }
 
@@ -385,8 +407,10 @@ func (e *Engine) propagate(hi int32) int {
 // activated it scans the D-frontier into e.frontier, which objective
 // then reads: one scan per decision.
 func (e *Engine) state() searchState {
-	// Detected: any PO differs with both values known.
-	for _, o := range e.n.Outputs {
+	// Detected: any PO differs with both values known. Only the cone's
+	// outputs can.
+	for _, oi := range e.cone.Outputs {
+		o := e.n.Outputs[oi]
 		if e.gv[o].Known() && e.fv[o].Known() && e.gv[o] != e.fv[o] {
 			return stateDetected
 		}
@@ -408,19 +432,22 @@ func (e *Engine) state() searchState {
 	return stateUndetermined
 }
 
-// scanFrontier lists, in gate-ID order, the gates whose output is
-// undetermined in at least one machine while some fanin already carries
-// a D/D' discrepancy. For an input-pin fault the discrepancy
-// materialises inside the faulted gate (the driving net itself carries
-// equal values in both machines), so that gate seeds the frontier once
-// the fault is activated.
+// scanFrontier lists, in the cone's (level, id) order, the gates whose
+// output is undetermined in at least one machine while some fanin
+// already carries a D/D' discrepancy. A D sits in the target's cone, so
+// its readers do too, and the scan walks the cone alone. For an
+// input-pin fault the discrepancy materialises inside the faulted gate
+// (the driving net itself carries equal values in both machines), so
+// that gate, the cone's root, seeds the frontier once the fault is
+// activated.
 func (e *Engine) scanFrontier() {
 	fr := e.frontier[:0]
 	pinGate := int32(-1)
 	if site := e.gv[e.siteNet]; e.target.Pin >= 0 && site.Known() && site != e.target.Value {
 		pinGate = int32(e.target.Gate)
 	}
-	for id := int32(0); id < int32(len(e.gv)); id++ {
+	for _, gid := range e.cone.Order {
+		id := int32(gid)
 		if e.piOf[id] >= 0 || (e.gv[id].Known() && e.fv[id].Known()) {
 			continue
 		}
@@ -485,11 +512,11 @@ func (e *Engine) objective() (int, logic.V, bool) {
 		return 0, logic.X, false
 	}
 	// Choose the frontier gate closest to a PO (lowest remaining depth
-	// approximated by highest level) and set one X input to the gate's
-	// non-controlling value.
+	// approximated by highest level, ties to the lowest gate ID) and set
+	// one X input to the gate's non-controlling value.
 	best := e.frontier[0]
 	for _, g := range e.frontier[1:] {
-		if e.level[g] > e.level[best] {
+		if l, lb := e.level[g], e.level[best]; l > lb || (l == lb && g < best) {
 			best = g
 		}
 	}

@@ -95,11 +95,14 @@ func impliedFaults(n *netlist.Netlist, rng *rand.Rand) fault.List {
 	return list
 }
 
-// TestIncrementalImplyMatchesFullPass keeps RunDualWithFault as the
-// oracle of event-driven implication: on every registry circuit, after
+// TestIncrementalImplyMatchesFullPass keeps two full scalar passes as the
+// oracle of event-driven implication, RunV for the good machine and
+// RunVWithFault for the faulty one: on every registry circuit, after
 // every imply of a seeded sequence of input assignments, flips and
 // clears (one to three per step, as a backtrack pops several), the
-// engine's good and faulty values must equal a fresh full pass.
+// engine's good and faulty values must equal theirs. The first imply
+// of a target starts from the all-X machine and may evaluate no gate
+// outside the target's cone.
 func TestIncrementalImplyMatchesFullPass(t *testing.T) {
 	for _, name := range circuits.Names() {
 		n := combRegistry(t, name)
@@ -116,6 +119,10 @@ func TestIncrementalImplyMatchesFullPass(t *testing.T) {
 		fv := make([]logic.V, n.NumGates())
 		scratch := c.NewValueScratch()
 		for _, f := range impliedFaults(n, rng) {
+			cone, err := n.FanoutConeOrdered(f.Gate)
+			if err != nil {
+				t.Fatal(err)
+			}
 			eng.retarget(f)
 			for step := 0; step < 30; step++ {
 				for w := 0; step > 0 && w < 1+rng.Intn(3); w++ {
@@ -129,11 +136,17 @@ func TestIncrementalImplyMatchesFullPass(t *testing.T) {
 						eng.setPI(pi, logic.X)
 					}
 				}
+				evals := eng.evals
 				eng.imply()
+				if evals = eng.evals - evals; step == 0 && evals > cone.Evals {
+					t.Fatalf("%s: %s: first imply evaluated %d gates, more than the cone's %d",
+						name, f.Describe(n), evals, cone.Evals)
+				}
 				for i, id := range n.Inputs {
 					gv[id], fv[id] = eng.piVal[i], eng.piVal[i]
 				}
-				c.RunDualWithFault(gv, fv, scratch, sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+				c.RunV(gv)
+				c.RunVWithFault(fv, scratch, sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
 				if !reflect.DeepEqual(gv, eng.gv) || !reflect.DeepEqual(fv, eng.fv) {
 					t.Fatalf("%s: %s step %d: incremental values differ from the full pass", name, f.Describe(n), step)
 				}

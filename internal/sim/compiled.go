@@ -423,34 +423,20 @@ func (c *Compiled) EvalGateVals(id int, vals []logic.V) logic.V {
 // the scalar fault passes use for positional fanin values.
 func (c *Compiled) NewValueScratch() []logic.V { return make([]logic.V, c.maxFanin) }
 
-// RunDualWithFault performs the good/faulty scalar implication pass of
-// PODEM: one schedule walk evaluating the good machine into gv and the
-// faulty machine into fv with the stuck-at fault applied (an output
-// fault forces the site's fv, a pin fault forces only that pin's
-// observed value). Both value arrays must have their primary-input
-// slots loaded; Input/DFF site faults force fv up front.
-func (c *Compiled) RunDualWithFault(gv, fv, scratch []logic.V, f FaultSite) {
-	fg := int32(f.Gate)
-	if f.Pin < 0 && c.code[fg] == opHold {
-		fv[fg] = f.SA
-	}
-	fanin, off := c.fanin, c.faninOff
-	for _, id := range c.schedule {
-		fan := fanin[off[id]:off[id+1]]
-		gv[id] = evalOpV(c.code[id], fan, gv)
-		if id == fg {
-			fv[id] = c.evalOpFaultedV(c.code[id], fan, fv, scratch, f)
-		} else {
-			fv[id] = evalOpV(c.code[id], fan, fv)
-		}
-	}
+// EvalGateV evaluates the single combinational gate id from the value
+// array vals and returns its value without storing it. It is the gate
+// step of PODEM's event-driven implication outside the fault's cone,
+// where the faulty machine equals the good one.
+func (c *Compiled) EvalGateV(id int32, vals []logic.V) logic.V {
+	return evalOpV(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], vals)
 }
 
-// EvalDualWithFault evaluates the single combinational gate id in both
-// machines of RunDualWithFault, with the same fault handling, and
-// returns its good and faulty values without storing them. It is the
-// gate step of PODEM's event-driven implication, which re-evaluates
-// only the fanout of the inputs that changed.
+// EvalDualWithFault evaluates the single combinational gate id in a good
+// machine gv and a faulty machine fv with the stuck-at applied as
+// RunVWithFault applies it (an output fault yields the stuck value, a
+// pin fault forces only that pin's observed value), and returns both
+// values without storing them. It is the gate step of PODEM's
+// event-driven implication inside the fault's cone.
 func (c *Compiled) EvalDualWithFault(id int32, gv, fv, scratch []logic.V, f FaultSite) (good, faulty logic.V) {
 	op, fan := c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]]
 	good = evalOpV(op, fan, gv)
