@@ -77,6 +77,40 @@ func TestPODEMMatchesSeedDigest(t *testing.T) {
 	}
 }
 
+// seedImplyDigest pins the implication work of every PODEM search:
+// outcome, backtracks and implication gate evals of a fresh Generate
+// for every stuck-at of every scan-viewed registry circuit, on the
+// collapsed and the uncollapsed list, at the default and at a tight
+// backtrack limit. The event queue's order may change; which gates it
+// evaluates, and how often, may not.
+const seedImplyDigest = "a25fc972208131eda2cc32bb9afd1ea811a5fd7922909ebfec4dce6b950107fb"
+
+// TestImplyGateEvalsMatchSeedDigest pins ImplyGateEvals, which
+// TestPODEMMatchesSeedDigest does not cover, search by search.
+func TestImplyGateEvalsMatchSeedDigest(t *testing.T) {
+	h := sha256.New()
+	for _, name := range circuits.Names() {
+		n := combRegistry(t, name)
+		all := fault.AllStuckAt(n)
+		for _, faults := range []fault.List{fault.Collapse(n, all), all} {
+			for _, limit := range []int{0, 50} {
+				eng, err := NewEngine(n, Options{BacktrackLimit: limit})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				fmt.Fprintf(h, "circuit %s faults %d limit %d\n", name, len(faults), limit)
+				for i, f := range faults {
+					_, out := eng.Generate(f)
+					fmt.Fprintf(h, "%d %v %d %d\n", i, out, eng.Backtracks(), eng.ImplyGateEvals())
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != seedImplyDigest {
+		t.Errorf("implication digest = %s, want %s", got, seedImplyDigest)
+	}
+}
+
 // impliedFaults samples stuck-at faults for the implication oracle: a
 // seeded draw from the uncollapsed list plus an output fault on a
 // primary input and a pin fault, which the draw may miss.
