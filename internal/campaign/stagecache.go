@@ -250,8 +250,9 @@ func (m jobMemo) Stage(id core.StageID, compute func() (core.StageResult, error)
 	return m.cache.do(m.ctx, stageCacheKey(m.job, id), compute)
 }
 
-// orderForCache groups pending jobs that share their first stage's
-// cache key onto adjacent schedule slots: the group's first job
+// orderForCache groups pending jobs that share the cache key of the
+// first stage they execute (core.ExecutionOrder) onto adjacent schedule
+// slots: the group's first job
 // computes while the rest arrive after (or while) the entry resolves,
 // turning would-be duplicate computations scattered across the schedule
 // into immediate hits or short singleflight waits. Scheduling order
@@ -262,7 +263,7 @@ func orderForCache(pending []Job) []Job {
 	keys := make([]string, len(pending))
 	for i, j := range pending {
 		if stages, err := j.Scenario.Stages(); err == nil && len(stages) > 0 {
-			keys[i] = stageCacheKey(j, stages[0])
+			keys[i] = stageCacheKey(j, core.ExecutionOrder(stages)[0])
 		}
 	}
 	idx := make([]int, len(pending))

@@ -275,7 +275,8 @@ func TestStageCacheKeyDeclaredInputs(t *testing.T) {
 
 // TestOrderForCacheDeterminism: cache-aware ordering is a stable
 // grouping — same multiset of jobs, sorted by (first-stage key, ID) —
-// and therefore independent of the input permutation.
+// and therefore independent of the input permutation. A job's first
+// stage is the first one core.ExecutionOrder runs.
 func TestOrderForCacheDeterminism(t *testing.T) {
 	m := Matrix{
 		Circuits:     []string{"mul8", "c17"},
@@ -316,7 +317,7 @@ func TestOrderForCacheDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := stageCacheKey(j, stages[0])
+		k := stageCacheKey(j, core.ExecutionOrder(stages)[0])
 		if last, ok := seen[k]; ok && last != i-1 {
 			t.Fatalf("jobs with key %s scattered (slots %d and %d)", k, last, i)
 		}

@@ -104,8 +104,9 @@ type SecurityReport struct {
 type Report struct {
 	Design string
 	Years  float64
-	// Stages lists, in execution order, which stages populated this
-	// report; a full RunFlow records all four.
+	// Stages lists, in the requested order, which stages populated this
+	// report; a full RunFlow records all four. The execution order can
+	// differ (see ExecutionOrder).
 	Stages      []string `json:",omitempty"`
 	Quality     QualityReport
 	Reliability ReliabilityReport

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rescue/internal/circuits"
+	"rescue/internal/obs"
 )
 
 // TestEffectiveInputsDeclaredForAllStages pins the contract rescue-lint
@@ -118,7 +119,8 @@ func (m *countingMemo) Stage(id StageID, compute func() (StageResult, error)) (S
 }
 
 // TestMemoInterceptsEveryStage: a transparent memo sees one call per
-// scheduled stage and leaves the report bit-identical.
+// scheduled stage, in execution order, and leaves the report
+// bit-identical.
 func TestMemoInterceptsEveryStage(t *testing.T) {
 	n := circuits.C17()
 	cfg := FlowConfig{Netlist: n, Patterns: 16, Seed: 9, Years: 5}
@@ -133,10 +135,73 @@ func TestMemoInterceptsEveryStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(memo.calls, AllStages()) {
-		t.Errorf("memo saw stages %v, want %v", memo.calls, AllStages())
+	want := []StageID{StageSafety, StageQuality, StageReliability, StageSecurity}
+	if !reflect.DeepEqual(memo.calls, want) {
+		t.Errorf("memo saw stages %v, want %v", memo.calls, want)
 	}
 	if !reflect.DeepEqual(plain, memoised) {
 		t.Errorf("transparent memo changed the report:\n%+v\nvs\n%+v", plain, memoised)
+	}
+}
+
+// searchMemo records how many PODEM searches each stage's computation
+// performed, read from the process-wide counter around it.
+type searchMemo struct {
+	searched map[StageID]float64
+}
+
+func (m *searchMemo) Stage(id StageID, compute func() (StageResult, error)) (StageResult, error) {
+	calls := func() float64 { return obs.Default.Snapshot()["atpg_podem_calls_total"] }
+	before := calls()
+	out, err := compute()
+	m.searched[id] = calls() - before
+	return out, err
+}
+
+// TestQualityRecallsSafetyVerdicts: whenever a request selects both
+// PODEM stages, the safety stage's cross-check takes every verdict on a
+// fresh netlist and the quality stage searches nothing, while the
+// report keeps the requested stage order.
+func TestQualityRecallsSafetyVerdicts(t *testing.T) {
+	for _, stages := range [][]StageID{
+		AllStages(),
+		{StageSecurity, StageQuality, StageSafety},
+	} {
+		memo := &searchMemo{searched: map[StageID]float64{}}
+		cfg := FlowConfig{Netlist: circuits.Registry["mul4"](), Patterns: 32, Seed: 1, Years: 5, Memo: memo}
+		rep, err := RunStages(context.Background(), cfg, stages...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, s := memo.searched[StageQuality], memo.searched[StageSafety]; q != 0 || s == 0 {
+			t.Errorf("%v: quality searched %v faults and safety %v, want 0 and more than 0", stages, q, s)
+		}
+		var want []string
+		for _, id := range stages {
+			want = append(want, id.String())
+		}
+		if !reflect.DeepEqual(rep.Stages, want) {
+			t.Errorf("report lists stages %v, want the requested %v", rep.Stages, want)
+		}
+	}
+}
+
+// TestExecutionOrder pins the one policy RunStages and the campaign's
+// cache-aware scheduling share: safety moves to just before quality
+// when both are selected, every other stage keeps its place, and a
+// duplicate runs once.
+func TestExecutionOrder(t *testing.T) {
+	q, r, sa, se := StageQuality, StageReliability, StageSafety, StageSecurity
+	for _, c := range []struct{ in, want []StageID }{
+		{[]StageID{q, r, sa, se}, []StageID{sa, q, r, se}},
+		{[]StageID{se, q, sa}, []StageID{se, sa, q}},
+		{[]StageID{sa, r, q}, []StageID{r, sa, q}},
+		{[]StageID{q, q, sa, q}, []StageID{sa, q}},
+		{[]StageID{r, sa, se}, []StageID{r, sa, se}},
+		{[]StageID{se, q, se}, []StageID{se, q}},
+	} {
+		if got := ExecutionOrder(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ExecutionOrder(%v) = %v, want %v", c.in, got, c.want)
+		}
 	}
 }

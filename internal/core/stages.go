@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rescue/internal/aging"
 	"rescue/internal/atpg"
@@ -266,10 +267,38 @@ func (st *flowState) runStage(id StageID) (StageResult, error) {
 	return StageResult{}, fmt.Errorf("core: unknown stage %d", id)
 }
 
+// ExecutionOrder returns the distinct stages of a request in the order
+// RunStages executes them: the requested order, except that safety runs
+// immediately before quality whenever both are selected. Both stages
+// take a PODEM verdict for stuck-ats of the same netlist at the same
+// backtrack limit, and the verdict table keeps the first one. The
+// safety stage's cross-check classifies every fault in fixed chunks
+// with no barrier, so lent workers stay busy through it; the quality
+// stage's test-and-drop rounds, which wait for their slowest search,
+// then recall every verdict they need.
+func ExecutionOrder(stages []StageID) []StageID {
+	both := slices.Contains(stages, StageQuality) && slices.Contains(stages, StageSafety)
+	order := make([]StageID, 0, len(stages))
+	for _, id := range stages {
+		if slices.Contains(order, id) || both && id == StageSafety {
+			continue
+		}
+		if both && id == StageQuality {
+			order = append(order, StageSafety)
+		}
+		order = append(order, id)
+	}
+	return order
+}
+
 // RunStages runs the selected Fig. 2 stages over one design and returns
 // the report with exactly those aspects populated (the rest stay zero).
-// The context is checked between stages, so a cancelled campaign stops at
-// the next stage boundary. Duplicate stage IDs run once.
+// Stages execute in ExecutionOrder, so that the quality stage recalls
+// the safety stage's PODEM verdicts; each stage's result is a pure
+// function of its inputs, so the order changes only how long the run
+// takes. The report lists and applies the stages in the requested
+// order. The context is checked between stages, so a cancelled campaign
+// stops at the next stage boundary. Duplicate stage IDs run once.
 func RunStages(ctx context.Context, cfg FlowConfig, stages ...StageID) (*Report, error) {
 	st, err := newFlowState(cfg)
 	if err != nil {
@@ -282,28 +311,27 @@ func RunStages(ctx context.Context, cfg FlowConfig, stages ...StageID) (*Report,
 			return nil, fmt.Errorf("core: unknown stage %d", id)
 		}
 	}
-	rep := &Report{Design: st.n.Name, Years: cfg.Years}
-	done := make(map[StageID]bool)
-	for _, id := range stages {
-		if done[id] {
-			continue
-		}
-		done[id] = true
+	var outs [numStages]StageResult
+	for _, id := range ExecutionOrder(stages) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		compute := func() (StageResult, error) { return st.runStage(id) }
-		var out StageResult
 		if cfg.Memo != nil {
-			out, err = cfg.Memo.Stage(id, compute)
+			outs[id], err = cfg.Memo.Stage(id, compute)
 		} else {
-			out, err = compute()
+			outs[id], err = compute()
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.apply(rep)
-		rep.Stages = append(rep.Stages, id.String())
+	}
+	rep := &Report{Design: st.n.Name, Years: cfg.Years}
+	for _, id := range stages {
+		if name := id.String(); !slices.Contains(rep.Stages, name) {
+			outs[id].apply(rep)
+			rep.Stages = append(rep.Stages, name)
+		}
 	}
 	return rep, nil
 }

@@ -272,11 +272,12 @@ type CrossCheckReport struct {
 // allocation path as IdentifyUntestable — so both tools share one PODEM
 // setup per netlist view and report comparable backtrack costs; opt.Spare
 // lends it helper workers. When the functional outputs are the
-// circuit's outputs, the view is sc.N itself, so the cross-check recalls
-// every verdict an earlier search on sc.N left in its verdict table
-// (the quality stage's, in a campaign job). Classes must be parallel to
-// faults, and every output inside the circuit: both are checked before
-// any search.
+// circuit's outputs, the view is sc.N itself, so the verdicts the
+// cross-check stores in sc.N's verdict table serve every later search
+// on sc.N (the quality stage's, which a holistic flow runs after it),
+// and it recalls any an earlier search left there. Classes must be
+// parallel to faults, and every output inside the circuit: both are
+// checked before any search.
 func CrossCheck(sc *SafetyCircuit, faults fault.List, classes []FaultClass, opt atpg.Options) (*CrossCheckReport, error) {
 	if err := sc.validateOutputs(); err != nil {
 		return nil, err

@@ -156,7 +156,10 @@ func RandomPatterns(n *Netlist, count int, seed int64) []Vector {
 }
 
 // RunHolisticFlow drives the Fig. 2 quality→reliability→safety→security
-// flow over one design.
+// flow over one design. The report lists the stages in that order, but
+// safety executes first: its cross-check searches every stuck-at the
+// quality stage's test generation would, without waiting at round
+// barriers, and test generation then recalls those PODEM verdicts.
 func RunHolisticFlow(cfg FlowConfig) (*FlowReport, error) { return core.RunFlow(cfg) }
 
 // RunFlowStages runs a subset of the Fig. 2 flow stages over one design;
