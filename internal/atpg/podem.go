@@ -8,6 +8,7 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"rescue/internal/fault"
@@ -73,7 +74,7 @@ const DefaultBacktrackLimit = 20000
 // fanout cone, seeded at the fault site. After that every piVal write
 // goes through setPI, which records the input as dirty, and imply
 // re-evaluates only the fanout of the dirty inputs whose values changed,
-// level by level. The faulty machine can differ from the good one only
+// in schedule order. The faulty machine can differ from the good one only
 // inside the cone, so gates outside it are evaluated once, in the good
 // machine, and the state checks walk the cone alone.
 type Engine struct {
@@ -89,14 +90,13 @@ type Engine struct {
 	outBits []uint64      // PO membership bitset over gate IDs
 	level   []int32       // combinational level per gate ID
 
-	// Event queue: one bucket per level, laid out in queue at
-	// levelOff[l] with qlen[l] entries; hi is the highest level queued
-	// since the last propagate, and queued dedups multi-pin fanouts.
-	queue    []int32
-	levelOff []int32
-	qlen     []int32
-	hi       int32
-	queued   []bool
+	// Event queue: one bit per rank, a gate's position in the compiled
+	// schedule (sched). Words lo..hi may hold set bits; the marks are
+	// reset whenever the queue drains.
+	sched   []int32 // rank -> gate ID
+	rank    []int32 // gate ID -> rank; unused for inputs, never queued
+	pending []uint64
+	lo, hi  int
 
 	// Inputs written since the last imply.
 	dirty   []int32
@@ -144,6 +144,7 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	ng := n.NumGates()
+	sched := c.Schedule()
 	e := &Engine{
 		n: n, c: c, cc: cc,
 		gv:       make([]logic.V, ng),
@@ -153,10 +154,10 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		piOf:     make([]int32, ng),
 		outBits:  make([]uint64, (ng+63)/64),
 		level:    make([]int32, ng),
-		queue:    make([]int32, ng),
-		levelOff: make([]int32, n.MaxLevel()+2),
-		qlen:     make([]int32, n.MaxLevel()+1),
-		queued:   make([]bool, ng),
+		sched:    sched,
+		rank:     make([]int32, ng),
+		pending:  make([]uint64, (len(sched)+63)/64),
+		hi:       -1,
 		dirty:    make([]int32, len(n.Inputs)),
 		piDirty:  make([]bool, len(n.Inputs)),
 		frontier: make([]int32, 0, ng),
@@ -183,13 +184,12 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		e.outBits[id/64] |= 1 << (id % 64)
 	}
 	for id := 0; id < ng; id++ {
-		l := int32(n.Gate(id).Level)
-		e.level[id] = l
-		e.levelOff[l+1]++
+		e.level[id] = int32(n.Gate(id).Level)
 	}
-	for l := 1; l < len(e.levelOff); l++ {
-		e.levelOff[l] += e.levelOff[l-1]
+	for r, id := range sched {
+		e.rank[id] = int32(r)
 	}
+	e.lo = len(e.pending)
 	return e, nil
 }
 
@@ -326,7 +326,7 @@ const (
 // PI assignment. It loads only the dirty inputs (an input-site output
 // fault keeps its forced faulty value) and propagates from those that
 // changed, after the site events retarget queued for a new target.
-// Values are a pure function of the assignment, so the level-ordered
+// Values are a pure function of the assignment, so the rank-ordered
 // event pass reaches exactly a full pass's values, and undoing an
 // assignment is just another event on that input's cone.
 func (e *Engine) imply() {
@@ -348,17 +348,14 @@ func (e *Engine) imply() {
 	e.evals += e.propagate()
 }
 
-// enqueue queues gate id in its level bucket unless it is queued
-// already, raising hi to its level.
+// enqueue queues gate id by setting its rank's bit, which a reader of
+// several changed fanins may set more than once, and widens the word
+// marks to cover it.
 func (e *Engine) enqueue(id int32) {
-	if e.queued[id] {
-		return
-	}
-	e.queued[id] = true
-	l := e.level[id]
-	e.queue[e.levelOff[l]+e.qlen[l]] = id
-	e.qlen[l]++
-	e.hi = max(e.hi, l)
+	r := e.rank[id]
+	w := int(r >> 6)
+	e.pending[w] |= 1 << (r & 63)
+	e.lo, e.hi = min(e.lo, w), max(e.hi, w)
 }
 
 // enqueueFanout queues every reader of gate id.
@@ -368,20 +365,22 @@ func (e *Engine) enqueueFanout(id int32) {
 	}
 }
 
-// propagate drains the event queue in level order up to level hi (which
-// grows as events fan out) and returns the number of gates evaluated. A
-// cone gate is evaluated in both machines. A gate outside the cone is
-// evaluated in the good machine and its value copied into the faulty
-// one: none of its fanins lies in the cone, so they agree in both. A
-// gate's readers are queued only when its value changed. Readers sit at
-// strictly higher levels, so a bucket never grows while it drains.
+// propagate drains the event queue lowest rank first, between the word
+// marks (hi grows as events fan out), and returns the number of gates
+// evaluated. A cone gate is evaluated in both machines. A gate outside
+// the cone is evaluated in the good machine and its value copied into
+// the faulty one: none of its fanins lies in the cone, so they agree in
+// both. A gate's readers are queued only when its value changed. A
+// reader's rank is above every fanin's, so a gate is evaluated at most
+// once per drain, after every fanin that changed: the same gates, as
+// often, as a level-by-level drain would evaluate.
 func (e *Engine) propagate() int {
 	evals := 0
-	for l := int32(1); l <= e.hi; l++ {
-		q := e.queue[e.levelOff[l] : e.levelOff[l]+e.qlen[l]]
-		e.qlen[l] = 0
-		for _, id := range q {
-			e.queued[id] = false
+	for w := e.lo; w <= e.hi; w++ {
+		for e.pending[w] != 0 {
+			b := bits.TrailingZeros64(e.pending[w])
+			e.pending[w] &^= 1 << b
+			id := e.sched[w<<6|b]
 			evals++
 			if e.cone.Contains(int(id)) {
 				g, f := e.c.EvalDualWithFault(id, e.gv, e.fv, e.scratch, e.site)
@@ -399,7 +398,7 @@ func (e *Engine) propagate() int {
 			e.enqueueFanout(id)
 		}
 	}
-	e.hi = 0
+	e.lo, e.hi = len(e.pending), -1
 	return evals
 }
 

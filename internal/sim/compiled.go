@@ -446,6 +446,12 @@ func (c *Compiled) EvalDualWithFault(id int32, gv, fv, scratch []logic.V, f Faul
 	return good, evalOpV(op, fan, fv)
 }
 
+// Schedule returns the levelized evaluation schedule, the combinational
+// gate IDs in (level, id) order, as a read-only view. Every gate sits
+// after all of its fanins, so an event-driven pass can order its events
+// by schedule position (PODEM implication does).
+func (c *Compiled) Schedule() []int32 { return c.schedule }
+
 // Fanin returns gate id's fanin gate IDs in pin order, as a read-only
 // view of the compiled fanin arena.
 func (c *Compiled) Fanin(id int) []int32 { return c.fanin[c.faninOff[id]:c.faninOff[id+1]] }
