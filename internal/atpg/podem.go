@@ -145,6 +145,7 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	}
 	ng := n.NumGates()
 	sched := c.Schedule()
+	words := (len(sched) + 63) / 64
 	e := &Engine{
 		n: n, c: c, cc: cc,
 		gv:       make([]logic.V, ng),
@@ -156,7 +157,8 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		level:    make([]int32, ng),
 		sched:    sched,
 		rank:     make([]int32, ng),
-		pending:  make([]uint64, (len(sched)+63)/64),
+		pending:  make([]uint64, words),
+		lo:       words,
 		hi:       -1,
 		dirty:    make([]int32, len(n.Inputs)),
 		piDirty:  make([]bool, len(n.Inputs)),
@@ -189,7 +191,6 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	for r, id := range sched {
 		e.rank[id] = int32(r)
 	}
-	e.lo = len(e.pending)
 	return e, nil
 }
 

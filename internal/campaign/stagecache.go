@@ -252,13 +252,12 @@ func (m jobMemo) Stage(id core.StageID, compute func() (core.StageResult, error)
 
 // orderForCache groups pending jobs that share the cache key of the
 // first stage they execute (core.ExecutionOrder) onto adjacent schedule
-// slots: the group's first job
-// computes while the rest arrive after (or while) the entry resolves,
-// turning would-be duplicate computations scattered across the schedule
-// into immediate hits or short singleflight waits. Scheduling order
-// never affects results — the summary sorts by job ID — so this is
-// pure locality; the sort is stable with a job-ID tiebreak and thus
-// itself deterministic.
+// slots: the group's first job computes while the rest arrive after (or
+// while) the entry resolves, turning would-be duplicate computations
+// scattered across the schedule into immediate hits or short
+// singleflight waits. Scheduling order never affects results — the
+// summary sorts by job ID — so this is pure locality; the sort is
+// stable with a job-ID tiebreak and thus itself deterministic.
 func orderForCache(pending []Job) []Job {
 	keys := make([]string, len(pending))
 	for i, j := range pending {
