@@ -28,6 +28,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	protect := flag.Bool("protect", true, "wrap in duplication + comparator")
 	flag.Parse()
+	if *patterns < 0 {
+		log.Fatalf("-patterns must be 0 or more, got %d", *patterns)
+	}
 
 	n, err := rescue.Circuit(*circuit)
 	if err != nil {
@@ -48,8 +51,8 @@ func main() {
 		}
 	}
 	faults := fault.Collapse(sc.N, fault.AllStuckAt(sc.N))
-	pats := faultsim.RandomPatterns(sc.N, *patterns, *seed)
-	classes, err := fusa.Classify(sc, faults, pats)
+	pats := faultsim.RandomPackedPatterns(sc.N, *patterns, *seed)
+	classes, err := fusa.ClassifyPacked(sc, faults, pats)
 	if err != nil {
 		log.Fatal(err)
 	}

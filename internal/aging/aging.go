@@ -90,34 +90,38 @@ func Recovery(dVth, recoveryFraction float64) float64 {
 // SignalProbabilities estimates, per gate, the probability of the output
 // being logic 1 over the given stimulus set (combinational circuits).
 // For NBTI the PMOS stress duty of a gate is 1 - P(out=1) for inverting
-// stages; callers choose the mapping.
-//
-// The patterns run 64 at a time on packed passes, and each gate's ones
-// are counted from its word's V1 plane. Inputs past the end of a short
+// stages; callers choose the mapping. Inputs past the end of a short
 // vector read X in that pattern, whatever the patterns before it held.
 func SignalProbabilities(n *netlist.Netlist, patterns []logic.Vector) ([]float64, error) {
+	return SignalProbabilitiesPacked(n, sim.PackPatterns(len(n.Inputs), patterns))
+}
+
+// SignalProbabilitiesPacked is SignalProbabilities over a packed pattern
+// set, whose width must be the circuit's input count. The set runs one
+// packed pass per 64-pattern block, and each gate's ones are counted
+// from its word's V1 plane.
+func SignalProbabilitiesPacked(n *netlist.Netlist, pats *sim.Patterns) ([]float64, error) {
 	p, err := sim.NewPacked(n)
 	if err != nil {
 		return nil, err
 	}
 	ones := make([]int, n.NumGates())
-	for base := 0; base < len(patterns); base += 64 {
-		block := patterns[base:min(base+64, len(patterns))]
-		if err := p.LoadPatterns(block); err != nil {
+	for b := range pats.Blocks() {
+		if err := p.LoadBlock(pats, b); err != nil {
 			return nil, err
 		}
 		p.Run()
-		mask := ^uint64(0) >> (64 - len(block))
+		mask := pats.Mask(b)
 		for id := range ones {
 			ones[id] += bits.OnesCount64(p.Word(id).V1 & mask)
 		}
 	}
 	probs := make([]float64, n.NumGates())
-	if len(patterns) == 0 {
+	if pats.Len() == 0 {
 		return probs, nil
 	}
 	for id := range probs {
-		probs[id] = float64(ones[id]) / float64(len(patterns))
+		probs[id] = float64(ones[id]) / float64(pats.Len())
 	}
 	return probs, nil
 }

@@ -119,19 +119,32 @@ func TestSignalProbabilitiesShortVectorsReadX(t *testing.T) {
 
 // TestSignalProbabilitiesAllocsFlatInPatterns pins the packed passes'
 // allocation profile: a call allocates the same at 64 and at 4096
-// patterns.
+// patterns, from vectors (packed once per call) or from a generated
+// packed set.
 func TestSignalProbabilitiesAllocsFlatInPatterns(t *testing.T) {
 	n := circuits.RippleCarryAdder(8)
-	allocs := func(count int) float64 {
+	allocs := func(count int) (vectors, packed float64) {
 		pats := faultsim.RandomPatterns(n, count, 1)
-		return testing.AllocsPerRun(3, func() {
+		set := faultsim.RandomPackedPatterns(n, count, 1)
+		vectors = testing.AllocsPerRun(3, func() {
 			if _, err := SignalProbabilities(n, pats); err != nil {
 				t.Fatal(err)
 			}
 		})
+		packed = testing.AllocsPerRun(3, func() {
+			if _, err := SignalProbabilitiesPacked(n, set); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return vectors, packed
 	}
-	if small, large := allocs(64), allocs(4096); small != large {
-		t.Errorf("SignalProbabilities allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
+	smallV, smallP := allocs(64)
+	largeV, largeP := allocs(4096)
+	if smallV != largeV {
+		t.Errorf("SignalProbabilities allocates %.0f objects at 64 patterns but %.0f at 4096", smallV, largeV)
+	}
+	if smallP != largeP {
+		t.Errorf("SignalProbabilitiesPacked allocates %.0f objects at 64 patterns but %.0f at 4096", smallP, largeP)
 	}
 }
 

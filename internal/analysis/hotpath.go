@@ -28,9 +28,11 @@ type hotSpec struct {
 // differential oracles live in _test.go files and are not kernels.
 var hotFuncs = map[string]hotSpec{
 	"rescue/internal/sim": {
+		// LoadBlock covers both block loaders (Packed, PackedBlock),
+		// which stage a packed set's words before every good pass.
 		exact: map[string]bool{
 			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
-			"EvalDualWithFault": true, "RunBlock": true,
+			"EvalDualWithFault": true, "RunBlock": true, "LoadBlock": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
@@ -40,12 +42,16 @@ var hotFuncs = map[string]hotSpec{
 	},
 	"rescue/internal/faultsim": {
 		// The session's per-chunk stages are kernels end to end: the
-		// chunk loop and the detection recorder run once per pattern
-		// chunk. The time-frame engine's per-cycle step and latch run
-		// once per clock cycle of every injection.
+		// chunk loop (SimulatePacked, and Simulate, which packs its
+		// vectors and enters it) and the detection recorder run once per
+		// pattern chunk. The time-frame engine's per-cycle step and
+		// latch run once per clock cycle of every injection. The packed
+		// pattern generator's word loop and the stream it draws from run
+		// once per pattern bit.
 		exact: map[string]bool{
-			"Simulate": true, "simulateChunk": true,
+			"Simulate": true, "SimulatePacked": true, "simulateChunk": true,
 			"recordDetection": true, "stepFrame": true, "latch": true,
+			"fillBlock": true, "take": true, "advance": true,
 		},
 		prefix: []string{"RunCone"},
 	},

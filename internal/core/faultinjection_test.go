@@ -7,6 +7,8 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rescue/internal/aging"
@@ -17,6 +19,7 @@ import (
 	"rescue/internal/fusa"
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
+	"rescue/internal/sim"
 	"rescue/internal/slicing"
 )
 
@@ -45,13 +48,18 @@ func xLaden(patterns []logic.Vector, seed int64) []logic.Vector {
 }
 
 // digestFaultInjection hashes AcceleratedRun, SignalProbabilities and
-// Classify over one circuit and pattern set into h.
-func digestFaultInjection(t *testing.T, h hash.Hash, n *netlist.Netlist, lists []fault.List, pats []logic.Vector) {
+// Classify over one circuit and pattern set into h. Each packed entry
+// point, fed packed, the same patterns as a packed set, must return
+// exactly what its vector entry point returns.
+func digestFaultInjection(t *testing.T, h hash.Hash, n *netlist.Netlist, lists []fault.List, pats []logic.Vector, packed *sim.Patterns) {
 	t.Helper()
 	for li, faults := range lists {
 		res, err := slicing.AcceleratedRun(n, faults, pats)
 		if err != nil {
 			t.Fatalf("%s: AcceleratedRun: %v", n.Name, err)
+		}
+		if pres, err := slicing.AcceleratedRunPacked(n, faults, packed); err != nil || !reflect.DeepEqual(pres, res) {
+			t.Fatalf("%s: AcceleratedRunPacked = %+v, %v; AcceleratedRun = %+v", n.Name, pres, err, res)
 		}
 		fmt.Fprintf(h, "slicing %d %v %d %d %d %d %d %d\n", li, res.Status, res.Detected, res.Pruned,
 			res.Skipped, res.Injections, res.ActualGateEvals, res.BaselineGateEvals)
@@ -65,12 +73,18 @@ func digestFaultInjection(t *testing.T, h hash.Hash, n *netlist.Netlist, lists [
 			if err != nil {
 				t.Fatalf("%s: Classify: %v", n.Name, err)
 			}
+			if pclasses, err := fusa.ClassifyPacked(sc, faults, packed); err != nil || !slices.Equal(pclasses, classes) {
+				t.Fatalf("%s: ClassifyPacked = %v, %v; Classify = %v", n.Name, pclasses, err, classes)
+			}
 			fmt.Fprintf(h, "classify %d %d %v\n", li, len(alarms), classes)
 		}
 	}
 	probs, err := aging.SignalProbabilities(n, pats)
 	if err != nil {
 		t.Fatalf("%s: SignalProbabilities: %v", n.Name, err)
+	}
+	if pprobs, err := aging.SignalProbabilitiesPacked(n, packed); err != nil || !slices.Equal(pprobs, probs) {
+		t.Fatalf("%s: SignalProbabilitiesPacked = %v, %v; SignalProbabilities = %v", n.Name, pprobs, err, probs)
 	}
 	for _, p := range probs {
 		fmt.Fprintf(h, "%x ", math.Float64bits(p))
@@ -82,7 +96,9 @@ func digestFaultInjection(t *testing.T, h hash.Hash, n *netlist.Netlist, lists [
 // stages' fault-injection functions byte for byte: every scan-viewed
 // registry circuit, pattern counts on both sides of the 64-pattern
 // block boundary, random and X-laden vectors (all full length), and
-// collapsed and uncollapsed stuck-at lists.
+// collapsed and uncollapsed stuck-at lists. The packed entry points
+// read the generated packed set beside the random vectors, and the
+// X-laden vectors' packing beside them.
 func TestFaultInjectionMatchesSeedDigest(t *testing.T) {
 	h := sha256.New()
 	for _, name := range circuits.Names() {
@@ -96,8 +112,9 @@ func TestFaultInjectionMatchesSeedDigest(t *testing.T) {
 		for _, count := range []int{1, 63, 64, 65, 300, 2048} {
 			pats := faultsim.RandomPatterns(n, count, int64(count))
 			fmt.Fprintf(h, "circuit %s patterns %d %v\n", name, count, pats)
-			digestFaultInjection(t, h, n, lists, pats)
-			digestFaultInjection(t, h, n, lists, xLaden(pats, int64(count)))
+			digestFaultInjection(t, h, n, lists, pats, faultsim.RandomPackedPatterns(n, count, int64(count)))
+			x := xLaden(pats, int64(count))
+			digestFaultInjection(t, h, n, lists, x, sim.PackPatterns(len(n.Inputs), x))
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != seedFaultInjectionDigest {

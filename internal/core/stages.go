@@ -10,11 +10,11 @@ import (
 	"rescue/internal/fault"
 	"rescue/internal/faultsim"
 	"rescue/internal/fusa"
-	"rescue/internal/logic"
 	"rescue/internal/netlist"
 	"rescue/internal/obs"
 	"rescue/internal/sca"
 	"rescue/internal/seu"
+	"rescue/internal/sim"
 	"rescue/internal/slicing"
 )
 
@@ -82,8 +82,9 @@ type flowState struct {
 	faults fault.List
 	// pats memoises derived pattern sets by pattern seed: stages whose
 	// declared-input seeds coincide (always, when StageSeeds is nil)
-	// share one generation.
-	pats map[int64][]logic.Vector
+	// share one generation. Each set is generated packed, the form every
+	// fault-injection consumer reads.
+	pats map[int64]*sim.Patterns
 }
 
 func newFlowState(cfg FlowConfig) (*flowState, error) {
@@ -121,14 +122,14 @@ func (st *flowState) stageSeed(id StageID) int64 {
 	return st.cfg.Seed
 }
 
-func (st *flowState) patternsFor(id StageID) []logic.Vector {
+func (st *flowState) patternsFor(id StageID) *sim.Patterns {
 	seed := st.stageSeed(id) + 1
 	if p, ok := st.pats[seed]; ok {
 		return p
 	}
-	p := faultsim.RandomPatterns(st.n, st.cfg.Patterns, seed)
+	p := faultsim.RandomPackedPatterns(st.n, st.cfg.Patterns, seed)
 	if st.pats == nil {
-		st.pats = make(map[int64][]logic.Vector, 2)
+		st.pats = make(map[int64]*sim.Patterns, 2)
 	}
 	st.pats[seed] = p
 	return p
@@ -158,7 +159,7 @@ func (st *flowState) runQuality() (*QualityReport, error) {
 func (st *flowState) runReliability() (*ReliabilityReport, error) {
 	faults := st.faultList()
 	pats := st.patternsFor(StageReliability)
-	acc, err := slicing.AcceleratedRun(st.n, faults, pats)
+	acc, err := slicing.AcceleratedRunPacked(st.n, faults, pats)
 	if err != nil {
 		return nil, fmt.Errorf("core: reliability stage: %v", err)
 	}
@@ -175,7 +176,7 @@ func (st *flowState) runReliability() (*ReliabilityReport, error) {
 	}
 	slowdown := 0.0
 	if !st.cfg.SkipAging {
-		probs, err := aging.SignalProbabilities(st.n, pats)
+		probs, err := aging.SignalProbabilitiesPacked(st.n, pats)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +211,7 @@ func (st *flowState) runSafety() (*SafetyReport, error) {
 		}
 	}
 	sc := &fusa.SafetyCircuit{N: st.n, FunctionalOutputs: functional, AlarmOutputs: st.cfg.AlarmOutputs}
-	classes, err := fusa.Classify(sc, st.faultList(), st.patternsFor(StageSafety))
+	classes, err := fusa.ClassifyPacked(sc, st.faultList(), st.patternsFor(StageSafety))
 	if err != nil {
 		return nil, fmt.Errorf("core: safety stage: %v", err)
 	}

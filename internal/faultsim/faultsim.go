@@ -266,27 +266,6 @@ func SampleSizeForMargin(e, z float64) int {
 	return int(math.Ceil(z * z * 0.25 / (e * e)))
 }
 
-// RandomPatterns generates count uniformly random fully specified input
-// vectors for the circuit, deterministically from seed.
-//
-// Each bit is rng.Intn(2) as math/rand computes it for a power of two,
-// bit 32 of Int63, so the stream is the one Intn would draw. The
-// vectors are carved from one backing array, each capped at its own
-// length so an append to one cannot write into the next.
-func RandomPatterns(n *netlist.Netlist, count int, seed int64) []logic.Vector {
-	rng := rand.New(rand.NewSource(seed))
-	width := len(n.Inputs)
-	backing := make(logic.Vector, count*width)
-	for i := range backing {
-		backing[i] = logic.FromBool(rng.Int63()>>32&1 == 1)
-	}
-	out := make([]logic.Vector, count)
-	for i := range out {
-		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
-	}
-	return out
-}
-
 // SequentialResult reports a multi-cycle stuck-at campaign over a
 // sequential circuit (the in-field test scenario: the fault is present
 // from power-on and the test program observes outputs every cycle).

@@ -40,13 +40,14 @@ func bitIndex(wi, bit int) int { return wi<<6 + bit }
 // compaction, incremental verification) never rebuild simulation state
 // and never re-simulate a detected fault.
 //
-// Simulate consumes patterns in the widest chunks available: every full
-// block of sim.BlockPatterns patterns runs on the 256-slot wide kernels
-// (one wide good pass, one wide cone pass per undetected fault), and
-// only the remainder falls back to 64-pattern word blocks. All
-// per-chunk scratch is arena-reused across calls, so a warm session's
-// Simulate performs zero heap allocations (asserted by
-// TestSessionSimulateZeroAlloc).
+// SimulatePacked consumes a packed pattern set in the widest chunks
+// available: every full block of sim.BlockPatterns patterns runs on the
+// 256-slot wide kernels (one wide good pass, one wide cone pass per
+// undetected fault), and only the remainder falls back to 64-pattern
+// word blocks. Simulate packs its vectors into a set the session owns
+// and runs the same loop. All per-chunk scratch is arena-reused across
+// calls, so a warm session's Simulate and SimulatePacked perform zero
+// heap allocations (asserted by TestSessionSimulateZeroAlloc).
 //
 // A pattern detects a fault when one of the netlist's outputs differs
 // from the good machine. A session may read its netlist's last outputs
@@ -87,6 +88,9 @@ type Session struct {
 	// loops never append.
 	detBuf []int
 	detN   int
+	// packed is the set Simulate packs its vectors into, reused across
+	// calls.
+	packed sim.Patterns
 }
 
 // SimResult reports one Simulate call: which faults it newly detected
@@ -191,50 +195,58 @@ func (s *Session) ensureWide() {
 // earlier calls since the last Reset. Simulating in chunks yields the
 // same Status/DetectedBy as one call with the concatenated patterns;
 // only GateEvals may differ (chunk boundaries change how much work
-// dropping saves).
+// dropping saves). Inputs past the end of a short vector read X.
 func (s *Session) Simulate(patterns []logic.Vector) (SimResult, error) {
-	res := SimResult{Patterns: len(patterns)}
+	s.packed.Pack(len(s.n.Inputs), patterns)
+	return s.SimulatePacked(&s.packed)
+}
+
+// SimulatePacked is Simulate over a packed pattern set, whose width must
+// be the circuit's input count.
+func (s *Session) SimulatePacked(pats *sim.Patterns) (SimResult, error) {
+	count := pats.Len()
+	res := SimResult{Patterns: count}
 	s.detN = 0
 	var goodEvals int64
-	for base := 0; base < len(patterns); {
+	for base := 0; base < count; {
 		// Every full 256-pattern chunk runs wide; the tail falls back to
 		// 64-pattern word chunks so short runs (ATPG drop calls) keep the
 		// word path's exact cost profile.
 		words := 1
-		if len(patterns)-base >= sim.BlockPatterns {
+		if count-base >= sim.BlockPatterns {
 			words = logic.BlockWords
 		}
-		hi := min(base+64*words, len(patterns))
-		if err := s.simulateChunk(patterns[base:hi], base, words, &res); err != nil {
+		if err := s.simulateChunk(pats, base, words, &res); err != nil {
 			return res, err
 		}
 		goodEvals += int64(words) * s.comb
-		base = hi
+		base = min(base+64*words, count)
 	}
 	res.Detected = s.detBuf[:s.detN:s.detN]
-	s.patterns += len(patterns)
+	s.patterns += count
 	s.gateEvals += res.GateEvals
 	// Flush the call's aggregates to the process-wide registry: total
 	// evals, the cone-restricted share (total minus the good passes),
-	// drops and patterns — four atomic adds per Simulate call.
+	// drops and patterns — four atomic adds per call.
 	obsGateEvals.Add(res.GateEvals)
 	obsConeEvals.Add(res.GateEvals - goodEvals)
 	obsDropped.Add(int64(s.detN))
-	obsSimPattrns.Add(int64(len(patterns)))
+	obsSimPattrns.Add(int64(count))
 	return res, nil
 }
 
-// simulateChunk runs one chunk on the machines of its width: a full
-// BlockPatterns chunk (words == logic.BlockWords) on the wide machines,
-// a chunk of at most 64 patterns (words == 1) on the word machines. It
-// runs one good pass, then walks the undetected bitset in ascending
-// fault order with one cone pass per fault, dropping each detected
-// fault in place. Each pass charges its gate count times its width.
-func (s *Session) simulateChunk(chunk []logic.Vector, base, words int, res *SimResult) error {
+// simulateChunk runs the chunk of the set that starts at pattern base
+// on the machines of its width: a full BlockPatterns chunk (words ==
+// logic.BlockWords) on the wide machines, a chunk of at most 64 patterns
+// (words == 1) on the word machines. It runs one good pass, then walks
+// the undetected bitset in ascending fault order with one cone pass per
+// fault, dropping each detected fault in place. Each pass charges its
+// gate count times its width.
+func (s *Session) simulateChunk(pats *sim.Patterns, base, words int, res *SimResult) error {
 	wide := words > 1
 	if wide {
 		s.ensureWide()
-		if err := s.wgood.LoadPatterns(chunk); err != nil {
+		if err := s.wgood.LoadBlock(pats, base/64); err != nil {
 			return err
 		}
 		s.wgood.Run()
@@ -242,7 +254,7 @@ func (s *Session) simulateChunk(chunk []logic.Vector, base, words int, res *SimR
 		// cone pass below restores the alignment itself.
 		s.wbad.AlignTo(s.wgood)
 	} else {
-		if err := s.good.LoadPatterns(chunk); err != nil {
+		if err := s.good.LoadBlock(pats, base/64); err != nil {
 			return err
 		}
 		s.good.Run()
@@ -251,10 +263,7 @@ func (s *Session) simulateChunk(chunk []logic.Vector, base, words int, res *SimR
 	res.GateEvals += int64(words) * s.comb
 	// Slots past a short tail's last pattern hold no pattern: never
 	// report them.
-	tail := ^uint64(0)
-	if len(chunk) < 64 {
-		tail = (uint64(1) << uint(len(chunk))) - 1
-	}
+	tail := pats.Mask(base / 64)
 	for wi, w := range s.undet {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)

@@ -7,6 +7,7 @@ import (
 	"rescue/internal/circuits"
 	"rescue/internal/fault"
 	"rescue/internal/logic"
+	"rescue/internal/sim"
 )
 
 // allocSink keeps Simulate results reachable so the compiler cannot
@@ -14,11 +15,12 @@ import (
 var allocSink SimResult
 
 // TestSessionSimulateZeroAlloc asserts the zero-allocation contract of
-// a warm session: steady-state Simulate — word path and wide path at
-// parallelism 1 — performs no heap allocations. Every per-call buffer
-// (pattern staging, cone diffs, eval counts, the Detected list) is
-// arena-reused; the first call pays the lazy wide-machine build, which
-// the warm-up outside the measured region absorbs.
+// a warm session: steady-state Simulate and SimulatePacked — word path
+// and wide path at parallelism 1 — perform no heap allocations. Every
+// per-call buffer (the packed set Simulate packs into, cone diffs, eval
+// counts, the Detected list) is arena-reused; the first calls pay the
+// lazy wide-machine build and the packed set's growth, which the
+// warm-up outside the measured region absorbs.
 func TestSessionSimulateZeroAlloc(t *testing.T) {
 	n := circuits.ArrayMultiplier(4)
 	faults := fault.Collapse(n, fault.AllStuckAt(n))
@@ -52,6 +54,16 @@ func TestSessionSimulateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, set := range []*sim.Patterns{RandomPackedPatterns(n, 64, 3), RandomPackedPatterns(n, 256, 3)} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			allocSink, err = s.SimulatePacked(set)
+		}); allocs != 0 {
+			t.Errorf("SimulatePacked over %d patterns allocates %.1f objects per call, want 0", set.Len(), allocs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Reset must not disturb the arenas: post-reset calls re-detect the
 	// whole fault list (the worst-case detection volume) without
 	// allocating either.
@@ -67,9 +79,10 @@ func TestSessionSimulateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRandomPatternsAllocsFlatInCount pins RandomPatterns' allocation
-// profile: every vector is carved from one backing array, so a call
-// allocates the same at 64 and at 4096 patterns.
+// TestRandomPatternsAllocsFlatInCount pins the pattern generators'
+// allocation profile: every vector is carved from one backing array, and
+// a packed set holds one word array, so a call allocates the same at 64
+// and at 4096 patterns.
 func TestRandomPatternsAllocsFlatInCount(t *testing.T) {
 	n := circuits.RippleCarryAdder(8)
 	allocs := func(count int) float64 {
@@ -77,6 +90,12 @@ func TestRandomPatternsAllocsFlatInCount(t *testing.T) {
 	}
 	if small, large := allocs(64), allocs(4096); small != large {
 		t.Errorf("RandomPatterns allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
+	}
+	packedAllocs := func(count int) float64 {
+		return testing.AllocsPerRun(3, func() { _ = RandomPackedPatterns(n, count, 1) })
+	}
+	if small, large := packedAllocs(64), packedAllocs(4096); small != large {
+		t.Errorf("RandomPackedPatterns allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"rescue/internal/faultsim"
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
+	"rescue/internal/sim"
 )
 
 // FaultClass is the ISO 26262 fault classification.
@@ -99,8 +100,15 @@ func (sc *SafetyCircuit) validateOutputs() error {
 // mechanism does a second session, with no alarms, find the faults some
 // pattern violates or detects: without one, nothing is detected and those
 // are the first session's faults. An output or a stuck-at site outside
-// the circuit is an error, reported before any simulation.
+// the circuit is an error, reported before any simulation. Inputs past
+// the end of a short vector read X.
 func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]FaultClass, error) {
+	return ClassifyPacked(sc, faults, sim.PackPatterns(len(sc.N.Inputs), patterns))
+}
+
+// ClassifyPacked is Classify over a packed pattern set, whose width must
+// be the circuit's input count. Both sessions read the one set.
+func ClassifyPacked(sc *SafetyCircuit, faults fault.List, pats *sim.Patterns) ([]FaultClass, error) {
 	if sc.N.IsSequential() {
 		return nil, fmt.Errorf("fusa: Classify expects a combinational (or scan-view) netlist")
 	}
@@ -112,7 +120,7 @@ func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]
 	if err != nil {
 		return nil, err
 	}
-	if _, err := escapes.Simulate(patterns); err != nil {
+	if _, err := escapes.SimulatePacked(pats); err != nil {
 		return nil, err
 	}
 	observed := escapes
@@ -125,7 +133,7 @@ func Classify(sc *SafetyCircuit, faults fault.List, patterns []logic.Vector) ([]
 				observed.Exclude(fi) // already Residual
 			}
 		}
-		if _, err := observed.Simulate(patterns); err != nil {
+		if _, err := observed.SimulatePacked(pats); err != nil {
 			return nil, err
 		}
 	}

@@ -55,27 +55,6 @@ func (p *Packed) LoadPatterns(patterns []logic.Vector) error {
 	return nil
 }
 
-// inputWord packs input i of up to 64 vectors into one word: pattern
-// k's value sets bit k of the V0 plane for 0 and of the V1 plane for 1;
-// X, Z and an input past a short vector's end set neither. The planes
-// are shifted in from the last pattern down and computed without
-// branches, because random patterns defeat branch prediction: for
-// b = uint64(v), (b-1)>>63 is 1 exactly when v is Zero and
-// ((b^1)-1)>>63 exactly when v is One.
-func inputWord(patterns []logic.Vector, i int) logic.Word {
-	var w logic.Word
-	for k := len(patterns) - 1; k >= 0; k-- {
-		var zero, one uint64
-		if pat := patterns[k]; i < len(pat) {
-			b := uint64(pat[i])
-			zero, one = (b-1)>>63, ((b^1)-1)>>63
-		}
-		w.V0 = w.V0<<1 | zero
-		w.V1 = w.V1<<1 | one
-	}
-	return w
-}
-
 // Word returns the packed value of a gate.
 func (p *Packed) Word(id int) logic.Word { return p.words[id] }
 

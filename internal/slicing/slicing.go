@@ -56,16 +56,21 @@ func (r *Result) Speedup() float64 {
 // AcceleratedRun fault-simulates stuck-at faults over the patterns using
 // static pruning, activation-check skipping and event-driven dynamic
 // propagation. Results are equivalent to faultsim.Run's detection verdict
-// on the same inputs.
-//
-// The good machine runs one packed pass per block of up to 64 patterns;
-// pattern k's good value of a gate is slot k of that gate's word. Each
-// activated (pattern, fault) pair then propagates through a scalar
-// event-driven overlay on that slot. Inputs past the end of a short
-// vector read X in that pattern, whatever the patterns before it held,
-// as in faultsim.Run. A stuck-at whose site lies outside the circuit is
-// an error, reported before any simulation.
+// on the same inputs. Inputs past the end of a short vector read X in
+// that pattern, whatever the patterns before it held, as in faultsim.Run.
 func AcceleratedRun(n *netlist.Netlist, faults fault.List, patterns []logic.Vector) (*Result, error) {
+	return AcceleratedRunPacked(n, faults, sim.PackPatterns(len(n.Inputs), patterns))
+}
+
+// AcceleratedRunPacked is AcceleratedRun over a packed pattern set,
+// whose width must be the circuit's input count.
+//
+// The good machine runs one packed pass per 64-pattern block; pattern
+// k's good value of a gate is slot k of that gate's word. Each activated
+// (pattern, fault) pair then propagates through a scalar event-driven
+// overlay on that slot. A stuck-at whose site lies outside the circuit
+// is an error, reported before any simulation.
+func AcceleratedRunPacked(n *netlist.Netlist, faults fault.List, pats *sim.Patterns) (*Result, error) {
 	if n.IsSequential() {
 		return nil, fmt.Errorf("slicing: AcceleratedRun handles combinational circuits")
 	}
@@ -96,16 +101,15 @@ func AcceleratedRun(n *netlist.Netlist, faults fault.List, patterns []logic.Vect
 			live = append(live, int32(i))
 		}
 	}
-	res.BaselineGateEvals = int64(len(faults)) * int64(len(patterns)) * int64(n.NumGates())
+	res.BaselineGateEvals = int64(len(faults)) * int64(pats.Len()) * int64(n.NumGates())
 
 	ov := newOverlay(n, good)
-	for base := 0; base < len(patterns) && len(live) > 0; base += 64 {
-		block := patterns[base:min(base+64, len(patterns))]
-		if err := good.LoadPatterns(block); err != nil {
+	for b := 0; b < pats.Blocks() && len(live) > 0; b++ {
+		if err := good.LoadBlock(pats, b); err != nil {
 			return nil, err
 		}
 		good.Run()
-		blockMask := ^uint64(0) >> (64 - len(block))
+		blockMask := pats.Mask(b)
 		// Injections never interact: each (pattern, fault) pair runs on
 		// a fresh overlay epoch against the same good block. So each
 		// fault walks its block's patterns in order, injecting only where

@@ -208,23 +208,39 @@ func TestShortVectorsReadX(t *testing.T) {
 
 // TestAcceleratedRunAllocsFlatInPatterns pins the packed good machine's
 // allocation profile: a run allocates the same at 64 and at 4096
-// patterns. Input 0 is held at X, so its stuck-ats are never activated
+// patterns, from vectors (packed once per call) or from a generated
+// packed set. Input 0 is held at X, so its stuck-ats are never activated
 // and stay live through every block.
 func TestAcceleratedRunAllocsFlatInPatterns(t *testing.T) {
 	n := circuits.RippleCarryAdder(8)
 	faults := fault.Collapse(n, fault.AllStuckAt(n))
-	allocs := func(count int) float64 {
+	allocs := func(count int) (vectors, packed float64) {
 		pats := faultsim.RandomPatterns(n, count, 1)
 		for _, p := range pats {
 			p[0] = logic.X
 		}
-		return testing.AllocsPerRun(3, func() {
+		set := faultsim.RandomPackedPatterns(n, count, 1)
+		for b := range set.Blocks() {
+			set.Block(b)[0] = logic.Word{}
+		}
+		vectors = testing.AllocsPerRun(3, func() {
 			if _, err := AcceleratedRun(n, faults, pats); err != nil {
 				t.Fatal(err)
 			}
 		})
+		packed = testing.AllocsPerRun(3, func() {
+			if _, err := AcceleratedRunPacked(n, faults, set); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return vectors, packed
 	}
-	if small, large := allocs(64), allocs(4096); small != large {
-		t.Errorf("AcceleratedRun allocates %.0f objects at 64 patterns but %.0f at 4096", small, large)
+	smallV, smallP := allocs(64)
+	largeV, largeP := allocs(4096)
+	if smallV != largeV {
+		t.Errorf("AcceleratedRun allocates %.0f objects at 64 patterns but %.0f at 4096", smallV, largeV)
+	}
+	if smallP != largeP {
+		t.Errorf("AcceleratedRunPacked allocates %.0f objects at 64 patterns but %.0f at 4096", smallP, largeP)
 	}
 }
