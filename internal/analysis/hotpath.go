@@ -30,14 +30,18 @@ var hotFuncs = map[string]hotSpec{
 	"rescue/internal/sim": {
 		// LoadBlock covers both block loaders (Packed, PackedBlock),
 		// which stage a packed set's words before every good pass.
+		// SetWord is the store of slicing's per-gate step.
 		exact: map[string]bool{
 			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
 			"EvalDualWithFault": true, "RunBlock": true, "LoadBlock": true,
+			"SetWord": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
 		// word and block evaluators (evalOpV/W/B and the *Vals and
-		// *Faulted forms).
+		// *Faulted forms); EvalGate covers the single-gate steps of
+		// PODEM (EvalGateV) and of slicing (Packed.EvalGate and
+		// EvalGateFaulted).
 		prefix: []string{"RunCone", "EvalGate", "evalOp", "runConeEval"},
 	},
 	"rescue/internal/faultsim": {
@@ -65,12 +69,13 @@ var hotFuncs = map[string]hotSpec{
 		},
 	},
 	"rescue/internal/slicing": {
-		// The faulty overlay's per-injection work: the injection itself,
-		// its level-bucket drain and enqueue, the gate gather-and-eval
-		// and the overlay and good-slot reads.
+		// The word-valued overlay's per-fault work in every block: the
+		// probe, sweep and settle sequence, each pass's level-bucket
+		// drain and enqueue, the restore walk, and the word blend and
+		// compare.
 		exact: map[string]bool{
-			"inject": true, "propagate": true, "enqueueFanout": true,
-			"evalGate": true, "get": true, "goodVal": true,
+			"run": true, "inject": true, "enqueueFanout": true,
+			"restore": true, "blend": true, "differ": true,
 		},
 	},
 }

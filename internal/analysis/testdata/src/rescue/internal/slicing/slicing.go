@@ -1,7 +1,7 @@
 // Package slicing is the hotpath fixture for the fault-injection
 // slicing package: its import path normalizes to rescue/internal/slicing,
-// so the faulty overlay's per-injection functions (inject, propagate,
-// enqueueFanout, evalGate, get, goodVal) are checked while the campaign
+// so the faulty overlay's per-fault functions (run, inject,
+// enqueueFanout, restore, blend, differ) are checked while the campaign
 // loop around them is not.
 package slicing
 
@@ -12,13 +12,13 @@ type overlay struct {
 	isOut  []bool
 }
 
-// propagate is a declared kernel: a per-injection written-set map and a
-// closure over it are the regressions the flat, epoch-stamped overlay
-// exists to avoid.
-func (o *overlay) propagate(seed int) bool {
-	written := map[int]uint8{seed: 1} // want "hotpath: map literal in kernel function propagate"
-	get := func(id int) uint8 {       // want "hotpath: closure allocation in kernel function propagate"
-		if v, ok := written[id]; ok { // want "hotpath: map access in kernel function propagate"
+// inject is a declared kernel: a per-injection written-set map and a
+// closure over it are the regressions the flat, aligned overlay exists
+// to avoid.
+func (o *overlay) inject(seed int) bool {
+	written := map[int]uint8{seed: 1} // want "hotpath: map literal in kernel function inject"
+	get := func(id int) uint8 {       // want "hotpath: closure allocation in kernel function inject"
+		if v, ok := written[id]; ok { // want "hotpath: map access in kernel function inject"
 			return v
 		}
 		return o.fvals[id]
@@ -31,9 +31,9 @@ func (o *overlay) propagate(seed int) bool {
 	return false
 }
 
-// run is the per-pattern campaign loop, not a kernel: the same closure
-// passes.
-func (o *overlay) run(seeds []int) int {
+// accelerate is the per-block campaign loop, not a kernel: the same
+// closure passes.
+func (o *overlay) accelerate(seeds []int) int {
 	detected := 0
 	hit := func(id int) bool { return o.isOut[id] }
 	for _, id := range seeds {

@@ -63,6 +63,7 @@ func TestExpandValidation(t *testing.T) {
 		{Circuits: []string{"c17"}, Environments: []string{"mars"}},
 		{Circuits: []string{"c17"}, Technologies: []string{"3nm"}},
 		{Circuits: []string{"c17"}, Scenarios: []Scenario{"chaos"}},
+		{Circuits: []string{"c17"}, Patterns: -1},
 	}
 	for i, m := range cases {
 		if _, err := m.Expand(); err == nil {

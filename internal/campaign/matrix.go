@@ -107,7 +107,9 @@ type Matrix struct {
 	Technologies []string   `json:"technologies,omitempty"`
 	Scenarios    []Scenario `json:"scenarios,omitempty"`
 
-	// Patterns and Years parameterise every job's flow stage set.
+	// Patterns and Years parameterise every job's flow stage set; zero
+	// Patterns runs the flow's default count, and a negative one is an
+	// error.
 	Patterns int     `json:"patterns,omitempty"`
 	Years    float64 `json:"years,omitempty"`
 	// Seed is the campaign base seed; each job derives its own seed from
@@ -177,6 +179,9 @@ func coordHash(circuit, env, tech string, scen Scenario, shard int) int64 {
 func (m Matrix) Expand() ([]Job, error) {
 	if len(m.Circuits) == 0 {
 		return nil, fmt.Errorf("campaign: matrix needs at least one circuit")
+	}
+	if m.Patterns < 0 {
+		return nil, fmt.Errorf("campaign: negative pattern count %d", m.Patterns)
 	}
 	envs := m.Environments
 	if len(envs) == 0 {

@@ -479,6 +479,9 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	if code, _ := postRun(t, h, Matrix{}); code != http.StatusBadRequest {
 		t.Errorf("empty matrix: status %d, want 400", code)
 	}
+	if code, _ := postRun(t, h, Matrix{Circuits: []string{"c17"}, Patterns: -1}); code != http.StatusBadRequest {
+		t.Errorf("negative pattern count: status %d, want 400", code)
+	}
 	entries, err := os.ReadDir(s.cfg.BaseDir)
 	if err != nil {
 		t.Fatal(err)

@@ -411,16 +411,8 @@ func (c *Compiled) evalOpFaultedV(op opcode, fan []int32, values, scratch []logi
 	return c.evalOpValsV(op, vals)
 }
 
-// EvalGateVals evaluates the single combinational gate id from
-// positional, already-gathered fanin values — the entry point for
-// overlay-valued evaluators (slicing's event-driven faulty machine)
-// that cannot expose a flat value array.
-func (c *Compiled) EvalGateVals(id int, vals []logic.V) logic.V {
-	return c.evalOpValsV(c.code[id], vals)
-}
-
-// NewValueScratch allocates the gather buffer EvalGateVals callers and
-// the scalar fault passes use for positional fanin values.
+// NewValueScratch allocates the gather buffer the scalar fault passes
+// use for positional fanin values.
 func (c *Compiled) NewValueScratch() []logic.V { return make([]logic.V, c.maxFanin) }
 
 // EvalGateV evaluates the single combinational gate id from the value

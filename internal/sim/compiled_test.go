@@ -81,6 +81,13 @@ func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 					name, n.Gate(id).Name, compiled.Word(id), interp.Word(id))
 			}
 		}
+		// The single-gate step recomputes every scheduled gate's word.
+		for _, id := range compiled.c.Schedule() {
+			if got := compiled.EvalGate(id); got != compiled.Word(int(id)) {
+				t.Fatalf("%s: gate %q: EvalGate %+v != full pass %+v",
+					name, n.Gate(int(id)).Name, got, compiled.Word(int(id)))
+			}
+		}
 
 		// Scalar engine vs packed slots, plus its own interpreted oracle.
 		ev, err := New(n)
@@ -152,6 +159,15 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 				if badC.Word(id) != badI.Word(id) {
 					t.Fatalf("%s: fault %d gate %q: RunWithFault compiled %+v != interpreted %+v",
 						name, fi, n.Gate(id).Name, badC.Word(id), badI.Word(id))
+				}
+			}
+			// The faulted-site step over the good machine yields the
+			// site's faulty word: the site's fanins are never faulty. A
+			// DFF's D-pin fault acts only at latch time, so it has none.
+			if f.Pin < 0 || n.Gate(f.Gate).Type != netlist.DFF {
+				if got := good.EvalGateFaulted(site); got != badC.Word(f.Gate) {
+					t.Fatalf("%s: fault %d: EvalGateFaulted %+v != RunWithFault %+v",
+						name, fi, got, badC.Word(f.Gate))
 				}
 			}
 
@@ -351,7 +367,7 @@ func TestKernelVariantsAgree(t *testing.T) {
 			for i, fi := range g.Fanin {
 				gathered[i] = vals[fi]
 			}
-			if got, want := c.EvalGateVals(id, gathered), EvalGate(g, getV); got != want {
+			if got, want := c.evalOpValsV(c.code[id], gathered), EvalGate(g, getV); got != want {
 				t.Fatalf("spec %d: compiled gathered scalar %v != generic %v", gi, got, want)
 			}
 			if got, want := evalOpW(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], words), evalGateW(g, getW); got != want {
@@ -368,7 +384,7 @@ func TestKernelVariantsAgree(t *testing.T) {
 			pin := rng.Intn(len(g.Fanin))
 			pv := logic.V(rng.Intn(3))
 			gathered[pin] = pv
-			if got, want := c.EvalGateVals(id, gathered), EvalGateWithPin(g, getV, pin, pv); got != want {
+			if got, want := c.evalOpValsV(c.code[id], gathered), EvalGateWithPin(g, getV, pin, pv); got != want {
 				t.Fatalf("spec %d pin %d: compiled scalar pin %v != generic %v", gi, pin, got, want)
 			}
 		}

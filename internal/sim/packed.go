@@ -78,10 +78,31 @@ func (p *Packed) RunWithFault(f FaultSite) {
 	p.c.RunWithFault(p.words, p.scratch, f)
 }
 
+// EvalGate evaluates the single combinational gate id over p's words
+// and returns its word without storing it: the gate step of slicing's
+// event-driven faulty machine, which holds its faulty words in p.
+func (p *Packed) EvalGate(id int32) logic.Word {
+	c := p.c
+	return evalOpW(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], p.words)
+}
+
+// EvalGateFaulted evaluates the fault site's gate over p's words with
+// the stuck-at applied in every slot, as RunWithFault applies it (an
+// output fault yields the stuck value, a pin fault forces only that
+// pin's observed value), and returns its word without storing it.
+func (p *Packed) EvalGateFaulted(f FaultSite) logic.Word {
+	c, id := p.c, f.Gate
+	return c.evalOpFaultedW(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], p.words, p.scratch, f)
+}
+
+// SetWord stores w as gate id's word.
+func (p *Packed) SetWord(id int32, w logic.Word) { p.words[id] = w }
+
 // AlignTo copies the good machine's complete word state into p,
-// establishing the alignment invariant RunConeWithAlarms relies on: p's
-// words equal good's everywhere outside a cone pass. One AlignTo per
-// completed good pass amortises over every fault simulated against it.
+// establishing the alignment invariant RunConeWithAlarms and slicing's
+// overlay rely on: p's words equal good's everywhere outside a faulty
+// pass. One AlignTo per completed good pass amortises over every fault
+// simulated against it.
 func (p *Packed) AlignTo(good *Packed) { copy(p.words, good.words) }
 
 // RunConeWithAlarms is the hot-path cone pass over an aligned machine

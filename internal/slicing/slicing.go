@@ -38,9 +38,13 @@ type Result struct {
 	Pruned     int   // faults removed by static slicing
 	Skipped    int64 // injections skipped by the activation check
 	Injections int64 // faulty propagations actually performed
-	// ActualGateEvals counts gate evaluations in faulty propagation
-	// (the dynamic slice); BaselineGateEvals is the cost of the naive
-	// full-pass campaign over the same faults and patterns.
+	// ActualGateEvals is the dynamic-slice cost of a pattern-by-pattern
+	// campaign: each injection counts the gates an event-driven faulty
+	// pass evaluates for that one pattern, up to the first primary
+	// output that differs. It is the per-pattern cost the E12 speedup
+	// compares against, not the number of word evaluations the
+	// multi-slot sweep performs. BaselineGateEvals is the cost of the
+	// naive full-pass campaign over the same faults and patterns.
 	ActualGateEvals   int64
 	BaselineGateEvals int64
 }
@@ -55,9 +59,12 @@ func (r *Result) Speedup() float64 {
 
 // AcceleratedRun fault-simulates stuck-at faults over the patterns using
 // static pruning, activation-check skipping and event-driven dynamic
-// propagation. Results are equivalent to faultsim.Run's detection verdict
-// on the same inputs. Inputs past the end of a short vector read X in
-// that pattern, whatever the patterns before it held, as in faultsim.Run.
+// propagation. On fully known patterns its detection verdicts equal
+// faultsim.Run's. An output that is X in one machine and 0 or 1 in the
+// other counts as a detection here and not in faultsim.Run, so X-laden
+// patterns can detect more. Inputs past the end of a short vector read X
+// in that pattern, whatever the patterns before it held, as in
+// faultsim.Run.
 func AcceleratedRun(n *netlist.Netlist, faults fault.List, patterns []logic.Vector) (*Result, error) {
 	return AcceleratedRunPacked(n, faults, sim.PackPatterns(len(n.Inputs), patterns))
 }
@@ -65,11 +72,13 @@ func AcceleratedRun(n *netlist.Netlist, faults fault.List, patterns []logic.Vect
 // AcceleratedRunPacked is AcceleratedRun over a packed pattern set,
 // whose width must be the circuit's input count.
 //
-// The good machine runs one packed pass per 64-pattern block; pattern
-// k's good value of a gate is slot k of that gate's word. Each activated
-// (pattern, fault) pair then propagates through a scalar event-driven
-// overlay on that slot. A stuck-at whose site lies outside the circuit
-// is an error, reported before any simulation.
+// The good machine runs one packed pass per 64-pattern block. Each live
+// fault is then injected into the block's activated pattern slots
+// through a word-valued event-driven overlay (see overlay.run), which
+// reports the first detecting slot and the ledger of a walk that
+// injects the fault pattern by pattern, in order, and stops at its
+// first detection. A stuck-at whose site lies outside the circuit is an
+// error, reported before any simulation.
 func AcceleratedRunPacked(n *netlist.Netlist, faults fault.List, pats *sim.Patterns) (*Result, error) {
 	if n.IsSequential() {
 		return nil, fmt.Errorf("slicing: AcceleratedRun handles combinational circuits")
@@ -109,12 +118,12 @@ func AcceleratedRunPacked(n *netlist.Netlist, faults fault.List, pats *sim.Patte
 			return nil, err
 		}
 		good.Run()
+		ov.faulty.AlignTo(good)
 		blockMask := pats.Mask(b)
-		// Injections never interact: each (pattern, fault) pair runs on
-		// a fresh overlay epoch against the same good block. So each
-		// fault walks its block's patterns in order, injecting only where
-		// it is activated, and stops at its first detection: the same
-		// pairs, injections and costs as a pattern-by-pattern walk.
+		// The ledger is that of walking each fault's block patterns in
+		// order, injecting only where it is activated and stopping at
+		// its first detection: the walk reaches every slot up to the
+		// first detecting one, or the whole block.
 		kept := live[:0]
 		for _, fi := range live {
 			f := &faults[fi]
@@ -123,17 +132,14 @@ func AcceleratedRunPacked(n *netlist.Netlist, faults fault.List, pats *sim.Patte
 				site = int(ov.c.Fanin(f.Gate)[f.Pin])
 			}
 			act := activated(good.Word(site), f.Value) & blockMask
-			walked, detected := blockMask, false
-			for rest := act; rest != 0; rest &= rest - 1 {
-				k := bits.TrailingZeros64(rest)
-				res.Injections++
-				if ov.inject(uint(k), int32(f.Gate), int32(f.Pin), f.Value) {
-					walked, detected = ^uint64(0)>>(63-k), true
-					break
-				}
+			first := ov.run(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value}, act)
+			walked := blockMask
+			if first < 64 {
+				walked = ^uint64(0) >> (63 - first)
 			}
+			res.Injections += int64(bits.OnesCount64(act & walked))
 			res.Skipped += int64(bits.OnesCount64(walked &^ act))
-			if detected {
+			if first < 64 {
 				res.Status[fi] = fault.Detected
 				res.Detected++
 				continue
@@ -159,46 +165,47 @@ func activated(good logic.Word, sa logic.V) uint64 {
 	return good.V0 | good.V1
 }
 
-// overlay is the event-driven faulty machine of one injection: a scalar
-// value layer over one pattern slot of the packed good machine. A gate's
-// faulty value lives in fvals only while its stamp equals the current
-// injection's epoch; every other gate reads its good value from the
-// slot. Queued gates wait in one bucket per level, laid out in queue at
-// levelOff[l] with qlen[l] entries, and drain in level order. A bucket
+// overlay is slicing's event-driven faulty machine: a packed machine
+// (faulty) that equals the good one outside a pass, into which one
+// stuck-at is injected in a set of live pattern slots at once. A pass
+// evaluates only the gates with a fanin that changed in a live slot.
+// Queued gates wait in one bucket per level, laid out in queue at
+// levelOff[l] with qlen[l] entries, and drain in level order; a bucket
 // fills in the compiled fanout arena's order, which is
-// netlist.Gate.Fanout order; since a detection stops the pass
-// mid-bucket, that order decides the evaluation count.
+// netlist.Gate.Fanout order. pending[id] holds the live slots in which a
+// fanin of gate id changed, and is nonzero exactly while id is queued;
+// touched[:ntouched] lists the queued gates, so restore undoes a pass
+// without walking its levels.
+//
+// Values are compared as four-valued words, so a change between X and
+// 0 or 1 counts as a change, and an X on an output as a detection.
 type overlay struct {
 	c        *sim.Compiled
 	good     *sim.Packed
-	slot     uint // pattern slot of the current injection
-	fvals    []logic.V
-	stamp    []int // epoch at which fvals[id] was written
-	queued   []int // epoch at which id was queued
-	epoch    int
+	faulty   *sim.Packed
+	pending  []uint64
 	level    []int32
 	levelOff []int32
 	qlen     []int32
 	queue    []int32
+	touched  []int32
+	ntouched int
 	isOutput []bool
-	vals     []logic.V // fanin gather buffer
-	evals    int64     // gates evaluated: the dynamic-slice cost
+	evals    int64 // the per-pattern dynamic-slice ledger
 }
 
 func newOverlay(n *netlist.Netlist, good *sim.Packed) *overlay {
 	c := good.Compiled()
 	ng := c.NumGates()
 	o := &overlay{
-		c: c, good: good,
-		fvals:    make([]logic.V, ng),
-		stamp:    make([]int, ng),
-		queued:   make([]int, ng),
+		c: c, good: good, faulty: c.NewPacked(),
+		pending:  make([]uint64, ng),
 		level:    make([]int32, ng),
 		levelOff: make([]int32, n.MaxLevel()+2),
 		qlen:     make([]int32, n.MaxLevel()+1),
 		queue:    make([]int32, ng),
+		touched:  make([]int32, ng),
 		isOutput: make([]bool, ng),
-		vals:     c.NewValueScratch(),
 	}
 	for id := 0; id < ng; id++ {
 		l := int32(n.Gate(id).Level)
@@ -214,99 +221,145 @@ func newOverlay(n *netlist.Netlist, good *sim.Packed) *overlay {
 	return o
 }
 
-// goodVal returns gate id's good value in the current pattern slot.
-func (o *overlay) goodVal(id int32) logic.V { return o.good.Word(int(id)).Get(o.slot) }
-
-// get returns gate id's faulty value: the overlay's when written in this
-// injection, the good value otherwise.
-func (o *overlay) get(id int32) logic.V {
-	if o.stamp[id] == o.epoch {
-		return o.fvals[id]
+// run injects f into the activated slots act of the current block and
+// returns the lowest slot in which a primary output differs, 64 if
+// none. It adds to o.evals what walking act one slot at a time costs,
+// up to and including that slot.
+//
+// The probe walks the lowest activated slot alone, which detects most
+// detectable faults. Only if it detects nothing does one sweep inject
+// the remaining slots at once. A walk that detects nothing evaluates
+// exactly the gates with a fanin changed in its slot (plus a pin
+// fault's own gate), so each sweep slot below the first detection
+// costs the queued gates whose pending mask holds it. A detecting walk
+// stops mid-bucket, so its count depends on bucket order, which a
+// multi-slot pass does not keep: the sweep's first detecting slot is
+// settled by walking it alone, since a pass with one live slot queues
+// and evaluates exactly that slot's walk, in its order.
+func (o *overlay) run(f sim.FaultSite, act uint64) uint {
+	if act == 0 {
+		return 64
 	}
-	return o.goodVal(id)
+	gate := int32(f.Gate)
+	probe := act & -act
+	first, n := o.inject(f, probe)
+	o.restore(gate, 0)
+	o.evals += n
+	rest := act &^ probe
+	if first < 64 || rest == 0 {
+		return first
+	}
+	first, _ = o.inject(f, rest)
+	below := uint64(1)<<first - 1 // every slot when first is 64
+	o.evals += o.restore(gate, rest&below)
+	if f.Pin >= 0 {
+		o.evals += int64(bits.OnesCount64(rest & below))
+	}
+	if first < 64 {
+		_, n = o.inject(f, 1<<first)
+		o.restore(gate, 0)
+		o.evals += n
+	}
+	return first
 }
 
-// evalGate evaluates gate id over the overlay; a pin >= 0 observes sa
-// instead of its driver's value.
-func (o *overlay) evalGate(id, pin int32, sa logic.V) logic.V {
-	fan := o.c.Fanin(int(id))
-	vals := o.vals[:len(fan)]
-	for i, fi := range fan {
-		vals[i] = o.get(fi)
+// inject runs one pass of stuck-at f over the live slots of the aligned
+// faulty machine and returns the lowest slot in which a primary output
+// differs (64 if none) and the gates the pass evaluated, the faulted
+// pin's gate included. Once a slot detects, every live slot at or above
+// it is dropped, and the pass ends when no slot is left. Readers sit at
+// strictly higher levels, so a bucket never grows while it drains. The
+// machine stays unaligned until restore.
+func (o *overlay) inject(f sim.FaultSite, live uint64) (first uint, evals int64) {
+	gate := int32(f.Gate)
+	// Outside the live slots the site keeps its good value: a pin forced
+	// to the stuck value could change the gate even where the fault is
+	// not activated.
+	g := o.good.Word(f.Gate)
+	nv := blend(o.faulty.EvalGateFaulted(f), g, live)
+	if f.Pin >= 0 {
+		evals++
 	}
-	if pin >= 0 {
-		vals[pin] = sa
+	ch := differ(nv, g)
+	if ch == 0 {
+		return 64, evals
 	}
-	o.evals++
-	return o.c.EvalGateVals(int(id), vals)
-}
-
-// inject propagates one stuck-at activated in pattern slot — on gate's
-// output, or on its input pin when pin >= 0 — and reports whether a
-// primary output's faulty value differs from its good value. A pin fault
-// recomputes only the faulted gate with the forced pin view, then
-// propagates from it.
-func (o *overlay) inject(slot uint, gate, pin int32, sa logic.V) bool {
-	o.slot = slot
-	o.epoch++
-	nv := sa
-	if pin >= 0 {
-		if nv = o.evalGate(gate, pin, sa); nv == o.goodVal(gate) {
-			return false
-		}
-	}
-	o.fvals[gate], o.stamp[gate] = nv, o.epoch
+	o.faulty.SetWord(gate, nv)
 	if o.isOutput[gate] {
-		return true
+		return uint(bits.TrailingZeros64(ch)), evals
 	}
 	lo := o.level[gate] + 1
-	detected, hi := o.propagate(lo, o.enqueueFanout(gate, lo-1))
-	for l := lo; l <= hi; l++ {
-		o.qlen[l] = 0
-	}
-	return detected
-}
-
-// propagate drains the buckets from level lo up to hi, which grows as
-// events fan out. It reports whether a primary output changed, and the
-// highest level queued. Readers sit at strictly higher levels, so a
-// bucket never grows while it drains, and a queued gate was never
-// written in this injection.
-func (o *overlay) propagate(lo, hi int32) (bool, int32) {
+	hi := o.enqueueFanout(gate, ch, lo-1)
+	first = 64
 	for l := lo; l <= hi; l++ {
 		off := o.levelOff[l]
 		for _, id := range o.queue[off : off+o.qlen[l]] {
-			nv := o.evalGate(id, -1, logic.X)
-			if nv == o.goodVal(id) {
+			m := o.pending[id] & live
+			if m == 0 {
 				continue
 			}
-			o.fvals[id], o.stamp[id] = nv, o.epoch
-			if o.isOutput[id] {
-				return true, hi
+			evals++
+			nv := o.faulty.EvalGate(id)
+			ch := differ(nv, o.good.Word(int(id))) & m
+			if ch == 0 {
+				continue
 			}
-			hi = o.enqueueFanout(id, hi)
+			o.faulty.SetWord(id, nv)
+			if !o.isOutput[id] {
+				hi = o.enqueueFanout(id, ch, hi)
+				continue
+			}
+			first = uint(bits.TrailingZeros64(ch))
+			if live &= 1<<first - 1; live == 0 {
+				return first, evals
+			}
 		}
 	}
-	return false, hi
+	return first, evals
 }
 
-// enqueueFanout queues every not-yet-queued reader of gate id in its
-// level bucket and returns the highest queued level seen so far.
-func (o *overlay) enqueueFanout(id, hi int32) int32 {
+// enqueueFanout adds the changed slots ch to the pending mask of every
+// reader of gate id, queues the readers not queued yet in their level
+// buckets, and returns the highest queued level seen so far.
+func (o *overlay) enqueueFanout(id int32, ch uint64, hi int32) int32 {
 	for _, fo := range o.c.Fanout(int(id)) {
-		if o.queued[fo] == o.epoch {
-			continue
+		if o.pending[fo] == 0 {
+			l := o.level[fo]
+			o.queue[o.levelOff[l]+o.qlen[l]] = fo
+			o.qlen[l]++
+			o.touched[o.ntouched] = fo
+			o.ntouched++
+			hi = max(hi, l)
 		}
-		o.queued[fo] = o.epoch
-		l := o.level[fo]
-		o.queue[o.levelOff[l]+o.qlen[l]] = fo
-		o.qlen[l]++
-		if l > hi {
-			hi = l
-		}
+		o.pending[fo] |= ch
 	}
 	return hi
 }
+
+// restore re-aligns the faulty machine after a pass injected at gate
+// site, empties its buckets, and returns the evaluations the pass made
+// in the keep slots walked one at a time: each queued gate counts once
+// per keep slot in which a fanin changed.
+func (o *overlay) restore(site int32, keep uint64) (evals int64) {
+	o.faulty.SetWord(site, o.good.Word(int(site)))
+	for _, id := range o.touched[:o.ntouched] {
+		evals += int64(bits.OnesCount64(o.pending[id] & keep))
+		o.pending[id] = 0
+		o.qlen[o.level[id]] = 0
+		o.faulty.SetWord(id, o.good.Word(int(id)))
+	}
+	o.ntouched = 0
+	return evals
+}
+
+// blend takes w's value in the mask slots and g's elsewhere.
+func blend(w, g logic.Word, mask uint64) logic.Word {
+	return logic.Word{V0: w.V0&mask | g.V0&^mask, V1: w.V1&mask | g.V1&^mask}
+}
+
+// differ returns the slots where a and b hold different four-valued
+// values; unlike logic.DiffW, X against 0 or 1 counts.
+func differ(a, b logic.Word) uint64 { return (a.V0 ^ b.V0) | (a.V1 ^ b.V1) }
 
 // SliceStats summarises static slice sizes per output, used by reports.
 type SliceStats struct {
