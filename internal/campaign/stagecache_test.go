@@ -3,7 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -322,6 +325,55 @@ func TestOrderForCacheDeterminism(t *testing.T) {
 			t.Fatalf("jobs with key %s scattered (slots %d and %d)", k, last, i)
 		}
 		seen[k] = i
+	}
+}
+
+// seedStageKeysDigest pins every (job, stage) seed and cache key of
+// stageKeysMatrix, and the schedule orderForCache builds from them.
+const seedStageKeysDigest = "06ce2b265277268b9af19b6d686eec81ac8da42f16fab7f31a3aabb105657e95"
+
+// stageKeysMatrix crosses the registry with every environment, every
+// technology and every scenario, sharding the circuits with at least
+// 100 collapsed faults three ways.
+func stageKeysMatrix() Matrix {
+	return Matrix{
+		Circuits:       circuits.Names(),
+		Environments:   EnvironmentNames(),
+		Technologies:   TechnologyNames(),
+		Scenarios:      Scenarios(),
+		Patterns:       4100,
+		Years:          7.5,
+		Seed:           11,
+		Shards:         3,
+		ShardThreshold: 100,
+	}
+}
+
+// TestStageSeedsAndKeysMatchSeedDigest pins, byte for byte, the seed
+// and cache key of every stage (scheduled by the job's scenario or not)
+// of every job in stageKeysMatrix, and the cache-aware schedule.
+func TestStageSeedsAndKeysMatchSeedDigest(t *testing.T) {
+	jobs, err := stageKeysMatrix().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	keys := 0
+	for _, j := range jobs {
+		seeds := stageSeedsFor(j, core.AllStages())
+		for _, id := range core.AllStages() {
+			fmt.Fprintf(h, "%d %s %d %s\n", j.ID, id, seeds[id], stageCacheKey(j, id))
+			keys++
+		}
+	}
+	for _, j := range orderForCache(jobs) {
+		fmt.Fprintf(h, "%d ", j.ID)
+	}
+	if keys != 14240 {
+		t.Errorf("matrix has %d (job, stage) keys, want 14240", keys)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != seedStageKeysDigest {
+		t.Errorf("stage seed and key digest = %s, want %s", got, seedStageKeysDigest)
 	}
 }
 
