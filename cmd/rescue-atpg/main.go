@@ -75,7 +75,7 @@ func main() {
 	start := time.Now()
 	res, err := atpg.GenerateTests(n, faults, atpg.FlowOptions{
 		RandomPatterns: *random, Seed: *seed, Compact: *compact,
-		Parallelism: *parallel,
+		PODEM: atpg.Options{Spare: atpg.NewSlots(*parallel - 1)},
 	})
 	wall := time.Since(start)
 	if err != nil {

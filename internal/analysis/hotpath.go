@@ -28,13 +28,14 @@ type hotSpec struct {
 // differential oracles live in _test.go files and are not kernels.
 var hotFuncs = map[string]hotSpec{
 	"rescue/internal/sim": {
-		// LoadBlock covers both block loaders (Packed, PackedBlock),
-		// which stage a packed set's words before every good pass.
-		// SetWord is the store of slicing's per-gate step.
+		// Names match methods of any receiver: Run covers the word and
+		// wide full passes (Packed.Run, PackedBlock.Run) and LoadBlock
+		// both block loaders, which stage a packed set's words before
+		// every good pass. SetWord is the store of slicing's per-gate
+		// step.
 		exact: map[string]bool{
 			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
-			"EvalDualWithFault": true, "RunBlock": true, "LoadBlock": true,
-			"SetWord": true,
+			"EvalDualWithFault": true, "LoadBlock": true, "SetWord": true,
 		},
 		// runConeEval covers both the word and wide cone loops
 		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,

@@ -57,16 +57,20 @@ type result struct {
 	buckets  [][]int
 }
 
-// RunBlock is a declared kernel (the wide-block pass): per-call slice
+// PackedBlock stands in for the wide simulator: a declared name matches
+// a method of any receiver as it matches a function.
+type PackedBlock struct{}
+
+// Run is a declared kernel (the wide-block pass): per-call slice
 // allocation and appends through escaping state are the regressions the
 // zero-alloc contract exists to catch.
-func RunBlock(values []int, res *result) {
-	tmp := make([]int, len(values)) // want "hotpath: slice/channel allocation in kernel function RunBlock"
+func (PackedBlock) Run(values []int, res *result) {
+	tmp := make([]int, len(values)) // want "hotpath: slice/channel allocation in kernel function Run"
 	for i, v := range values {
 		tmp[i] = v * v
-		res.Detected = append(res.Detected, i) // want "hotpath: append to escaping state in kernel function RunBlock"
+		res.Detected = append(res.Detected, i) // want "hotpath: append to escaping state in kernel function Run"
 	}
-	res.buckets[0] = append(res.buckets[0], tmp[0]) // want "hotpath: append to escaping state in kernel function RunBlock"
+	res.buckets[0] = append(res.buckets[0], tmp[0]) // want "hotpath: append to escaping state in kernel function Run"
 }
 
 // runConeEvalBlock is matched through the runConeEval prefix; appends to

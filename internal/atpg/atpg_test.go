@@ -168,12 +168,12 @@ func TestIdentifyUntestableMixed(t *testing.T) {
 		{Kind: fault.StuckAt, Gate: y, Pin: -1, Value: logic.Zero}, // testable
 		{Kind: fault.StuckAt, Gate: b, Pin: -1, Value: logic.One},  // testable
 	}
-	outs, err := IdentifyUntestable(n, faults, Options{})
+	cls, err := ClassifyFaults(n, faults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Outcome{ProvenUntestable, TestFound, TestFound, TestFound}
-	for i, o := range outs {
+	for i, o := range cls.Outcomes {
 		if o != want[i] {
 			t.Errorf("fault %d (%s): outcome %v, want %v", i, faults[i].Describe(n), o, want[i])
 		}

@@ -56,7 +56,8 @@ func BenchmarkATPG(b *testing.B) {
 					b.StartTimer()
 					var err error
 					res, err = GenerateTests(fresh, faults, FlowOptions{
-						RandomPatterns: 16, Seed: 3, Compact: true, Parallelism: mode.workers,
+						RandomPatterns: 16, Seed: 3, Compact: true,
+						PODEM: Options{Spare: NewSlots(mode.workers - 1)},
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -160,14 +160,6 @@ type FlowOptions struct {
 	PODEM          Options
 	// Compact enables reverse-order static compaction of the test set.
 	Compact bool
-	// Parallelism is the deterministic-phase worker count (one PODEM
-	// engine per worker): above 1 it gives the flow a private budget of
-	// Parallelism-1 spare slots in place of PODEM.Spare. Results — Tests,
-	// Status, Coverage, PODEMCalls, Backtracks — are byte-identical at
-	// every parallelism level and budget: each round's targets are fixed
-	// by fault index before generation, and dropping is applied
-	// sequentially afterwards.
-	Parallelism int
 }
 
 // roundSize is the number of lowest-index undetected targets each
@@ -236,18 +228,7 @@ func GenerateTests(n *netlist.Netlist, faults fault.List, opt FlowOptions) (*Res
 		}
 	}
 	res.SimGateEvals = sess.GateEvals()
-	cov := fault.Coverage{Total: len(faults)}
-	for _, s := range res.Status {
-		switch s {
-		case fault.Detected:
-			cov.Detected++
-		case fault.Untestable:
-			cov.Untestable++
-		case fault.Aborted:
-			cov.Aborted++
-		}
-	}
-	res.Coverage = cov
+	res.Coverage = fault.CoverageOf(res.Status)
 	return res, nil
 }
 
@@ -281,11 +262,7 @@ func generateDeterministic(n *netlist.Netlist, faults fault.List, opt FlowOption
 		return nil
 	}
 
-	podem := opt.PODEM
-	if opt.Parallelism > 1 {
-		podem.Spare = NewSlots(opt.Parallelism - 1)
-	}
-	cr := &crew{n: n, opt: podem}
+	cr := &crew{n: n, opt: opt.PODEM}
 
 	round := make([]int, 0, roundSize)
 	gens := make([]podemResult, roundSize)
@@ -570,9 +547,10 @@ func compactOnSession(sess *faultsim.Session, tests []logic.Vector) ([]logic.Vec
 }
 
 // Classification is the outcome of a PODEM testability pass over a fault
-// list, with its search cost. It is the single engine-allocation path
-// shared by IdentifyUntestable and fusa.CrossCheck, so untestable-fault
-// classification cost is measured once and reported everywhere.
+// list, with its search cost. ClassifyFaults is the single
+// engine-allocation path of untestable-fault classification, which
+// fusa.CrossCheck runs on too, so its cost is measured once and
+// reported everywhere.
 type Classification struct {
 	// Outcomes is parallel to the fault list; non-stuck-at faults report
 	// NotApplicable without a search.
@@ -590,7 +568,10 @@ type Classification struct {
 const classifyChunk = 16
 
 // ClassifyFaults runs PODEM over every fault and returns the per-fault
-// outcomes with the accumulated search cost. The list is cut into
+// outcomes with the accumulated search cost. This implements the
+// "functionally untestable fault identification" step of Section III.A:
+// excluding proven-untestable faults corrects the coverage denominator
+// and removes wasted fault-simulation effort. The list is cut into
 // fixed-size chunks that the calling goroutine works through, joined by
 // one helper Engine per slot it can borrow from opt.Spare. Outcomes are
 // written by fault index and the costs summed after the join, so the
@@ -633,18 +614,4 @@ func ClassifyFaults(n *netlist.Netlist, faults fault.List, opt Options) (*Classi
 	total.flush()
 	obsLentWorkers.Add(int64(lent))
 	return c, nil
-}
-
-// IdentifyUntestable classifies each fault as testable, untestable or
-// aborted using PODEM with the given backtrack limit. This implements the
-// "functionally untestable fault identification" step of Section III.A:
-// excluding proven-untestable faults corrects the coverage denominator
-// and removes wasted fault-simulation effort. It is a thin wrapper over
-// ClassifyFaults; use that directly when the search cost matters.
-func IdentifyUntestable(n *netlist.Netlist, faults fault.List, opt Options) ([]Outcome, error) {
-	c, err := ClassifyFaults(n, faults, opt)
-	if err != nil {
-		return nil, err
-	}
-	return c.Outcomes, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -64,6 +65,10 @@ func TestExpandValidation(t *testing.T) {
 		{Circuits: []string{"c17"}, Technologies: []string{"3nm"}},
 		{Circuits: []string{"c17"}, Scenarios: []Scenario{"chaos"}},
 		{Circuits: []string{"c17"}, Patterns: -1},
+		{Circuits: []string{"c17"}, Years: -5},
+		{Circuits: []string{"c17"}, Years: math.NaN()},
+		{Circuits: []string{"c17"}, Years: math.Inf(1)},
+		{Circuits: []string{"c17"}, Years: math.Inf(-1)},
 	}
 	for i, m := range cases {
 		if _, err := m.Expand(); err == nil {
@@ -414,7 +419,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 			if j.ID == 3 {
 				panic("injected failure")
 			}
-			return RunJob(ctx, j)
+			return runJobWith(ctx, j, nil, sharedStageCache)
 		},
 	}
 	sum, err := Run(context.Background(), testMatrix(), cfg)
@@ -497,7 +502,7 @@ func TestCampaignMatchesRunFlow(t *testing.T) {
 	if sum.Failed != 0 {
 		t.Fatalf("campaign failed:\n%s", sum.Render())
 	}
-	direct := RunJob(context.Background(), sum.Results[0].Job)
+	direct := runJobWith(context.Background(), sum.Results[0].Job, nil, sharedStageCache)
 	if direct.Err != "" {
 		t.Fatal(direct.Err)
 	}

@@ -230,22 +230,18 @@ func safeRun(ctx context.Context, j Job, run func(context.Context, Job) Result) 
 	return run(ctx, j)
 }
 
-// RunJob executes one job: it takes the circuit's shared per-campaign
-// artifact (flow netlist, compiled simulation machine, collapsed fault
-// list — built once, shared by every shard job and repeated scenario of
-// the circuit), slices the job's fault shard, and runs the scenario's
-// stages with per-stage declared-input seeds derived from the job
-// coordinates. Every input is recomputed from the coordinates, so the
-// result is independent of which worker runs it and of what ran before
-// — including whether a stage came out of the shared stage cache.
-func RunJob(ctx context.Context, j Job) Result {
-	return runJobWith(ctx, j, nil, sharedStageCache)
-}
-
-// runJobWith is RunJob with the run's spare-worker budget and the stage
-// cache applied. Neither is a Job coordinate: results are identical at
-// any budget and with the cache on or off, so checkpoints and job
-// identity stay untouched by both.
+// runJobWith executes one job: it takes the circuit's shared
+// per-campaign artifact (flow netlist, compiled simulation machine,
+// collapsed fault list — built once, shared by every shard job and
+// repeated scenario of the circuit), slices the job's fault shard, and
+// runs the scenario's stages with per-stage declared-input seeds derived
+// from the job coordinates. Every input is recomputed from the
+// coordinates, so the result is independent of which worker runs it and
+// of what ran before — including whether a stage came out of the shared
+// stage cache. The run's spare-worker budget and stage cache (nil for
+// none) are not Job coordinates: results are identical at any budget
+// and with the cache on or off, so checkpoints and job identity stay
+// untouched by both.
 func runJobWith(ctx context.Context, j Job, spare *atpg.Slots, cache *stageCache) Result {
 	art := circuitArtifactFor(j.Circuit)
 	if art.err != nil {

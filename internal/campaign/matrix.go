@@ -12,6 +12,7 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"sync"
 
@@ -109,7 +110,7 @@ type Matrix struct {
 
 	// Patterns and Years parameterise every job's flow stage set; zero
 	// Patterns runs the flow's default count, and a negative one is an
-	// error.
+	// error, as is a negative or non-finite Years.
 	Patterns int     `json:"patterns,omitempty"`
 	Years    float64 `json:"years,omitempty"`
 	// Seed is the campaign base seed; each job derives its own seed from
@@ -182,6 +183,9 @@ func (m Matrix) Expand() ([]Job, error) {
 	}
 	if m.Patterns < 0 {
 		return nil, fmt.Errorf("campaign: negative pattern count %d", m.Patterns)
+	}
+	if m.Years < 0 || math.IsNaN(m.Years) || math.IsInf(m.Years, 0) {
+		return nil, fmt.Errorf("campaign: aging horizon %g years is negative or not finite", m.Years)
 	}
 	envs := m.Environments
 	if len(envs) == 0 {

@@ -51,6 +51,10 @@ var (
 		"Campaign runs currently executing on the server.")
 )
 
+// retryAfterSec is the Retry-After hint, in seconds, attached to 429
+// responses.
+const retryAfterSec = 1
+
 // ServerConfig tunes a multi-run campaign server.
 type ServerConfig struct {
 	// BaseDir is the directory run directories are created under
@@ -67,9 +71,6 @@ type ServerConfig struct {
 	// 2). Each run additionally parallelises internally per
 	// RunConfig.Parallelism.
 	MaxActiveRuns int
-	// RetryAfterSec is the Retry-After hint attached to 429 responses
-	// (default 1).
-	RetryAfterSec int
 	// RunConfig is the engine Config template every run executes under.
 	// OnResult and Completed must be nil: results stream per run through
 	// the checkpoint log and the /runs API, and replay is the
@@ -140,9 +141,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.MaxActiveRuns <= 0 {
 		cfg.MaxActiveRuns = 2
-	}
-	if cfg.RetryAfterSec <= 0 {
-		cfg.RetryAfterSec = 1
 	}
 	if err := os.MkdirAll(cfg.BaseDir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: server base dir: %v", err)
@@ -507,7 +505,7 @@ func (s *Server) Handler() http.Handler {
 			w.Header().Set("Location", fmt.Sprintf("/runs/%d", info.ID))
 			writeJSON(w, http.StatusAccepted, info)
 		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSec))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 			writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
 		case errors.Is(err, ErrDraining):
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})

@@ -207,7 +207,6 @@ func TestServerBackpressure(t *testing.T) {
 	s := newTestServer(t, ServerConfig{
 		QueueCapacity: 2,
 		MaxActiveRuns: 1,
-		RetryAfterSec: 7,
 		RunConfig:     blockingRunConfig(release),
 	})
 	h := s.Handler()
@@ -240,8 +239,8 @@ func TestServerBackpressure(t *testing.T) {
 				t.Errorf("POST beyond capacity: status %d, want 429", rec.Code)
 				return
 			}
-			if got := rec.Header().Get("Retry-After"); got != "7" {
-				t.Errorf("Retry-After = %q, want %q", got, "7")
+			if got := rec.Header().Get("Retry-After"); got != "1" {
+				t.Errorf("Retry-After = %q, want %q", got, "1")
 			}
 		}()
 	}
@@ -481,6 +480,9 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 	if code, _ := postRun(t, h, Matrix{Circuits: []string{"c17"}, Patterns: -1}); code != http.StatusBadRequest {
 		t.Errorf("negative pattern count: status %d, want 400", code)
+	}
+	if code, _ := postRun(t, h, Matrix{Circuits: []string{"c17"}, Years: -5}); code != http.StatusBadRequest {
+		t.Errorf("negative aging horizon: status %d, want 400", code)
 	}
 	entries, err := os.ReadDir(s.cfg.BaseDir)
 	if err != nil {
@@ -724,6 +726,46 @@ func TestServerRecoverIgnoresNonCanonicalRunDirs(t *testing.T) {
 	}
 	if got := list.Runs[0].Dir; got != filepath.Join(base, runDirName(1)) {
 		t.Errorf("run 1 recovered from %s, want the canonical directory", got)
+	}
+}
+
+// TestServerRecoverSkipsRefusedMatrix: a run directory whose header
+// carries a matrix Expand now refuses (a negative aging horizon, which
+// older builds admitted) is skipped and counted at recovery, and left
+// on disk.
+func TestServerRecoverSkipsRefusedMatrix(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, runDirName(1))
+	ck, err := NewCheckpoint(dir, Matrix{Circuits: []string{"c17"}, Scenarios: []Scenario{ScenarioQuality}, Years: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	path := filepath.Join(dir, CheckpointFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(`"years":5`)
+	if !bytes.Contains(raw, old) {
+		t.Fatalf("header %s does not record the horizon", raw)
+	}
+	if err := os.WriteFile(path, bytes.Replace(raw, old, []byte(`"years":-5`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	skipped := obsServerRecoverSkipped.Value()
+	s := newTestServer(t, ServerConfig{BaseDir: base, RunConfig: Config{Parallelism: 1}})
+	if n := s.Recovered(); n != 0 {
+		t.Errorf("recovered %d runs, want 0", n)
+	}
+	if got := obsServerRecoverSkipped.Value() - skipped; got != 1 {
+		t.Errorf("recovery skipped %d run directories, want 1", got)
+	}
+	if list := decode[RunsPage](t, second(get(t, s.Handler(), "/runs"))); list.Total != 0 {
+		t.Errorf("/runs = %+v, want no run", list)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("skipped run directory must stay on disk: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package campaign
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"unsafe"
@@ -165,11 +164,11 @@ func stageEntrySize(key string, res core.StageResult) int64 {
 	return size
 }
 
-// stageCoords maps a job's coordinates onto the core seed derivation.
-// The circuit name is the cache-wide circuit identity: it is the key of
-// the shared circuitArtifact cache, and registry constructors are
-// deterministic, so equal names imply equal netlists, collapsed fault
-// lists and compiled machines.
+// stageCoords maps a job's coordinates and flow parameters onto the
+// core seed and key derivation. The circuit name is the cache-wide
+// circuit identity: it is the key of the shared circuitArtifact cache,
+// and registry constructors are deterministic, so equal names imply
+// equal netlists, collapsed fault lists and compiled machines.
 func stageCoords(j Job) core.StageCoords {
 	return core.StageCoords{
 		Circuit:     j.Circuit,
@@ -177,6 +176,8 @@ func stageCoords(j Job) core.StageCoords {
 		Technology:  j.Technology,
 		Shard:       j.Shard,
 		Shards:      j.Shards,
+		Patterns:    j.Patterns,
+		Years:       j.Years,
 	}
 }
 
@@ -205,36 +206,9 @@ func stageSeedsFor(j Job, stages []core.StageID) map[core.StageID]int64 {
 	return seeds
 }
 
-// stageCacheKey renders the content key of one job stage: the circuit
-// identity, the stage, its derived seed, and every declared input
-// (including the flow parameters — patterns, years — that are not
-// coordinates and therefore not part of the seed). Two jobs with equal
-// keys run the stage over byte-identical inputs, so the cached result
-// is exactly what recomputation would produce.
+// stageCacheKey renders the content key of one job stage (core.StageKey).
 func stageCacheKey(j Job, id core.StageID) string {
-	in, _ := core.EffectiveInputs(id)
-	seed := core.DeriveStageSeed(jobBaseSeed(j), id, stageCoords(j))
-	key := fmt.Sprintf("c=%s|st=%s|seed=%d", j.Circuit, id, seed)
-	if in.Environment {
-		key += "|e=" + j.Environment
-	}
-	if in.Technology {
-		key += "|t=" + j.Technology
-	}
-	if in.FaultShard {
-		shards := j.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		key += fmt.Sprintf("|sh=%d/%d", j.Shard, shards)
-	}
-	if in.Patterns {
-		key += fmt.Sprintf("|p=%d", j.Patterns)
-	}
-	if in.Years {
-		key += fmt.Sprintf("|y=%g", j.Years)
-	}
-	return key
+	return core.StageKey(jobBaseSeed(j), id, stageCoords(j))
 }
 
 // jobMemo adapts the shared stage cache to one job's core.StageMemo:

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
+	"strings"
 )
 
 // StageInputs declares the *effective inputs* of one flow stage: which
@@ -65,9 +67,10 @@ func EffectiveInputs(id StageID) (StageInputs, bool) {
 }
 
 // StageCoords are the campaign-level coordinates DeriveStageSeed may
-// fold into a stage seed, subject to the stage's declared inputs.
-// There is deliberately no scenario field: a stage's seed must be the
-// same whether the stage runs inside a holistic job or alone.
+// fold into a stage seed, and the flow parameters StageKey adds to a
+// stage's cache key, each subject to the stage's declared inputs.
+// There is deliberately no scenario field: a stage's seed and key must
+// be the same whether the stage runs inside a holistic job or alone.
 type StageCoords struct {
 	Circuit     string
 	Environment string
@@ -76,6 +79,25 @@ type StageCoords struct {
 	// Shards <= 1 means the whole list and hashes like shard 0 of 1.
 	Shard  int
 	Shards int
+	// Patterns and Years are the flow's pattern count and aging horizon.
+	// They parameterise a stage without being coordinates of its seed:
+	// only StageKey reads them.
+	Patterns int
+	Years    float64
+}
+
+// writeCoords renders the coordinates a stage declares: the one
+// rendering DeriveStageSeed hashes and StageKey spells out.
+func writeCoords(w io.Writer, in StageInputs, c StageCoords) {
+	if in.Environment {
+		fmt.Fprintf(w, "|e=%s", c.Environment)
+	}
+	if in.Technology {
+		fmt.Fprintf(w, "|t=%s", c.Technology)
+	}
+	if in.FaultShard {
+		fmt.Fprintf(w, "|sh=%d/%d", c.Shard, max(c.Shards, 1))
+	}
 }
 
 // DeriveStageSeed computes a stage's seed by FNV-1a-hashing the stage
@@ -86,21 +108,28 @@ type StageCoords struct {
 // cacheable. The derivation depends only on coordinates, never on
 // scheduling order or parallelism.
 func DeriveStageSeed(base int64, id StageID, c StageCoords) int64 {
-	in := stageInputs[id]
 	h := fnv.New64a()
 	fmt.Fprintf(h, "stage|%s|c=%s", id, c.Circuit)
-	if in.Environment {
-		fmt.Fprintf(h, "|e=%s", c.Environment)
-	}
-	if in.Technology {
-		fmt.Fprintf(h, "|t=%s", c.Technology)
-	}
-	if in.FaultShard {
-		shards := c.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		fmt.Fprintf(h, "|sh=%d/%d", c.Shard, shards)
-	}
+	writeCoords(h, stageInputs[id], c)
 	return base ^ int64(h.Sum64()&0x7fffffffffffffff)
+}
+
+// StageKey renders the content key of one stage: the circuit, the
+// stage, its derived seed, its declared coordinates, and its declared
+// flow parameters (patterns, years), which are not part of the seed.
+// Two stages with equal keys run over byte-identical inputs, so a
+// result cached under the key is exactly what recomputation would
+// produce.
+func StageKey(base int64, id StageID, c StageCoords) string {
+	in := stageInputs[id]
+	var b strings.Builder
+	fmt.Fprintf(&b, "c=%s|st=%s|seed=%d", c.Circuit, id, DeriveStageSeed(base, id, c))
+	writeCoords(&b, in, c)
+	if in.Patterns {
+		fmt.Fprintf(&b, "|p=%d", c.Patterns)
+	}
+	if in.Years {
+		fmt.Fprintf(&b, "|y=%g", c.Years)
+	}
+	return b.String()
 }

@@ -83,6 +83,43 @@ func TestDeriveStageSeedHonorsDeclaredInputs(t *testing.T) {
 	}
 }
 
+// TestStageKeyHonorsDeclaredInputs: each declared input, coordinates
+// and flow parameters alike, splits a stage's cache key, and no
+// undeclared one does; the flow parameters never reach the seed.
+func TestStageKeyHonorsDeclaredInputs(t *testing.T) {
+	base := StageCoords{Circuit: "mul8", Environment: "sea-level", Technology: "28nm", Shards: 1, Patterns: 32, Years: 5}
+	for _, id := range AllStages() {
+		in, _ := EffectiveInputs(id)
+		k0 := StageKey(42, id, base)
+		for _, v := range []struct {
+			name     string
+			declared bool
+			vary     func(*StageCoords)
+		}{
+			{"environment", in.Environment, func(c *StageCoords) { c.Environment = "LEO" }},
+			{"technology", in.Technology, func(c *StageCoords) { c.Technology = "16nm" }},
+			{"shard", in.FaultShard, func(c *StageCoords) { c.Shard, c.Shards = 1, 4 }},
+			{"patterns", in.Patterns, func(c *StageCoords) { c.Patterns = 64 }},
+			{"years", in.Years, func(c *StageCoords) { c.Years = 7.5 }},
+			{"circuit", true, func(c *StageCoords) { c.Circuit = "c17" }},
+		} {
+			c := base
+			v.vary(&c)
+			if got := StageKey(42, id, c); (got != k0) != v.declared {
+				t.Errorf("%s: key sensitivity to %s = %v, declared %v", id, v.name, got != k0, v.declared)
+			}
+		}
+		params := base
+		params.Patterns, params.Years = 64, 7.5
+		if DeriveStageSeed(42, id, params) != DeriveStageSeed(42, id, base) {
+			t.Errorf("%s: the pattern count or the horizon reached the seed", id)
+		}
+	}
+	if StageKey(42, StageQuality, base) == StageKey(42, StageSafety, base) {
+		t.Error("two stages share a key for equal coordinates")
+	}
+}
+
 // TestStageSeedsNilFallback: with no StageSeeds, every stage draws from
 // the shared flow seed exactly as before the per-stage derivation —
 // RunFlow output for direct users is unchanged by construction.

@@ -163,13 +163,7 @@ func (st *flowState) runReliability() (*ReliabilityReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reliability stage: %v", err)
 	}
-	detected := 0
-	for _, s := range acc.Status {
-		if s == fault.Detected {
-			detected++
-		}
-	}
-	sdc := float64(detected) / float64(len(faults))
+	sdc := float64(acc.Detected) / float64(len(faults))
 	raw := seu.RawFIT(st.cfg.Environment, st.cfg.Technology.SETCrossSectionCm2, float64(st.n.NumGates()))
 	if share := st.cfg.FaultShare; share > 0 && share <= 1 {
 		raw *= share

@@ -279,6 +279,24 @@ type Coverage struct {
 	Aborted    int
 }
 
+// CoverageOf tallies a status list parallel to a fault list: every
+// entry counts toward Total, and Detected, Untestable and Aborted
+// entries toward their own counts.
+func CoverageOf(status []Status) Coverage {
+	c := Coverage{Total: len(status)}
+	for _, s := range status {
+		switch s {
+		case Detected:
+			c.Detected++
+		case Untestable:
+			c.Untestable++
+		case Aborted:
+			c.Aborted++
+		}
+	}
+	return c
+}
+
 // Raw returns detected / total.
 func (c Coverage) Raw() float64 {
 	if c.Total == 0 {

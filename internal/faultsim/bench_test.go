@@ -60,9 +60,9 @@ func BenchmarkAblation_FaultDropping(b *testing.B) {
 		withDrop = rep.GateEvals
 		// Without dropping: every fault simulated on every 64-pattern
 		// block, plus the same per-block good-machine passes the
-		// engine charges (combinational gates only — exact accounting).
+		// engine charges (every gate but the inputs — exact accounting).
 		blocks := int64((len(pats) + 63) / 64)
-		withoutDrop = (int64(len(faults)) + 1) * blocks * int64(combGateCount(n))
+		withoutDrop = (int64(len(faults)) + 1) * blocks * int64(n.NumGates()-len(n.Inputs))
 	}
 	b.ReportMetric(float64(withoutDrop)/float64(withDrop), "dropping_gain_x")
 	b.Logf("fault dropping: %d vs %d gate-evals (%.1fx saved)",

@@ -42,26 +42,7 @@ type Report struct {
 }
 
 // Coverage summarises the report.
-func (r *Report) Coverage() fault.Coverage {
-	c := fault.Coverage{Total: len(r.Status)}
-	for _, s := range r.Status {
-		switch s {
-		case fault.Detected:
-			c.Detected++
-		case fault.Untestable:
-			c.Untestable++
-		case fault.Aborted:
-			c.Aborted++
-		}
-	}
-	return c
-}
-
-// combGateCount returns the number of gates one combinational pass
-// actually evaluates (everything except primary inputs and DFF state).
-func combGateCount(n *netlist.Netlist) int {
-	return n.NumGates() - len(n.Inputs) - len(n.DFFs)
-}
+func (r *Report) Coverage() fault.Coverage { return fault.CoverageOf(r.Status) }
 
 // Run fault-simulates the given stuck-at fault list against the pattern
 // set using cone-restricted incremental PPSFP with fault dropping: each
@@ -275,15 +256,7 @@ type SequentialResult struct {
 }
 
 // Coverage summarises the sequential campaign.
-func (r *SequentialResult) Coverage() fault.Coverage {
-	c := fault.Coverage{Total: len(r.Status)}
-	for _, s := range r.Status {
-		if s == fault.Detected {
-			c.Detected++
-		}
-	}
-	return c
-}
+func (r *SequentialResult) Coverage() fault.Coverage { return fault.CoverageOf(r.Status) }
 
 // SequentialRun fault-simulates permanent stuck-at faults on a
 // sequential circuit: golden and faulty machines start from the all-zero

@@ -75,7 +75,9 @@ func RunFullWithAlarms(n *netlist.Netlist, faults fault.List, patterns []logic.V
 			return nil, fmt.Errorf("faultsim: %w", err)
 		}
 	}
-	comb := int64(combGateCount(n))
+	// A pass evaluates every gate but the inputs: the circuit is
+	// combinational.
+	comb := int64(n.NumGates() - len(n.Inputs))
 	firstAlarm := len(n.Outputs) - alarms
 	for base := 0; base < len(patterns); base += 64 {
 		hi := base + 64

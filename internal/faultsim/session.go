@@ -83,7 +83,6 @@ type Session struct {
 	remaining   int
 	patterns    int   // total patterns simulated since the last Reset
 	gateEvals   int64 // cumulative over the session lifetime (survives Reset)
-	comb        int64
 	// detBuf backs SimResult.Detected, filled by indexed store so the hot
 	// loops never append.
 	detBuf []int
@@ -105,8 +104,9 @@ type SimResult struct {
 	Detected []int
 	// GateEvals is the exact evaluation cost of this call in gate-word
 	// units (one gate evaluated over one 64-pattern word): each good
-	// pass charges the combinational gate count per word it carries,
-	// and each cone pass its evaluated gate count times its word width.
+	// pass charges its schedule length (the combinational gates) per
+	// word it carries, and each cone pass its evaluated gate count times
+	// its word width.
 	GateEvals int64
 }
 
@@ -142,7 +142,6 @@ func NewSessionWithAlarms(n *netlist.Netlist, faults fault.List, alarms int) (*S
 		detectedBy: make([]int, len(faults)),
 		undet:      make([]uint64, undetWords(len(faults))),
 		detBuf:     make([]int, len(faults)),
-		comb:       int64(combGateCount(n)),
 	}
 	for fi, f := range faults {
 		if f.Kind != fault.StuckAt {
@@ -219,7 +218,7 @@ func (s *Session) SimulatePacked(pats *sim.Patterns) (SimResult, error) {
 		if err := s.simulateChunk(pats, base, words, &res); err != nil {
 			return res, err
 		}
-		goodEvals += int64(words) * s.comb
+		goodEvals += int64(words) * int64(s.compiled.ScheduleLen())
 		base = min(base+64*words, count)
 	}
 	res.Detected = s.detBuf[:s.detN:s.detN]
@@ -260,7 +259,7 @@ func (s *Session) simulateChunk(pats *sim.Patterns, base, words int, res *SimRes
 		s.good.Run()
 		s.bad.AlignTo(s.good)
 	}
-	res.GateEvals += int64(words) * s.comb
+	res.GateEvals += int64(words) * int64(s.compiled.ScheduleLen())
 	// Slots past a short tail's last pattern hold no pattern: never
 	// report them.
 	tail := pats.Mask(base / 64)

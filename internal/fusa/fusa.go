@@ -276,10 +276,10 @@ type CrossCheckReport struct {
 //     means the FI pattern set missed a real violation path: the verdict
 //     is unsound (insufficient patterns or a tool bug).
 //
-// The classification runs through atpg.ClassifyFaults — the same engine
-// allocation path as IdentifyUntestable — so both tools share one PODEM
-// setup per netlist view and report comparable backtrack costs; opt.Spare
-// lends it helper workers. When the functional outputs are the
+// The classification runs through atpg.ClassifyFaults, the one
+// classification entry point, so it shares one PODEM setup per netlist
+// view with the ATPG tools and reports comparable backtrack costs;
+// opt.Spare lends it helper workers. When the functional outputs are the
 // circuit's outputs, the view is sc.N itself, so the verdicts the
 // cross-check stores in sc.N's verdict table serve every later search
 // on sc.N (the quality stage's, which a holistic flow runs after it),

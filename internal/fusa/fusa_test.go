@@ -212,17 +212,17 @@ func TestCrossCheckFindsSeededMisclassifications(t *testing.T) {
 	if cc.Outcomes[0] != atpg.ProvenUntestable || cc.Outcomes[1] != atpg.TestFound {
 		t.Errorf("cross-check outcomes = %v, want [untestable test-found]", cc.Outcomes)
 	}
-	// The shared classification path must agree with IdentifyUntestable
-	// on the same functional view.
+	// The shared classification path must agree with ClassifyFaults on
+	// the same functional view.
 	view := sc.N.Clone()
 	view.Outputs = append([]int(nil), sc.FunctionalOutputs...)
-	ident, err := atpg.IdentifyUntestable(view, faults, atpg.Options{})
+	cls, err := atpg.ClassifyFaults(view, faults, atpg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ident {
-		if ident[i] != cc.Outcomes[i] {
-			t.Errorf("fault %d: IdentifyUntestable %v != CrossCheck %v", i, ident[i], cc.Outcomes[i])
+	for i, o := range cls.Outcomes {
+		if o != cc.Outcomes[i] {
+			t.Errorf("fault %d: ClassifyFaults %v != CrossCheck %v", i, o, cc.Outcomes[i])
 		}
 	}
 	// Buggy tool #1: marks the untestable fault as residual.

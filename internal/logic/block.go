@@ -4,7 +4,7 @@ import "math/bits"
 
 // This file defines the wide simulation block: BlockWords consecutive
 // packed Words treated as one unit of 256 pattern slots. The wide
-// fault-simulation kernels (sim.RunBlock, sim.RunConeAlignedBlock)
+// fault-simulation kernels (sim.PackedBlock's Run and RunConeWithAlarms)
 // evaluate whole blocks per gate so the schedule walk, fanin gather and
 // opcode dispatch amortise over BlockWords words instead of being paid
 // per 64 patterns. The word count is a compile-time constant: every op

@@ -66,16 +66,22 @@ func (p *PackedBlock) LoadPatterns(patterns []logic.Vector) error {
 // Block returns the wide packed value of a gate.
 func (p *PackedBlock) Block(id int) logic.Block { return p.blocks[id] }
 
-// Run performs one full combinational pass over all 256 slots on the
-// compiled machine.
-func (p *PackedBlock) Run() { p.c.RunBlock(p.blocks) }
+// Run performs one fault-free full combinational pass over all 256
+// slots on the compiled machine — the wide mirror of Packed.Run.
+func (p *PackedBlock) Run() {
+	c, blocks := p.c, p.blocks
+	fanin, off := c.fanin, c.faninOff
+	for _, id := range c.schedule {
+		evalOpB(c.code[id], fanin[off[id]:off[id+1]], blocks, &blocks[id])
+	}
+}
 
 // AlignTo copies the good machine's complete block state into p,
 // establishing the alignment invariant RunConeAligned relies on.
 func (p *PackedBlock) AlignTo(good *PackedBlock) { copy(p.blocks, good.blocks) }
 
 // RunConeAligned is the wide hot-path cone pass over an aligned machine
-// (see Compiled.RunConeAlignedBlock) with no alarm outputs, reporting
+// (see RunConeWithAlarms) with no alarm outputs, reporting
 // only the slots mask selects. Slots evaluate independently, so the
 // diff equals that of a fault injected in those slots alone. It returns
 // the masked output difference mask and the gates the pass evaluated,
@@ -89,10 +95,32 @@ func (p *PackedBlock) RunConeAligned(good *PackedBlock, cone *netlist.Cone, f Fa
 	return diff, cone.Evals
 }
 
-// RunConeWithAlarms is the wide cone pass with the netlist's last alarms
-// primary outputs read as alarms: a slot differs only when a non-alarm
-// output differs and no alarm output does. The fault is injected in
-// every slot, and the cone must be grown from f.Gate.
-func (p *PackedBlock) RunConeWithAlarms(good *PackedBlock, cone *netlist.Cone, f FaultSite, alarms int) logic.BlockMask {
-	return p.c.RunConeAlignedBlock(p.blocks, good.blocks, p.scratch, cone, f, alarms)
+// RunConeWithAlarms is the wide mirror of Packed.RunConeWithAlarms over
+// an aligned machine: it faults the cone root in all BlockWords words,
+// evaluates the rest of the cone, folds the per-word difference masks
+// over the cone's reachable primary outputs, and restores the cone
+// gates' blocks from good. The pass evaluates cone.Evals gates over
+// BlockWords words each, and the cone must be grown from f.Gate. The
+// netlist's last alarms primary outputs are read as alarms: a slot
+// differs only when a non-alarm output differs and no alarm output does.
+func (p *PackedBlock) RunConeWithAlarms(good *PackedBlock, cone *netlist.Cone, f FaultSite, alarms int) (diff logic.BlockMask) {
+	c, blocks, gb := p.c, p.blocks, good.blocks
+	c.runConeEvalBlock(blocks, p.scratch, cone, f)
+	firstAlarm := len(c.outputs) - alarms
+	var alarm logic.BlockMask
+	for _, oi := range cone.Outputs {
+		oid := c.outputs[oi]
+		if oi < firstAlarm {
+			logic.DiffB(&gb[oid], &blocks[oid], &diff)
+		} else {
+			logic.DiffB(&gb[oid], &blocks[oid], &alarm)
+		}
+	}
+	for _, id := range cone.Order {
+		blocks[id] = gb[id]
+	}
+	for w := range diff {
+		diff[w] &^= alarm[w]
+	}
+	return diff
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // The wide-block kernels are pinned word-for-word to the 64-bit path:
-// one RunBlock over 256 patterns must hold, per gate, exactly the four
-// words four Packed passes over the four 64-pattern sub-blocks hold —
+// one PackedBlock.Run over 256 patterns must hold, per gate, exactly the
+// four words four Packed passes over the four 64-pattern sub-blocks hold —
 // including X-laden patterns and partial (<256) blocks, whose unused
 // slots are X on both sides. The tests live in an external package so
 // they can scan-convert sequential registry circuits via atpg.ScanView.

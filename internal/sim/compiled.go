@@ -371,8 +371,8 @@ func (c *Compiled) RunV(values []logic.V) {
 	}
 }
 
-// RunVWithFault is the scalar twin of RunWithFault: one pass over values
-// with a stuck-at fault injected. An output fault forces the
+// RunVWithFault is the scalar twin of Packed.RunWithFault: one pass
+// over values with a stuck-at fault injected. An output fault forces the
 // site's value (an Input/DFF site up front, since it is never
 // recomputed); a pin fault makes only the faulty gate observe the stuck
 // value on that pin. scratch must hold at least maxFanin values (use
@@ -454,38 +454,6 @@ func (c *Compiled) Fanin(id int) []int32 { return c.fanin[c.faninOff[id]:c.fanin
 // faulty overlay) queue readers in this order.
 func (c *Compiled) Fanout(id int) []int32 { return c.fanout[c.fanoutOff[id]:c.fanoutOff[id+1]] }
 
-// Run performs one fault-free full combinational pass over the machine
-// state in words (indexed by gate ID; inputs and DFF slots are consumed
-// as-is, every scheduled gate is recomputed).
-func (c *Compiled) Run(words []logic.Word) {
-	fanin, off := c.fanin, c.faninOff
-	for _, id := range c.schedule {
-		words[id] = evalOpW(c.code[id], fanin[off[id]:off[id+1]], words)
-	}
-}
-
-// RunWithFault performs a full pass with a stuck-at fault injected in
-// every slot: an output fault forces the site's word to the stuck value
-// (an Input/DFF site up front, since it is never recomputed); an
-// input-pin fault makes only the faulty gate observe the forced value
-// on that pin. scratch must hold at least maxFanin words (use
-// newScratch).
-func (c *Compiled) RunWithFault(words, scratch []logic.Word, f FaultSite) {
-	fg := int32(f.Gate)
-	if f.Pin < 0 && c.code[fg] == opHold {
-		words[fg] = logic.WordAll(f.SA)
-	}
-	fanin, off := c.fanin, c.faninOff
-	for _, id := range c.schedule {
-		fan := fanin[off[id]:off[id+1]]
-		if id == fg {
-			words[id] = c.evalOpFaultedW(c.code[id], fan, words, scratch, f)
-		} else {
-			words[id] = evalOpW(c.code[id], fan, words)
-		}
-	}
-}
-
 // evalOpFaultedW evaluates the fault-site gate of a word pass, as
 // evalOpFaultedV does for a scalar one: an output fault yields the stuck
 // value in every slot, a pin fault makes only that pin observe it, even
@@ -503,48 +471,19 @@ func (c *Compiled) evalOpFaultedW(op opcode, fan []int32, words, scratch []logic
 	return c.evalOpVals(op, vals)
 }
 
-// RunConeAligned is the hot-path cone pass: it requires the alignment
-// invariant — words[i] == good[i] for every gate (established by one
-// AlignTo per good pass, and restored by every cone pass) — faults the
-// cone root in every slot, evaluates the rest of the cone in place with
-// plain indexed reads, folds the difference mask over the cone's
-// reachable primary outputs, and then restores the cone gates' words
-// from good, re-establishing the invariant for the next call. The pass
-// evaluates cone.Evals gates. f.Gate must be cone.Root.
-//
-// The last alarms primary outputs are alarms: a slot is set in diff only
-// when a non-alarm output differs and no alarm output differs in it.
-func (c *Compiled) RunConeAligned(words, good, scratch []logic.Word, cone *netlist.Cone, f FaultSite, alarms int) (diff uint64) {
-	c.runConeEval(words, scratch, cone, f)
-	firstAlarm := len(c.outputs) - alarms
-	var alarm uint64
-	for _, oi := range cone.Outputs {
-		oid := c.outputs[oi]
-		if oi < firstAlarm {
-			diff |= logic.DiffW(good[oid], words[oid])
-		} else {
-			alarm |= logic.DiffW(good[oid], words[oid])
-		}
-	}
-	for _, id := range cone.Order {
-		words[id] = good[id]
-	}
-	return diff &^ alarm
-}
-
 // foreignCone builds the panic message for a fault passed with a cone
 // not grown from its gate, out of line like unhandledOpcode.
 func foreignCone(f FaultSite, cone *netlist.Cone) string {
 	return fmt.Sprintf("sim: fault at gate %d passed with the cone of gate %d", f.Gate, cone.Root)
 }
 
-// runConeEval is the cone evaluation loop of RunConeAligned over an
-// aligned machine. The fault sits at the cone root: an output fault
-// writes the stuck value into it, a pin fault evaluates it with that pin
-// forced, and a DFF root's D-pin fault acts only at latch time, so that
-// root keeps its aligned good word. Every later cone gate is a strict
-// combinational successor of the root, so the rest of the cone runs as
-// a plain pass with no per-gate fault tests.
+// runConeEval is the cone evaluation loop of Packed.RunConeWithAlarms
+// over an aligned machine. The fault sits at the cone root: an output
+// fault writes the stuck value into it, a pin fault evaluates it with
+// that pin forced, and a DFF root's D-pin fault acts only at latch time,
+// so that root keeps its aligned good word. Every later cone gate is a
+// strict combinational successor of the root, so the rest of the cone
+// runs as a plain pass with no per-gate fault tests.
 func (c *Compiled) runConeEval(words, scratch []logic.Word, cone *netlist.Cone, f FaultSite) {
 	if f.Gate != cone.Root {
 		panic(foreignCone(f, cone))

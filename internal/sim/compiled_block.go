@@ -5,16 +5,17 @@ import (
 	"rescue/internal/netlist"
 )
 
-// This file holds the wide-block kernels of the compiled machine: the
-// same schedule walks as compiled.go, evaluating logic.BlockWords packed
-// words (256 pattern slots) per gate instead of one. Widening amortises
-// the per-gate overhead that does not scale with pattern count — opcode
-// dispatch, fanin-offset loads, cone membership bookkeeping, the
-// output-diff fold and the alignment restore — over four words, which
-// is where the ns/gate-eval win over the 64-bit path comes from.
+// This file holds the wide-block evaluators of the compiled machine,
+// which PackedBlock's passes run: the same gate evaluation as
+// compiled.go over logic.BlockWords packed words (256 pattern slots)
+// per gate instead of one. Widening amortises the per-gate overhead
+// that does not scale with pattern count — opcode dispatch,
+// fanin-offset loads, cone membership bookkeeping, the output-diff fold
+// and the alignment restore — over four words, which is where the
+// ns/gate-eval win over the 64-bit path comes from.
 //
-// The 64-bit kernels remain the differential oracle: every block kernel
-// is pinned word-for-word to four single-word passes by the tests in
+// The 64-bit passes remain the differential oracle: every block pass is
+// pinned word-for-word to four single-word passes by the tests in
 // block_test.go.
 
 // BlockPatterns is the number of patterns one wide pass consumes.
@@ -90,16 +91,6 @@ func (c *Compiled) evalOpValsB(op opcode, vals []logic.Block, dst *logic.Block) 
 	evalOpB(op, c.identity[:len(vals)], vals, dst)
 }
 
-// RunBlock performs one fault-free full combinational pass over the wide
-// machine state in blocks (indexed by gate ID; inputs and DFF slots are
-// consumed as-is) — the 256-pattern mirror of Run.
-func (c *Compiled) RunBlock(blocks []logic.Block) {
-	fanin, off := c.fanin, c.faninOff
-	for _, id := range c.schedule {
-		evalOpB(c.code[id], fanin[off[id]:off[id+1]], blocks, &blocks[id])
-	}
-}
-
 // evalOpFaultedB is the wide mirror of evalOpFaultedW, writing the
 // fault-site gate's block through dst.
 func (c *Compiled) evalOpFaultedB(op opcode, fan []int32, blocks, scratch []logic.Block, f FaultSite, dst *logic.Block) {
@@ -113,35 +104,6 @@ func (c *Compiled) evalOpFaultedB(op opcode, fan []int32, blocks, scratch []logi
 	}
 	vals[f.Pin] = logic.BlockAll(f.SA)
 	c.evalOpValsB(op, vals, dst)
-}
-
-// RunConeAlignedBlock is the wide hot-path cone pass: it requires the
-// alignment invariant — blocks[i] == good[i] for every gate — faults the
-// cone root in all BlockWords words, evaluates the rest of the cone,
-// folds the per-word difference masks over the cone's reachable primary
-// outputs, and restores the cone gates' blocks from good. The pass
-// evaluates cone.Evals gates over BlockWords words each. f.Gate must be
-// cone.Root, and the last alarms primary outputs are alarms, as in
-// RunConeAligned.
-func (c *Compiled) RunConeAlignedBlock(blocks, good, scratch []logic.Block, cone *netlist.Cone, f FaultSite, alarms int) (diff logic.BlockMask) {
-	c.runConeEvalBlock(blocks, scratch, cone, f)
-	firstAlarm := len(c.outputs) - alarms
-	var alarm logic.BlockMask
-	for _, oi := range cone.Outputs {
-		oid := c.outputs[oi]
-		if oi < firstAlarm {
-			logic.DiffB(&good[oid], &blocks[oid], &diff)
-		} else {
-			logic.DiffB(&good[oid], &blocks[oid], &alarm)
-		}
-	}
-	for _, id := range cone.Order {
-		blocks[id] = good[id]
-	}
-	for w := range diff {
-		diff[w] &^= alarm[w]
-	}
-	return diff
 }
 
 // runConeEvalBlock is the wide cone evaluation loop, mirroring

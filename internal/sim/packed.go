@@ -58,9 +58,16 @@ func (p *Packed) LoadPatterns(patterns []logic.Vector) error {
 // Word returns the packed value of a gate.
 func (p *Packed) Word(id int) logic.Word { return p.words[id] }
 
-// Run performs one full combinational pass over all 64 slots on the
-// compiled machine.
-func (p *Packed) Run() { p.c.Run(p.words) }
+// Run performs one fault-free full combinational pass over all 64 slots
+// on the compiled machine: inputs and DFF slots are consumed as-is, and
+// every scheduled gate is recomputed.
+func (p *Packed) Run() {
+	c, words := p.c, p.words
+	fanin, off := c.fanin, c.faninOff
+	for _, id := range c.schedule {
+		words[id] = evalOpW(c.code[id], fanin[off[id]:off[id+1]], words)
+	}
+}
 
 // FaultSite describes a stuck-at site for RunWithFault: a gate and an
 // optional input pin (Pin < 0 addresses the gate output).
@@ -71,11 +78,25 @@ type FaultSite struct {
 }
 
 // RunWithFault performs a full pass with a stuck-at fault injected in
-// every slot. An output fault forces the gate's computed word to the
-// stuck value; an input-pin fault makes only the faulty gate observe the
-// forced value on that pin.
+// every slot. An output fault forces the site's word to the stuck value
+// (an Input/DFF site up front, since it is never recomputed); an
+// input-pin fault makes only the faulty gate observe the forced value
+// on that pin.
 func (p *Packed) RunWithFault(f FaultSite) {
-	p.c.RunWithFault(p.words, p.scratch, f)
+	c, words := p.c, p.words
+	fg := int32(f.Gate)
+	if f.Pin < 0 && c.code[fg] == opHold {
+		words[fg] = logic.WordAll(f.SA)
+	}
+	fanin, off := c.fanin, c.faninOff
+	for _, id := range c.schedule {
+		fan := fanin[off[id]:off[id+1]]
+		if id == fg {
+			words[id] = c.evalOpFaultedW(c.code[id], fan, words, p.scratch, f)
+		} else {
+			words[id] = evalOpW(c.code[id], fan, words)
+		}
+	}
 }
 
 // EvalGate evaluates the single combinational gate id over p's words
@@ -105,16 +126,36 @@ func (p *Packed) SetWord(id int32, w logic.Word) { p.words[id] = w }
 // simulated against it.
 func (p *Packed) AlignTo(good *Packed) { copy(p.words, good.words) }
 
-// RunConeWithAlarms is the hot-path cone pass over an aligned machine
-// (see Compiled.RunConeAligned): it faults the cone root in every slot,
-// evaluates only the cone's gates with plain indexed reads, returns the
-// output difference mask, and restores the alignment invariant before
-// returning. p must have been aligned to good since good's last Run, and
-// the cone must be grown from f.Gate. The netlist's last alarms primary
-// outputs are read as alarms: a slot differs only when a non-alarm
-// output differs and no alarm output does.
-func (p *Packed) RunConeWithAlarms(good *Packed, cone *netlist.Cone, f FaultSite, alarms int) uint64 {
-	return p.c.RunConeAligned(p.words, good.words, p.scratch, cone, f, alarms)
+// RunConeWithAlarms is the hot-path cone pass over an aligned machine.
+// It requires the alignment invariant — p's words equal good's for every
+// gate, established by one AlignTo per good pass and restored by every
+// cone pass — so p must have been aligned to good since good's last Run.
+// It faults the cone root in every slot, evaluates the rest of the cone
+// in place with plain indexed reads, folds the difference mask over the
+// cone's reachable primary outputs, and then restores the cone gates'
+// words from good. The pass evaluates cone.Evals gates, and the cone
+// must be grown from f.Gate.
+//
+// The netlist's last alarms primary outputs are alarms: a slot is set in
+// diff only when a non-alarm output differs and no alarm output differs
+// in it.
+func (p *Packed) RunConeWithAlarms(good *Packed, cone *netlist.Cone, f FaultSite, alarms int) (diff uint64) {
+	c, words, gw := p.c, p.words, good.words
+	c.runConeEval(words, p.scratch, cone, f)
+	firstAlarm := len(c.outputs) - alarms
+	var alarm uint64
+	for _, oi := range cone.Outputs {
+		oid := c.outputs[oi]
+		if oi < firstAlarm {
+			diff |= logic.DiffW(gw[oid], words[oid])
+		} else {
+			alarm |= logic.DiffW(gw[oid], words[oid])
+		}
+	}
+	for _, id := range cone.Order {
+		words[id] = gw[id]
+	}
+	return diff &^ alarm
 }
 
 // OutputVector extracts the scalar outputs of pattern slot k.

@@ -128,7 +128,8 @@ func GenerateTests(n *Netlist, faults FaultList, seed int64) (*atpg.Result, erro
 // to the serial flow at every parallelism level.
 func GenerateTestsParallel(n *Netlist, faults FaultList, seed int64, workers int) (*atpg.Result, error) {
 	return atpg.GenerateTests(n, faults, atpg.FlowOptions{
-		RandomPatterns: 64, Seed: seed, Compact: true, Parallelism: workers,
+		RandomPatterns: 64, Seed: seed, Compact: true,
+		PODEM: atpg.Options{Spare: atpg.NewSlots(workers - 1)},
 	})
 }
 
