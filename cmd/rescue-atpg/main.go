@@ -40,6 +40,12 @@ func main() {
 	list := flag.Bool("list", false, "list available circuits and exit")
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if *random < 0 {
+		log.Fatalf("-random must be 0 or more, got %d", *random)
+	}
+	if *parallel < 1 {
+		log.Fatalf("-parallel must be 1 or more, got %d", *parallel)
+	}
 
 	stopProf, perr := prof.Start()
 	if perr != nil {

@@ -1,6 +1,7 @@
 // Command rescue-report regenerates the paper's figures: the Fig. 1
 // research-results distribution and the Fig. 2 holistic EDA flow run
-// over a chosen benchmark circuit.
+// over a chosen benchmark circuit. A sequential circuit runs on its
+// full-scan view, as in rescue-atpg, rescue-fusa and the campaign.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ import (
 	"log"
 
 	"rescue"
+	"rescue/internal/atpg"
 	"rescue/internal/seu"
 )
 
@@ -34,6 +36,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("== Fig. 2: holistic EDA flow ==")
+	if n.IsSequential() {
+		sv, err := atpg.ScanView(n)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("sequential circuit: using full-scan view (%d pseudo inputs)\n", len(sv.PseudoInputs))
+		n = sv.Comb
+	}
 	rep, err := rescue.RunHolisticFlow(rescue.FlowConfig{
 		Netlist:     n,
 		Environment: seu.SeaLevel,

@@ -31,18 +31,16 @@ var hotFuncs = map[string]hotSpec{
 		// Names match methods of any receiver: Run covers the word and
 		// wide full passes (Packed.Run, PackedBlock.Run) and LoadBlock
 		// both block loaders, which stage a packed set's words before
-		// every good pass. SetWord is the store of slicing's per-gate
-		// step.
+		// every good pass. SetWord is the store of the per-gate steps of
+		// slicing and PODEM.
 		exact: map[string]bool{
-			"Run": true, "RunV": true, "RunWithFault": true, "RunVWithFault": true,
-			"EvalDualWithFault": true, "LoadBlock": true, "SetWord": true,
+			"Run": true, "RunWithFault": true, "LoadBlock": true, "SetWord": true,
 		},
 		// runConeEval covers both the word and wide cone loops
-		// (runConeEval, runConeEvalBlock); evalOp covers the scalar,
-		// word and block evaluators (evalOpV/W/B and the *Vals and
-		// *Faulted forms); EvalGate covers the single-gate steps of
-		// PODEM (EvalGateV) and of slicing (Packed.EvalGate and
-		// EvalGateFaulted).
+		// (runConeEval, runConeEvalBlock); evalOp covers the word and
+		// block evaluators (evalOpW/B and the *Vals and *Faulted
+		// forms); EvalGate covers the single-gate steps of PODEM and
+		// slicing (Packed.EvalGate and EvalGateFaulted).
 		prefix: []string{"RunCone", "EvalGate", "evalOp", "runConeEval"},
 	},
 	"rescue/internal/faultsim": {

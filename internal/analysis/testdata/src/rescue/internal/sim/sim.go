@@ -1,6 +1,7 @@
 // Package sim is the hotpath fixture: its import path normalizes to
-// rescue/internal/sim, so the declared kernel names (Run, RunV, the
-// EvalGate prefix, ...) are checked while every other function is not.
+// rescue/internal/sim, so the declared kernel names (Run, RunWithFault,
+// the EvalGate prefix, ...) are checked while every other function is
+// not.
 package sim
 
 import (
@@ -25,8 +26,9 @@ func Run(values []int, widths map[int]int, s fmt.Stringer) {
 	_ = s.String() // want "hotpath: interface-dispatched call String in kernel function Run"
 }
 
-// RunV flushes its aggregate once after the loop — the blessed pattern.
-func RunV(values []int) {
+// RunWithFault flushes its aggregate once after the loop — the blessed
+// pattern.
+func RunWithFault(values []int) {
 	n := 0
 	for i := range values {
 		values[i]++

@@ -68,23 +68,23 @@ const DefaultBacktrackLimit = 20000
 // use; create one Engine per goroutine. Generate always searches; the
 // flows consult the netlist's verdict table the engine carries first.
 //
-// Implication is event-driven: gv/fv stay consistent with piVal for a
-// whole Generate call. A search starts from every input X, where the
-// good machine is all X, so the first imply evaluates only the target's
+// Implication is event-driven over one packed machine m that holds
+// both machines in one word per gate: slot 1 is the faulty machine and
+// every other slot the good one. m stays consistent with piVal for a
+// whole Generate call. A search starts from every input X, where both
+// machines are all X, so the first imply evaluates only the target's
 // fanout cone, seeded at the fault site. After that every piVal write
 // goes through setPI, which records the input as dirty, and imply
 // re-evaluates only the fanout of the dirty inputs whose values changed,
 // in schedule order. The faulty machine can differ from the good one only
-// inside the cone, so gates outside it are evaluated once, in the good
-// machine, and the state checks walk the cone alone.
+// inside the cone, so the state checks walk the cone alone.
 type Engine struct {
 	n       *netlist.Netlist
 	c       *sim.Compiled // shared compiled machine driving imply
 	cc      *Controllability
 	cone    *netlist.Cone // the target's fanout cone, cached on n
-	gv      []logic.V     // good-machine values
-	fv      []logic.V     // faulty-machine values, equal to gv outside cone
-	scratch []logic.V     // fanin gather buffer for pin-fault evaluation
+	m       *sim.Packed   // slot 1 the faulty machine, every other slot the good one
+	blank   *sim.Packed   // all X: the state retarget restores m to
 	piVal   []logic.V     // current PI assignment, indexed like n.Inputs
 	piOf    []int32       // gate ID -> PI index, -1 for non-inputs
 	outBits []uint64      // PO membership bitset over gate IDs
@@ -148,9 +148,8 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	words := (len(sched) + 63) / 64
 	e := &Engine{
 		n: n, c: c, cc: cc,
-		gv:       make([]logic.V, ng),
-		fv:       make([]logic.V, ng),
-		scratch:  c.NewValueScratch(),
+		m:        c.NewPacked(),
+		blank:    c.NewPacked(),
 		piVal:    make([]logic.V, len(n.Inputs)),
 		piOf:     make([]int32, ng),
 		outBits:  make([]uint64, (ng+63)/64),
@@ -259,11 +258,9 @@ func (e *Engine) retarget(f fault.Fault) {
 	}
 	e.ndirty = 0
 	e.stack = e.stack[:0]
-	for id := range e.gv {
-		e.gv[id], e.fv[id] = logic.X, logic.X
-	}
+	e.m.AlignTo(e.blank)
 	if site := int32(f.Gate); e.piOf[site] >= 0 {
-		e.fv[site] = f.Value
+		e.m.SetWord(site, logic.WordAll(logic.X).Set(faultySlot, f.Value))
 		e.enqueueFanout(site)
 	} else {
 		e.enqueue(site)
@@ -311,9 +308,29 @@ func (e *Engine) Backtracks() int { return e.backtracks }
 
 // ImplyGateEvals reports how many gate evaluations the most recent
 // Generate call's implication performed, the first cone pass included.
-// One evaluation covers a cone gate in both machines, or a gate outside
-// the cone in the good machine, whose value the faulty one shares.
+// One evaluation covers a gate in both machines.
 func (e *Engine) ImplyGateEvals() int { return e.evals }
+
+// faultySlot is the slot of m that holds the faulty machine. Slot 0,
+// like every other slot, holds the good one.
+const faultySlot = 1
+
+// good returns gate id's value in the good machine.
+func (e *Engine) good(id int) logic.V { return e.m.Word(id).Get(0) }
+
+// known reports whether gate id's value is known in both machines.
+func (e *Engine) known(id int) bool {
+	w := e.m.Word(id)
+	return w.Get(0).Known() && w.Get(faultySlot).Known()
+}
+
+// carriesD reports whether gate id carries a D or D': known in both
+// machines, with different values.
+func (e *Engine) carriesD(id int) bool {
+	w := e.m.Word(id)
+	g, f := w.Get(0), w.Get(faultySlot)
+	return g.Known() && f.Known() && g != f
+}
 
 type searchState uint8
 
@@ -323,26 +340,25 @@ const (
 	stateUndetermined
 )
 
-// imply brings gv/fv to the values of both machines under the current
-// PI assignment. It loads only the dirty inputs (an input-site output
-// fault keeps its forced faulty value) and propagates from those that
-// changed, after the site events retarget queued for a new target.
+// imply brings m to the values of both machines under the current PI
+// assignment. It loads only the dirty inputs (an input-site output fault
+// keeps its forced value in the faulty slot) and propagates from those
+// that changed, after the site events retarget queued for a new target.
 // Values are a pure function of the assignment, so the rank-ordered
 // event pass reaches exactly a full pass's values, and undoing an
 // assignment is just another event on that input's cone.
 func (e *Engine) imply() {
-	gv, fv := e.gv, e.fv
 	for _, pi := range e.dirty[:e.ndirty] {
 		e.piDirty[pi] = false
 		id := int32(e.n.Inputs[pi])
-		g, f := e.piVal[pi], e.piVal[pi]
+		w := logic.WordAll(e.piVal[pi])
 		if int(id) == e.site.Gate && e.site.Pin < 0 {
-			f = e.site.SA
+			w = w.Set(faultySlot, e.site.SA)
 		}
-		if g == gv[id] && f == fv[id] {
+		if w == e.m.Word(int(id)) {
 			continue
 		}
-		gv[id], fv[id] = g, f
+		e.m.SetWord(id, w)
 		e.enqueueFanout(id)
 	}
 	e.ndirty = 0
@@ -368,34 +384,29 @@ func (e *Engine) enqueueFanout(id int32) {
 
 // propagate drains the event queue lowest rank first, between the word
 // marks (hi grows as events fan out), and returns the number of gates
-// evaluated. A cone gate is evaluated in both machines. A gate outside
-// the cone is evaluated in the good machine and its value copied into
-// the faulty one: none of its fanins lies in the cone, so they agree in
-// both. A gate's readers are queued only when its value changed. A
+// evaluated. One word evaluation steps a gate in both machines; at the
+// fault site's gate the faulty slot takes the faulted evaluation
+// instead. A gate's readers are queued only when its word changed. A
 // reader's rank is above every fanin's, so a gate is evaluated at most
 // once per drain, after every fanin that changed: the same gates, as
 // often, as a level-by-level drain would evaluate.
 func (e *Engine) propagate() int {
 	evals := 0
+	site := int32(e.site.Gate)
 	for w := e.lo; w <= e.hi; w++ {
 		for e.pending[w] != 0 {
 			b := bits.TrailingZeros64(e.pending[w])
 			e.pending[w] &^= 1 << b
 			id := e.sched[w<<6|b]
 			evals++
-			if e.cone.Contains(int(id)) {
-				g, f := e.c.EvalDualWithFault(id, e.gv, e.fv, e.scratch, e.site)
-				if g == e.gv[id] && f == e.fv[id] {
-					continue
-				}
-				e.gv[id], e.fv[id] = g, f
-			} else {
-				g := e.c.EvalGateV(id, e.gv)
-				if g == e.gv[id] {
-					continue
-				}
-				e.gv[id], e.fv[id] = g, g
+			v := e.m.EvalGate(id)
+			if id == site {
+				v = v.Set(faultySlot, e.m.EvalGateFaulted(e.site).Get(faultySlot))
 			}
+			if v == e.m.Word(int(id)) {
+				continue
+			}
+			e.m.SetWord(id, v)
 			e.enqueueFanout(id)
 		}
 	}
@@ -410,12 +421,11 @@ func (e *Engine) state() searchState {
 	// Detected: any PO differs with both values known. Only the cone's
 	// outputs can.
 	for _, oi := range e.cone.Outputs {
-		o := e.n.Outputs[oi]
-		if e.gv[o].Known() && e.fv[o].Known() && e.gv[o] != e.fv[o] {
+		if e.carriesD(e.n.Outputs[oi]) {
 			return stateDetected
 		}
 	}
-	site := e.gv[e.siteNet]
+	site := e.good(int(e.siteNet))
 	if site.Known() && site == e.target.Value {
 		return stateConflict // fault can no longer be activated
 	}
@@ -443,20 +453,20 @@ func (e *Engine) state() searchState {
 func (e *Engine) scanFrontier() {
 	fr := e.frontier[:0]
 	pinGate := int32(-1)
-	if site := e.gv[e.siteNet]; e.target.Pin >= 0 && site.Known() && site != e.target.Value {
+	if site := e.good(int(e.siteNet)); e.target.Pin >= 0 && site.Known() && site != e.target.Value {
 		pinGate = int32(e.target.Gate)
 	}
 	for _, gid := range e.cone.Order {
 		id := int32(gid)
-		if e.piOf[id] >= 0 || (e.gv[id].Known() && e.fv[id].Known()) {
+		if e.piOf[id] >= 0 || e.known(gid) {
 			continue
 		}
 		if id == pinGate {
 			fr = append(fr, id)
 			continue
 		}
-		for _, fi := range e.c.Fanin(int(id)) {
-			if e.gv[fi].Known() && e.fv[fi].Known() && e.gv[fi] != e.fv[fi] {
+		for _, fi := range e.c.Fanin(gid) {
+			if e.carriesD(int(fi)) {
 				fr = append(fr, id)
 				break
 			}
@@ -490,7 +500,7 @@ func (e *Engine) xPathExists() bool {
 				return true
 			}
 			for _, fo := range e.c.Fanout(int(id)) {
-				if e.seen[fo] == e.epoch || (e.gv[fo].Known() && e.fv[fo].Known()) {
+				if e.seen[fo] == e.epoch || e.known(int(fo)) {
 					continue
 				}
 				e.seen[fo] = e.epoch
@@ -504,7 +514,7 @@ func (e *Engine) xPathExists() bool {
 // objective returns the next (gate, value) goal: activate the fault if
 // its site is still X, otherwise advance the cheapest D-frontier gate.
 func (e *Engine) objective() (int, logic.V, bool) {
-	if !e.gv[e.siteNet].Known() {
+	if !e.good(int(e.siteNet)).Known() {
 		return int(e.siteNet), logic.Not(e.target.Value), true
 	}
 	// The fault is activated, so state has just scanned the frontier.
@@ -523,13 +533,13 @@ func (e *Engine) objective() (int, logic.V, bool) {
 	g := e.n.Gate(int(best))
 	nc, hasNC := nonControlling(g.Type)
 	for pinIdx, fi := range g.Fanin {
-		if e.gv[fi].Known() && e.fv[fi].Known() {
+		if e.known(fi) {
 			continue
 		}
 		if g.Type == netlist.Mux && pinIdx == 0 {
 			// Drive the select towards the side carrying the D.
 			for dataPin, dfi := range g.Fanin[1:] {
-				if e.gv[dfi].Known() && e.fv[dfi].Known() && e.gv[dfi] != e.fv[dfi] {
+				if e.carriesD(dfi) {
 					return fi, logic.FromBool(dataPin == 1), true
 				}
 			}
@@ -579,7 +589,7 @@ func (e *Engine) backtrace(gate int, val logic.V) (pi int, v logic.V) {
 			// Pick the first X input; aim for 0 on it (heuristic).
 			next := g.Fanin[0]
 			for _, fi := range g.Fanin {
-				if !e.gv[fi].Known() {
+				if !e.good(fi).Known() {
 					next = fi
 					break
 				}
@@ -587,9 +597,9 @@ func (e *Engine) backtrace(gate int, val logic.V) (pi int, v logic.V) {
 			id, want = next, logic.Zero
 		case netlist.Mux:
 			// Prefer steering the select if unassigned.
-			if !e.gv[g.Fanin[0]].Known() {
+			if sel := e.good(g.Fanin[0]); !sel.Known() {
 				id, want = g.Fanin[0], logic.Zero
-			} else if sel, _ := e.gv[g.Fanin[0]].Bool(); sel {
+			} else if sel == logic.One {
 				id = g.Fanin[2]
 			} else {
 				id = g.Fanin[1]
@@ -613,7 +623,7 @@ func (e *Engine) chooseBranch(g *netlist.Gate, want logic.V) int {
 	needOne := want == ctrl // output forced by a single controlling input
 	bestID, bestCost := -1, 0
 	for _, fi := range g.Fanin {
-		if e.gv[fi].Known() {
+		if e.good(fi).Known() {
 			continue
 		}
 		cost := e.cc.CC1[fi]

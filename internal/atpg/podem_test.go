@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"rescue/internal/circuits"
@@ -129,14 +128,15 @@ func impliedFaults(n *netlist.Netlist, rng *rand.Rand) fault.List {
 	return list
 }
 
-// TestIncrementalImplyMatchesFullPass keeps two full scalar passes as the
-// oracle of event-driven implication, RunV for the good machine and
-// RunVWithFault for the faulty one: on every registry circuit, after
-// every imply of a seeded sequence of input assignments, flips and
+// TestIncrementalImplyMatchesFullPass keeps two full word passes as the
+// oracle of event-driven implication, Packed.Run for the good machine
+// and Packed.RunWithFault for the faulty one: on every registry circuit,
+// after every imply of a seeded sequence of input assignments, flips and
 // clears (one to three per step, as a backtrack pops several), the
-// engine's good and faulty values must equal theirs. The first imply
-// of a target starts from the all-X machine and may evaluate no gate
-// outside the target's cone.
+// engine's good slot 0 and faulty slot 1 must equal them on every gate,
+// and every other slot must equal slot 0. The first imply of a target
+// starts from the all-X machine and may evaluate no gate outside the
+// target's cone.
 func TestIncrementalImplyMatchesFullPass(t *testing.T) {
 	for _, name := range circuits.Names() {
 		n := combRegistry(t, name)
@@ -149,9 +149,7 @@ func TestIncrementalImplyMatchesFullPass(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(n.NumGates())))
-		gv := make([]logic.V, n.NumGates())
-		fv := make([]logic.V, n.NumGates())
-		scratch := c.NewValueScratch()
+		good, faulty := c.NewPacked(), c.NewPacked()
 		for _, f := range impliedFaults(n, rng) {
 			cone, err := n.FanoutConeOrdered(f.Gate)
 			if err != nil {
@@ -177,12 +175,21 @@ func TestIncrementalImplyMatchesFullPass(t *testing.T) {
 						name, f.Describe(n), evals, cone.Evals)
 				}
 				for i, id := range n.Inputs {
-					gv[id], fv[id] = eng.piVal[i], eng.piVal[i]
+					good.SetWord(int32(id), logic.WordAll(eng.piVal[i]))
+					faulty.SetWord(int32(id), logic.WordAll(eng.piVal[i]))
 				}
-				c.RunV(gv)
-				c.RunVWithFault(fv, scratch, sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
-				if !reflect.DeepEqual(gv, eng.gv) || !reflect.DeepEqual(fv, eng.fv) {
-					t.Fatalf("%s: %s step %d: incremental values differ from the full pass", name, f.Describe(n), step)
+				good.Run()
+				faulty.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+				for id := 0; id < n.NumGates(); id++ {
+					w := eng.m.Word(id)
+					if w.Get(0) != good.Word(id).Get(0) || w.Get(faultySlot) != faulty.Word(id).Get(0) {
+						t.Fatalf("%s: %s step %d gate %q: incremental values differ from the full pass",
+							name, f.Describe(n), step, n.Gate(id).Name)
+					}
+					if w.Set(faultySlot, w.Get(0)) != logic.WordAll(w.Get(0)) {
+						t.Fatalf("%s: %s step %d gate %q: a good slot differs from slot 0",
+							name, f.Describe(n), step, n.Gate(id).Name)
+					}
 				}
 			}
 		}

@@ -12,7 +12,6 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 
@@ -181,11 +180,8 @@ func (m Matrix) Expand() ([]Job, error) {
 	if len(m.Circuits) == 0 {
 		return nil, fmt.Errorf("campaign: matrix needs at least one circuit")
 	}
-	if m.Patterns < 0 {
-		return nil, fmt.Errorf("campaign: negative pattern count %d", m.Patterns)
-	}
-	if m.Years < 0 || math.IsNaN(m.Years) || math.IsInf(m.Years, 0) {
-		return nil, fmt.Errorf("campaign: aging horizon %g years is negative or not finite", m.Years)
+	if err := core.CheckFlowParams(m.Patterns, m.Years); err != nil {
+		return nil, err
 	}
 	envs := m.Environments
 	if len(envs) == 0 {

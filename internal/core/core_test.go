@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,6 +168,41 @@ func TestRunStagesRejectsEmptyFaultSubset(t *testing.T) {
 	}, StageReliability)
 	if err == nil {
 		t.Error("empty non-nil fault subset must be rejected (would yield NaN SDC)")
+	}
+}
+
+// TestRunStagesRejectsBadPatternsAndYears: a negative pattern count and
+// a negative, NaN or infinite aging horizon are refused before any stage
+// runs, while zero keeps meaning the default count and no aging.
+func TestRunStagesRejectsBadPatternsAndYears(t *testing.T) {
+	for _, bad := range []struct {
+		patterns int
+		years    float64
+	}{
+		{-1, 5}, {16, -5}, {16, math.NaN()}, {16, math.Inf(1)}, {16, math.Inf(-1)},
+	} {
+		memo := &countingMemo{}
+		cfg := FlowConfig{Netlist: circuits.C17(), Patterns: bad.patterns, Years: bad.years, Memo: memo}
+		if _, err := RunStages(context.Background(), cfg, AllStages()...); err == nil {
+			t.Errorf("patterns %d, years %g: flow ran without error", bad.patterns, bad.years)
+		}
+		if len(memo.calls) != 0 {
+			t.Errorf("patterns %d, years %g: stages %v ran before the refusal", bad.patterns, bad.years, memo.calls)
+		}
+		if err := CheckFlowParams(bad.patterns, bad.years); err == nil {
+			t.Errorf("CheckFlowParams(%d, %g) accepted", bad.patterns, bad.years)
+		}
+	}
+	zero, err := RunStages(context.Background(), FlowConfig{Netlist: circuits.C17(), Seed: 3}, StageReliability)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := RunStages(context.Background(), FlowConfig{Netlist: circuits.C17(), Patterns: 200, Seed: 3}, StageReliability)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Reliability != def.Reliability {
+		t.Errorf("zero patterns %+v != the default 200 %+v", zero.Reliability, def.Reliability)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"rescue/internal/aging"
@@ -95,10 +96,28 @@ func newFlowState(cfg FlowConfig) (*flowState, error) {
 		// An empty list would make the SDC rate 0/0 = NaN downstream.
 		return nil, fmt.Errorf("core: flow needs a non-empty fault subset (nil means the full list)")
 	}
-	if cfg.Patterns <= 0 {
+	if err := CheckFlowParams(cfg.Patterns, cfg.Years); err != nil {
+		return nil, err
+	}
+	if cfg.Patterns == 0 {
 		cfg.Patterns = 200
 	}
 	return &flowState{cfg: cfg, n: cfg.Netlist}, nil
+}
+
+// CheckFlowParams refuses a pattern count or aging horizon that no flow
+// can run: a negative count, or a horizon that is negative, NaN or
+// infinite. Zero stays valid for both: zero patterns means the default
+// count and zero years no aging. RunStages and campaign.Matrix.Expand
+// both call it, so a flow and a campaign refuse the same values.
+func CheckFlowParams(patterns int, years float64) error {
+	if patterns < 0 {
+		return fmt.Errorf("core: negative pattern count %d", patterns)
+	}
+	if years < 0 || math.IsNaN(years) || math.IsInf(years, 0) {
+		return fmt.Errorf("core: aging horizon %g years is negative or not finite", years)
+	}
+	return nil
 }
 
 func (st *flowState) faultList() fault.List {

@@ -296,17 +296,18 @@ func SequentialRun(n *netlist.Netlist, faults fault.List, stimuli []logic.Vector
 // timeFrames is the compiled time-frame engine behind SequentialRun and
 // the transient injectors. It holds the golden per-cycle primary outputs
 // and final flip-flop state of one stimulus set, computed once, and one
-// reused faulty value array that every run restarts from the all-zero
-// reset state on the shared sim.Compiled.
+// reused faulty machine that every run restarts from the all-zero reset
+// state. The machine is a sim.Packed whose every slot holds the same
+// value: its words compute 0/1/X exactly as scalar values do, and two
+// words are equal exactly when their values are.
 type timeFrames struct {
 	c       *sim.Compiled
+	m       *sim.Packed // the faulty machine
 	n       *netlist.Netlist
 	stimuli []logic.Vector
-	outs    []logic.V // golden primary outputs, cycle-major
-	state   []logic.V // golden flip-flop state after the last cycle
-	vals    []logic.V // the faulty machine, indexed by gate ID
-	next    []logic.V // D values sampled at the clock edge
-	scratch []logic.V
+	outs    []logic.Word // golden primary outputs, cycle-major
+	state   []logic.Word // golden flip-flop state after the last cycle
+	next    []logic.Word // D values sampled at the clock edge
 }
 
 // faultFree drives the golden machine: a transient that is never
@@ -319,35 +320,34 @@ func newTimeFrames(n *netlist.Netlist, stimuli []logic.Vector) (*timeFrames, err
 		return nil, err
 	}
 	e := &timeFrames{
-		c: c, n: n, stimuli: stimuli,
-		outs:    make([]logic.V, 0, len(stimuli)*len(n.Outputs)),
-		state:   make([]logic.V, len(n.DFFs)),
-		vals:    make([]logic.V, n.NumGates()),
-		next:    make([]logic.V, len(n.DFFs)),
-		scratch: c.NewValueScratch(),
+		c: c, m: c.NewPacked(), n: n, stimuli: stimuli,
+		outs:  make([]logic.Word, 0, len(stimuli)*len(n.Outputs)),
+		state: make([]logic.Word, len(n.DFFs)),
+		next:  make([]logic.Word, len(n.DFFs)),
 	}
 	e.reset()
 	for cyc := range stimuli {
 		e.stepFrame(faultFree, cyc, false)
 		for _, id := range n.Outputs {
-			e.outs = append(e.outs, e.vals[id])
+			e.outs = append(e.outs, e.m.Word(id))
 		}
 		e.latch(faultFree)
 	}
 	for i, id := range n.DFFs {
-		e.state[i] = e.vals[id]
+		e.state[i] = e.m.Word(id)
 	}
 	return e, nil
 }
 
-// reset puts the faulty machine in its power-on state: flip-flops at
-// zero, every other gate X.
+// reset puts the faulty machine in its power-on state: inputs X and
+// flip-flops zero. Every other gate is recomputed before anything reads
+// it.
 func (e *timeFrames) reset() {
-	for i := range e.vals {
-		e.vals[i] = logic.X
+	for _, id := range e.n.Inputs {
+		e.m.SetWord(int32(id), logic.WordAll(logic.X))
 	}
-	for _, id := range e.n.DFFs {
-		e.vals[id] = logic.Zero
+	for i := range e.n.DFFs {
+		e.m.SetStateWord(i, logic.WordAll(logic.Zero))
 	}
 }
 
@@ -361,14 +361,14 @@ func (e *timeFrames) run(f fault.Fault, inj int) (TransientOutcome, int) {
 	for cyc := range e.stimuli {
 		e.stepFrame(f, cyc, cyc == inj)
 		for i, id := range e.n.Outputs {
-			if e.vals[id] != e.outs[cyc*width+i] {
+			if e.m.Word(id) != e.outs[cyc*width+i] {
 				return SDC, cyc + 1
 			}
 		}
 		e.latch(f)
 	}
 	for i, id := range e.n.DFFs {
-		if e.vals[id] != e.state[i] {
+		if e.m.Word(id) != e.state[i] {
 			return Latent, len(e.stimuli)
 		}
 	}
@@ -380,25 +380,25 @@ func (e *timeFrames) run(f fault.Fault, inj int) (TransientOutcome, int) {
 // only held state keeps the flip); a SET re-runs the cycle with its site
 // forced to the inverse of the value it just settled to.
 func (e *timeFrames) stepFrame(f fault.Fault, cyc int, inject bool) {
-	v := e.vals
+	m := e.m
 	if inject && f.Kind == fault.SEU {
-		v[f.Gate] = logic.Not(v[f.Gate])
+		m.SetWord(int32(f.Gate), logic.NotW(m.Word(f.Gate)))
 	}
 	// Short vectors leave the remaining inputs untouched.
 	for i, x := range e.stimuli[cyc] {
 		if i >= len(e.n.Inputs) {
 			break
 		}
-		v[e.n.Inputs[i]] = x
+		m.SetWord(int32(e.n.Inputs[i]), logic.WordAll(x))
 	}
 	switch {
 	case f.Kind == fault.StuckAt:
-		e.c.RunVWithFault(v, e.scratch, sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
+		m.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: f.Pin, SA: f.Value})
 	case inject && f.Kind == fault.SET:
-		e.c.RunV(v)
-		e.c.RunVWithFault(v, e.scratch, sim.FaultSite{Gate: f.Gate, Pin: -1, SA: logic.Not(v[f.Gate])})
+		m.Run()
+		m.RunWithFault(sim.FaultSite{Gate: f.Gate, Pin: -1, SA: logic.Not(m.Word(f.Gate).Get(0))})
 	default:
-		e.c.RunV(v)
+		m.Run()
 	}
 }
 
@@ -407,12 +407,12 @@ func (e *timeFrames) stepFrame(f fault.Fault, cyc int, inject bool) {
 func (e *timeFrames) latch(f fault.Fault) {
 	for i, id := range e.n.DFFs {
 		if f.Kind == fault.StuckAt && id == f.Gate && f.Pin == 0 {
-			e.next[i] = f.Value
+			e.next[i] = logic.WordAll(f.Value)
 		} else {
-			e.next[i] = e.vals[e.n.Gate(id).Fanin[0]]
+			e.next[i] = e.m.Word(e.n.Gate(id).Fanin[0])
 		}
 	}
-	for i, id := range e.n.DFFs {
-		e.vals[id] = e.next[i]
+	for i, w := range e.next {
+		e.m.SetStateWord(i, w)
 	}
 }

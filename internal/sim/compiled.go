@@ -52,7 +52,7 @@ type Compiled struct {
 	inputs    []int32  // primary input gate IDs in declaration order
 	outputs   []int32  // primary output gate IDs in declaration order
 	dffs      []int32  // DFF gate IDs in declaration order
-	identity  []int32  // 0..maxFanin-1: evaluates gathered values through evalOp{W,V}
+	identity  []int32  // 0..maxFanin-1: evaluates gathered values through evalOp{W,B}
 	maxFanin  int
 }
 
@@ -297,147 +297,6 @@ func (c *Compiled) evalOpVals(op opcode, vals []logic.Word) logic.Word {
 	return evalOpW(op, c.identity[:len(vals)], vals)
 }
 
-// evalOpV is the scalar mirror of evalOpW: one gate evaluated from the
-// four-valued value array by index. Kept concrete (not generic) so the
-// tiny logic ops inline into the switch — a generic kernel pays a
-// dictionary-dispatched call per operand, which is measurable in the
-// PODEM implication loop.
-func evalOpV(op opcode, fan []int32, vals []logic.V) logic.V {
-	switch op {
-	case opAnd2:
-		return logic.And(vals[fan[0]], vals[fan[1]])
-	case opNand2:
-		return logic.Not(logic.And(vals[fan[0]], vals[fan[1]]))
-	case opOr2:
-		return logic.Or(vals[fan[0]], vals[fan[1]])
-	case opNor2:
-		return logic.Not(logic.Or(vals[fan[0]], vals[fan[1]]))
-	case opXor2:
-		return logic.Xor(vals[fan[0]], vals[fan[1]])
-	case opXnor2:
-		return logic.Not(logic.Xor(vals[fan[0]], vals[fan[1]]))
-	case opBuf:
-		return logic.Buf(vals[fan[0]])
-	case opNot:
-		return logic.Not(vals[fan[0]])
-	case opMux:
-		return logic.Mux(vals[fan[0]], vals[fan[1]], vals[fan[2]])
-	case opAndN, opNandN:
-		acc := vals[fan[0]]
-		for _, f := range fan[1:] {
-			acc = logic.And(acc, vals[f])
-		}
-		if op == opNandN {
-			acc = logic.Not(acc)
-		}
-		return acc
-	case opOrN, opNorN:
-		acc := vals[fan[0]]
-		for _, f := range fan[1:] {
-			acc = logic.Or(acc, vals[f])
-		}
-		if op == opNorN {
-			acc = logic.Not(acc)
-		}
-		return acc
-	case opXorN, opXnorN:
-		acc := vals[fan[0]]
-		for _, f := range fan[1:] {
-			acc = logic.Xor(acc, vals[f])
-		}
-		if op == opXnorN {
-			acc = logic.Not(acc)
-		}
-		return acc
-	}
-	panic(unhandledOpcode(op))
-}
-
-// evalOpValsV is the scalar mirror of evalOpVals: one gate evaluated
-// from already-gathered positional fanin values, through evalOpV and
-// the identity index slice.
-func (c *Compiled) evalOpValsV(op opcode, vals []logic.V) logic.V {
-	return evalOpV(op, c.identity[:len(vals)], vals)
-}
-
-// RunV performs one fault-free scalar pass over values (indexed by gate
-// ID; inputs and DFF slots are consumed as-is) — the compiled engine
-// behind Evaluator.Run and every scalar analysis pass (aging signal
-// probabilities, formal equivalence sweeps, sequential golden machines).
-func (c *Compiled) RunV(values []logic.V) {
-	fanin, off := c.fanin, c.faninOff
-	for _, id := range c.schedule {
-		values[id] = evalOpV(c.code[id], fanin[off[id]:off[id+1]], values)
-	}
-}
-
-// RunVWithFault is the scalar twin of Packed.RunWithFault: one pass
-// over values with a stuck-at fault injected. An output fault forces the
-// site's value (an Input/DFF site up front, since it is never
-// recomputed); a pin fault makes only the faulty gate observe the stuck
-// value on that pin. scratch must hold at least maxFanin values (use
-// NewValueScratch). A DFF D-pin fault acts only at latch time, which is
-// the caller's clocking.
-func (c *Compiled) RunVWithFault(values, scratch []logic.V, f FaultSite) {
-	fg := int32(f.Gate)
-	if f.Pin < 0 && c.code[fg] == opHold {
-		values[fg] = f.SA
-	}
-	fanin, off := c.fanin, c.faninOff
-	for _, id := range c.schedule {
-		fan := fanin[off[id]:off[id+1]]
-		if id == fg {
-			values[id] = c.evalOpFaultedV(c.code[id], fan, values, scratch, f)
-		} else {
-			values[id] = evalOpV(c.code[id], fan, values)
-		}
-	}
-}
-
-// evalOpFaultedV evaluates the fault-site gate of a scalar fault pass:
-// an output fault yields the stuck value (every reader sees it), a pin
-// fault makes only that pin observe the stuck value, even when the same
-// net feeds several pins of the gate. scratch must hold at least
-// maxFanin values.
-func (c *Compiled) evalOpFaultedV(op opcode, fan []int32, values, scratch []logic.V, f FaultSite) logic.V {
-	if f.Pin < 0 {
-		return f.SA
-	}
-	vals := scratch[:len(fan)]
-	for i, fi := range fan {
-		vals[i] = values[fi]
-	}
-	vals[f.Pin] = f.SA
-	return c.evalOpValsV(op, vals)
-}
-
-// NewValueScratch allocates the gather buffer the scalar fault passes
-// use for positional fanin values.
-func (c *Compiled) NewValueScratch() []logic.V { return make([]logic.V, c.maxFanin) }
-
-// EvalGateV evaluates the single combinational gate id from the value
-// array vals and returns its value without storing it. It is the gate
-// step of PODEM's event-driven implication outside the fault's cone,
-// where the faulty machine equals the good one.
-func (c *Compiled) EvalGateV(id int32, vals []logic.V) logic.V {
-	return evalOpV(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], vals)
-}
-
-// EvalDualWithFault evaluates the single combinational gate id in a good
-// machine gv and a faulty machine fv with the stuck-at applied as
-// RunVWithFault applies it (an output fault yields the stuck value, a
-// pin fault forces only that pin's observed value), and returns both
-// values without storing them. It is the gate step of PODEM's
-// event-driven implication inside the fault's cone.
-func (c *Compiled) EvalDualWithFault(id int32, gv, fv, scratch []logic.V, f FaultSite) (good, faulty logic.V) {
-	op, fan := c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]]
-	good = evalOpV(op, fan, gv)
-	if id == int32(f.Gate) {
-		return good, c.evalOpFaultedV(op, fan, fv, scratch, f)
-	}
-	return good, evalOpV(op, fan, fv)
-}
-
 // Schedule returns the levelized evaluation schedule, the combinational
 // gate IDs in (level, id) order, as a read-only view. Every gate sits
 // after all of its fanins, so an event-driven pass can order its events
@@ -454,11 +313,10 @@ func (c *Compiled) Fanin(id int) []int32 { return c.fanin[c.faninOff[id]:c.fanin
 // faulty overlay) queue readers in this order.
 func (c *Compiled) Fanout(id int) []int32 { return c.fanout[c.fanoutOff[id]:c.fanoutOff[id+1]] }
 
-// evalOpFaultedW evaluates the fault-site gate of a word pass, as
-// evalOpFaultedV does for a scalar one: an output fault yields the stuck
-// value in every slot, a pin fault makes only that pin observe it, even
-// when the same net feeds several pins of the gate. scratch must hold
-// at least maxFanin words.
+// evalOpFaultedW evaluates the fault-site gate of a word pass: an output
+// fault yields the stuck value in every slot, a pin fault makes only
+// that pin observe it, even when the same net feeds several pins of the
+// gate. scratch must hold at least maxFanin words.
 func (c *Compiled) evalOpFaultedW(op opcode, fan []int32, words, scratch []logic.Word, f FaultSite) logic.Word {
 	if f.Pin < 0 {
 		return logic.WordAll(f.SA)

@@ -48,10 +48,10 @@ func loadBlock(t *testing.T, p *Packed, patterns []logic.Vector, states []logic.
 
 // TestCompiledMatchesInterpretedOnRegistry is the registry-wide
 // differential test of the compiled machine against the interpreted
-// oracles and the scalar engine: for every circuit, over random X-laden
-// pattern blocks, the compiled full pass must equal the interpreted full
-// pass word-for-word on every gate, and the scalar evaluator must agree
-// with both on every pattern slot.
+// oracles: for every circuit, over random X-laden pattern blocks, the
+// compiled full pass must equal the interpreted full pass word-for-word
+// on every gate, and the Evaluator must agree with the interpreted
+// scalar pass and with the packed pass on every pattern slot.
 func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, name := range circuits.Names() {
@@ -89,31 +89,30 @@ func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 			}
 		}
 
-		// Scalar engine vs packed slots, plus its own interpreted oracle.
+		// Evaluator vs packed slots, plus the interpreted scalar oracle.
 		ev, err := New(n)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		evOracle, err := New(n)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		oracle := make([]logic.V, n.NumGates())
 		for k := range patterns {
 			ev.SetInputs(patterns[k])
-			evOracle.SetInputs(patterns[k])
-			for di := range n.DFFs {
+			for i, id := range n.Inputs {
+				oracle[id] = patterns[k][i]
+			}
+			for di, id := range n.DFFs {
 				ev.SetState(di, states[k][di])
-				evOracle.SetState(di, states[k][di])
+				oracle[id] = states[k][di]
 			}
 			ev.Run()
-			evOracle.runInterpreted()
+			runInterpretedV(compiled.c, oracle)
 			for id := 0; id < n.NumGates(); id++ {
-				if ev.Value(id) != evOracle.Value(id) {
-					t.Fatalf("%s: pattern %d gate %q: scalar compiled %v != interpreted %v",
-						name, k, n.Gate(id).Name, ev.Value(id), evOracle.Value(id))
+				if ev.Value(id) != oracle[id] {
+					t.Fatalf("%s: pattern %d gate %q: Evaluator %v != interpreted %v",
+						name, k, n.Gate(id).Name, ev.Value(id), oracle[id])
 				}
 				if got := compiled.Word(id).Get(uint(k)); got != ev.Value(id) {
-					t.Fatalf("%s: pattern %d gate %q: packed slot %v != scalar %v",
+					t.Fatalf("%s: pattern %d gate %q: packed slot %v != Evaluator %v",
 						name, k, n.Gate(id).Name, got, ev.Value(id))
 				}
 			}
@@ -122,10 +121,9 @@ func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 }
 
 // TestCompiledFaultPassesMatchInterpretedOnRegistry pins the compiled
-// faulty passes — full RunWithFault, its scalar twin RunVWithFault, the
-// cone evaluation loop, and the aligned fused cone pass — to the
-// interpreted oracles over sampled stuck-at sites of every registry
-// circuit.
+// faulty passes — full RunWithFault, the cone evaluation loop, and the
+// aligned fused cone pass — to the interpreted oracles over sampled
+// stuck-at sites of every registry circuit.
 func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, name := range circuits.Names() {
@@ -168,27 +166,6 @@ func TestCompiledFaultPassesMatchInterpretedOnRegistry(t *testing.T) {
 				if got := good.EvalGateFaulted(site); got != badC.Word(f.Gate) {
 					t.Fatalf("%s: fault %d: EvalGateFaulted %+v != RunWithFault %+v",
 						name, fi, got, badC.Word(f.Gate))
-				}
-			}
-
-			// The scalar faulty pass must equal every slot of the packed one.
-			vals, scratch := make([]logic.V, n.NumGates()), badC.c.NewValueScratch()
-			for k := range patterns {
-				for id := range vals {
-					vals[id] = logic.X
-				}
-				for i, id := range n.Inputs {
-					vals[id] = patterns[k][i]
-				}
-				for di, id := range n.DFFs {
-					vals[id] = states[k][di]
-				}
-				badC.c.RunVWithFault(vals, scratch, site)
-				for id := range vals {
-					if got := badC.Word(id).Get(uint(k)); got != vals[id] {
-						t.Fatalf("%s: fault %d pattern %d gate %q: RunVWithFault %v != packed slot %v",
-							name, fi, k, n.Gate(id).Name, vals[id], got)
-					}
 				}
 			}
 
@@ -302,10 +279,10 @@ func TestRunConeAlignedMaskMatchesInterpretedOnRegistry(t *testing.T) {
 	}
 }
 
-// TestKernelVariantsAgree pins the four evaluation kernels — the shared
-// generic interpreter (through EvalGate / EvalGateWithPin / evalGateW /
-// evalGateWPin) and the compiled scalar and word kernels — to each
-// other on every gate type and arity, over random X-laden values.
+// TestKernelVariantsAgree pins the compiled word kernel, indexed and
+// over gathered values with and without a pin override, to the shared
+// generic interpreter (through evalGateW / evalGateWPin) on every gate
+// type and arity, over random X-laden words.
 func TestKernelVariantsAgree(t *testing.T) {
 	n := netlist.New("kernel")
 	var ins []int
@@ -343,33 +320,22 @@ func TestKernelVariantsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	vals := make([]logic.V, n.NumGates())
+	randWord := func() logic.Word {
+		var w logic.Word
+		for k := uint(0); k < 64; k++ {
+			w = w.Set(k, logic.V(rng.Intn(3)))
+		}
+		return w
+	}
 	words := make([]logic.Word, n.NumGates())
-	scratchV := c.NewValueScratch()
 	scratchW := c.newScratch()
 	for round := 0; round < 200; round++ {
 		for _, id := range ins {
-			vals[id] = logic.V(rng.Intn(4)) // includes Z
-			var w logic.Word
-			for k := uint(0); k < 64; k++ {
-				w = w.Set(k, logic.V(rng.Intn(3)))
-			}
-			words[id] = w
+			words[id] = randWord()
 		}
 		for gi, id := range gates {
 			g := n.Gate(id)
-			getV := func(i int) logic.V { return vals[i] }
 			getW := func(i int) logic.Word { return words[i] }
-			if got, want := evalOpV(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], vals), EvalGate(g, getV); got != want {
-				t.Fatalf("spec %d: compiled scalar %v != generic %v", gi, got, want)
-			}
-			gathered := scratchV[:len(g.Fanin)]
-			for i, fi := range g.Fanin {
-				gathered[i] = vals[fi]
-			}
-			if got, want := c.evalOpValsV(c.code[id], gathered), EvalGate(g, getV); got != want {
-				t.Fatalf("spec %d: compiled gathered scalar %v != generic %v", gi, got, want)
-			}
 			if got, want := evalOpW(c.code[id], c.fanin[c.faninOff[id]:c.faninOff[id+1]], words), evalGateW(g, getW); got != want {
 				t.Fatalf("spec %d: compiled word %+v != generic %+v", gi, got, want)
 			}
@@ -380,12 +346,12 @@ func TestKernelVariantsAgree(t *testing.T) {
 			if got, want := c.evalOpVals(c.code[id], gatheredW), evalGateW(g, getW); got != want {
 				t.Fatalf("spec %d: compiled gathered word %+v != generic %+v", gi, got, want)
 			}
-			// Pin-override variants.
+			// Pin-override variant.
 			pin := rng.Intn(len(g.Fanin))
-			pv := logic.V(rng.Intn(3))
-			gathered[pin] = pv
-			if got, want := c.evalOpValsV(c.code[id], gathered), EvalGateWithPin(g, getV, pin, pv); got != want {
-				t.Fatalf("spec %d pin %d: compiled scalar pin %v != generic %v", gi, pin, got, want)
+			pv := randWord()
+			gatheredW[pin] = pv
+			if got, want := c.evalOpVals(c.code[id], gatheredW), evalGateWPin(g, getW, pin, pv); got != want {
+				t.Fatalf("spec %d pin %d: compiled word pin %+v != generic %+v", gi, pin, got, want)
 			}
 		}
 	}

@@ -93,19 +93,6 @@ func EvalGate(g *netlist.Gate, get func(int) logic.V) logic.V {
 	})
 }
 
-// EvalGateWithPin computes g's output where exactly the pin-th fanin sees
-// pinVal and every other fanin sees its true value from get. The
-// distinction matters when one driver feeds several pins of the same
-// gate: only the faulted pin is overridden.
-func EvalGateWithPin(g *netlist.Gate, get func(int) logic.V, pin int, pinVal logic.V) logic.V {
-	return evalKernel(scalarOps{}, g.Type, len(g.Fanin), func(i int) logic.V {
-		if i == pin {
-			return pinVal
-		}
-		return get(g.Fanin[i])
-	})
-}
-
 // evalGateW computes the packed output of gate g via get.
 func evalGateW(g *netlist.Gate, get func(int) logic.Word) logic.Word {
 	if g.Type == netlist.Input || g.Type == netlist.DFF {
@@ -127,13 +114,13 @@ func evalGateWPin(g *netlist.Gate, getTrue func(int) logic.Word, pin int, pinVal
 	})
 }
 
-// runInterpreted is the interpreted scalar full pass; results are
-// bit-identical to Run.
-func (e *Evaluator) runInterpreted() {
-	get := func(id int) logic.V { return e.values[id] }
-	for _, sid := range e.c.schedule {
+// runInterpretedV is the interpreted scalar full pass over values,
+// indexed by gate ID; results are bit-identical to Evaluator.Run.
+func runInterpretedV(c *Compiled, values []logic.V) {
+	get := func(id int) logic.V { return values[id] }
+	for _, sid := range c.schedule {
 		id := int(sid)
-		e.values[id] = EvalGate(e.N.Gate(id), get)
+		values[id] = EvalGate(c.N.Gate(id), get)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 )
 
 // Packed is a 64-way parallel-pattern simulator: every gate holds a
-// logic.Word carrying 64 independent pattern slots. It is the workhorse
-// of the fault-simulation engine.
+// logic.Word carrying 64 independent slots. It is the workhorse of
+// fault simulation, and PODEM implication, the time-frame engine and
+// the Evaluator run on it too, since a slot computes 0/1/X exactly as a
+// scalar logic.V does.
 //
 // A Packed is a thin view over the netlist's shared Compiled machine:
 // it owns only its word-state array (and a small fanin gather buffer),
@@ -123,7 +125,8 @@ func (p *Packed) SetWord(id int32, w logic.Word) { p.words[id] = w }
 // establishing the alignment invariant RunConeWithAlarms and slicing's
 // overlay rely on: p's words equal good's everywhere outside a faulty
 // pass. One AlignTo per completed good pass amortises over every fault
-// simulated against it.
+// simulated against it. PODEM uses the same copy to restart its search
+// machine from an all-X one.
 func (p *Packed) AlignTo(good *Packed) { copy(p.words, good.words) }
 
 // RunConeWithAlarms is the hot-path cone pass over an aligned machine.

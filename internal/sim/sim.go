@@ -1,8 +1,10 @@
-// Package sim implements gate-level logic simulation over netlists: a
-// four-valued full-pass scalar simulator used by ATPG and sequential
-// analysis, and a 64-pattern parallel packed simulator used by
-// fault simulation. DFF semantics are synchronous: a Step evaluates the
-// combinational logic, then latches all D pins simultaneously.
+// Package sim implements gate-level logic simulation over netlists on
+// one compiled machine: the 64-pattern packed word simulator (Packed)
+// that PODEM implication, the time-frame engine and fault simulation
+// run on, its 256-pattern wide form (PackedBlock), and the four-valued
+// Evaluator, a one-slot view of a Packed for vector-at-a-time callers.
+// DFF semantics are synchronous: a Step evaluates the combinational
+// logic, then latches all D pins simultaneously.
 package sim
 
 import (
@@ -10,33 +12,28 @@ import (
 	"rescue/internal/netlist"
 )
 
-// Evaluator is a scalar four-valued simulator. Like Packed, it is a
-// thin view over the netlist's shared Compiled machine: it owns only
-// its value array.
+// Evaluator is a four-valued simulator of one vector at a time: a
+// one-slot view of a Packed over the netlist's shared Compiled machine,
+// whose words compute 0/1/X exactly as logic.V does. Every value is
+// written to all 64 slots and read from slot 0. A word has no Z plane,
+// so a Z written to an input or flip-flop reads back as X, which is how
+// every gate already reads it.
 type Evaluator struct {
-	N      *netlist.Netlist
-	c      *Compiled
-	values []logic.V
+	N *netlist.Netlist
+	p *Packed
 }
 
 // New constructs an Evaluator. All values start at X.
 func New(n *netlist.Netlist) (*Evaluator, error) {
-	c, err := Compile(n)
+	p, err := NewPacked(n)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]logic.V, n.NumGates())
-	for i := range vals {
-		vals[i] = logic.X
-	}
-	return &Evaluator{N: n, c: c, values: vals}, nil
+	return &Evaluator{N: n, p: p}, nil
 }
 
-// Compiled returns the shared compiled machine this evaluator executes.
-func (e *Evaluator) Compiled() *Compiled { return e.c }
-
 // Value returns the current value of the gate with the given ID.
-func (e *Evaluator) Value(id int) logic.V { return e.values[id] }
+func (e *Evaluator) Value(id int) logic.V { return e.p.Word(id).Get(0) }
 
 // SetInputs assigns all primary inputs from a vector. Short vectors leave
 // the remaining inputs untouched.
@@ -45,19 +42,17 @@ func (e *Evaluator) SetInputs(vec logic.Vector) {
 		if i >= len(e.N.Inputs) {
 			break
 		}
-		e.values[e.N.Inputs[i]] = v
+		e.p.SetWord(int32(e.N.Inputs[i]), logic.WordAll(v))
 	}
 }
 
 // SetState assigns the idx-th flip-flop's present state (Q value).
-func (e *Evaluator) SetState(idx int, v logic.V) {
-	e.values[e.N.DFFs[idx]] = v
-}
+func (e *Evaluator) SetState(idx int, v logic.V) { e.p.SetStateWord(idx, logic.WordAll(v)) }
 
 // ResetState sets every flip-flop to the given value.
 func (e *Evaluator) ResetState(v logic.V) {
-	for _, id := range e.N.DFFs {
-		e.values[id] = v
+	for i := range e.N.DFFs {
+		e.SetState(i, v)
 	}
 }
 
@@ -65,7 +60,7 @@ func (e *Evaluator) ResetState(v logic.V) {
 func (e *Evaluator) State() logic.Vector {
 	out := make(logic.Vector, len(e.N.DFFs))
 	for i, id := range e.N.DFFs {
-		out[i] = e.values[id]
+		out[i] = e.Value(id)
 	}
 	return out
 }
@@ -73,16 +68,10 @@ func (e *Evaluator) State() logic.Vector {
 // Run performs one full combinational pass in topological order on the
 // compiled machine. Inputs and DFF states are consumed as-is; every
 // other gate is recomputed.
-func (e *Evaluator) Run() { e.c.RunV(e.values) }
+func (e *Evaluator) Run() { e.p.Run() }
 
 // Outputs returns the current primary output values.
-func (e *Evaluator) Outputs() logic.Vector {
-	out := make(logic.Vector, len(e.N.Outputs))
-	for i, id := range e.N.Outputs {
-		out[i] = e.values[id]
-	}
-	return out
-}
+func (e *Evaluator) Outputs() logic.Vector { return e.p.OutputVector(0) }
 
 // Eval runs one combinational pass for the given input vector and returns
 // the primary outputs. Flip-flop states are left untouched.
@@ -100,12 +89,12 @@ func (e *Evaluator) Step(inputs logic.Vector) logic.Vector {
 	e.SetInputs(inputs)
 	e.Run()
 	out := e.Outputs()
-	next := make([]logic.V, len(e.N.DFFs))
+	next := make([]logic.Word, len(e.N.DFFs))
 	for i, id := range e.N.DFFs {
-		next[i] = e.values[e.N.Gate(id).Fanin[0]]
+		next[i] = e.p.Word(e.N.Gate(id).Fanin[0])
 	}
-	for i, id := range e.N.DFFs {
-		e.values[id] = next[i]
+	for i, w := range next {
+		e.p.SetStateWord(i, w)
 	}
 	return out
 }

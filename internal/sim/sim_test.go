@@ -293,6 +293,42 @@ func TestUnknownPropagation(t *testing.T) {
 	}
 }
 
+// TestEvaluatorReadsZAsX pins the one way the Evaluator differs from a
+// scalar value array: its values live in packed words, which have no Z
+// plane, so a Z written to an input or a flip-flop reads back as X. A
+// gate already reads a Z fanin as X, so every computed value equals the
+// one an X write gives.
+func TestEvaluatorReadsZAsX(t *testing.T) {
+	n := circuits.S27()
+	withZ, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withX, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(logic.Vector, len(n.Inputs))
+	in[0] = logic.Z
+	withZ.SetState(0, logic.Z)
+	withZ.Eval(in)
+	in[0] = logic.X
+	withX.SetState(0, logic.X)
+	withX.Eval(in)
+	if got := withZ.Value(n.Inputs[0]); got != logic.X {
+		t.Errorf("input written Z reads back %v, want X", got)
+	}
+	if got := withZ.State()[0]; got != logic.X {
+		t.Errorf("flip-flop written Z reads back %v, want X", got)
+	}
+	for id := 0; id < n.NumGates(); id++ {
+		if withZ.Value(id) != withX.Value(id) {
+			t.Errorf("gate %q: %v after a Z write, %v after an X write",
+				n.Gate(id).Name, withZ.Value(id), withX.Value(id))
+		}
+	}
+}
+
 func TestPackedMatchesScalar(t *testing.T) {
 	for _, build := range []func() *netlist.Netlist{
 		circuits.C17,

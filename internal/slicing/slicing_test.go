@@ -211,11 +211,13 @@ func newRefOverlay(n *netlist.Netlist, good *sim.Packed) *refOverlay {
 		qlen:     make([]int32, n.MaxLevel()+1),
 		queue:    make([]int32, ng),
 		isOutput: make([]bool, ng),
-		vals:     c.NewValueScratch(),
 	}
+	maxFanin := 0
 	for id := 0; id < ng; id++ {
 		o.levelOff[n.Gate(id).Level+1]++
+		maxFanin = max(maxFanin, len(n.Gate(id).Fanin))
 	}
+	o.vals = make([]logic.V, maxFanin)
 	for l := 1; l < len(o.levelOff); l++ {
 		o.levelOff[l] += o.levelOff[l-1]
 	}
