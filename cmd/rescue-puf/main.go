@@ -15,6 +15,10 @@ import (
 	"rescue/internal/puf"
 )
 
+// keyBits is the fuzzy extractor's key length: each key bit takes rep
+// cells of one device.
+const keyBits = 128
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rescue-puf: ")
@@ -24,6 +28,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "manufacturing seed")
 	rep := flag.Int("rep", 7, "fuzzy-extractor repetition factor")
 	flag.Parse()
+	if *devices < 2 {
+		log.Fatalf("-devices must be at least 2 for inter-device uniqueness and the cross-device check, got %d", *devices)
+	}
 
 	var model puf.Model
 	switch *tech {
@@ -35,6 +42,10 @@ func main() {
 		log.Fatalf("unknown technology %q", *tech)
 	}
 	model.Seed = *seed
+	if *rep < 1 || *rep > model.Cells/keyBits {
+		log.Fatalf("-rep must be 1 to %d: a %d-bit key at that repetition must fit in %d cells, got %d",
+			model.Cells/keyBits, keyBits, model.Cells, *rep)
+	}
 
 	var pop []*puf.Device
 	for i := 0; i < *devices; i++ {
@@ -48,10 +59,10 @@ func main() {
 	fmt.Printf("uniqueness    inter-HD %.4f over %d devices (ideal 0.5)\n", puf.InterHD(pop), len(pop))
 	fmt.Printf("min-entropy   %.4f bits/cell\n", puf.MinEntropyPerBit(pop))
 
-	e := puf.Enroll(d0, 128, *rep, 99)
+	e := puf.Enroll(d0, keyBits, *rep, 99)
 	fail := puf.KeyFailureRate(d0, e, *temp, 200, 5)
-	fmt.Printf("fuzzy extractor: 128-bit key, %d-repetition, failure rate %.4f\n", *rep, fail)
-	if _, ok := puf.Reconstruct(pop[1%len(pop)], e, *temp, 1); ok && len(pop) > 1 {
+	fmt.Printf("fuzzy extractor: %d-bit key, %d-repetition, failure rate %.4f\n", keyBits, *rep, fail)
+	if _, ok := puf.Reconstruct(pop[1], e, *temp, 1); ok {
 		fmt.Println("WARNING: another device reconstructed the key")
 	} else {
 		fmt.Println("cross-device reconstruction correctly fails")

@@ -25,6 +25,13 @@ func main() {
 	keyByte := flag.Int("key", 0xA7, "secret key byte for CPA")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	flag.Parse()
+	if *traces < 2 {
+		// One trace has no variance: CPA would rank every key guess equal.
+		log.Fatalf("-traces must be at least 2, got %d", *traces)
+	}
+	if *keyByte < 0 || *keyByte > 255 {
+		log.Fatalf("-key must be a byte value, 0 to 255, got %d", *keyByte)
+	}
 
 	secret, err := hex.DecodeString(*secretHex)
 	if err != nil || len(secret) == 0 {

@@ -60,8 +60,9 @@ var hotFuncs = map[string]hotSpec{
 	},
 	"rescue/internal/atpg": {
 		// PODEM's per-decision work: event-driven implication (imply,
-		// its event loop and the two enqueues), the single D-frontier
-		// scan, the X-path search and the state classification.
+		// its event loop and the two enqueues), the D-frontier walk
+		// (scanFrontier), the X-path search and the state
+		// classification.
 		exact: map[string]bool{
 			"imply": true, "propagate": true, "enqueue": true, "enqueueFanout": true,
 			"scanFrontier": true, "xPathExists": true, "state": true,

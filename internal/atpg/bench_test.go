@@ -15,11 +15,13 @@ import (
 // backtracks are deterministic (identical at every parallelism level),
 // and so is imply_evals, the implication gate evaluations of one
 // classification; ns/op and flows_per_sec track the realised
-// wall-clock. The drop-vs-nodrop sub-benchmark on mul8 prints both PODEM
-// call counts — the figure fault dropping exists to shrink — and fails
-// if dropping ever stops paying. Every flow and classification runs on a
-// fresh copy of the netlist, made outside the timer, so it searches
-// instead of recalling an earlier iteration's PODEM verdicts.
+// wall-clock, and ns/imply_eval divides a classification's time by its
+// implication evals, the PODEM layer's cost per unit of its work. The
+// drop-vs-nodrop sub-benchmark on mul8 prints both PODEM call counts —
+// the figure fault dropping exists to shrink — and fails if dropping
+// ever stops paying. Every flow and classification runs on a fresh copy
+// of the netlist, made outside the timer, so it searches instead of
+// recalling an earlier iteration's PODEM verdicts.
 func BenchmarkATPG(b *testing.B) {
 	for _, name := range circuits.Names() {
 		n := combRegistry(b, name)
@@ -37,8 +39,10 @@ func BenchmarkATPG(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			evals = obsImplyEvals.Value() - evals
 			b.ReportMetric(float64(cls.Backtracks), "backtracks")
-			b.ReportMetric(float64(obsImplyEvals.Value()-evals)/float64(b.N), "imply_evals")
+			b.ReportMetric(float64(evals)/float64(b.N), "imply_evals")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/imply_eval")
 		})
 		for _, mode := range []struct {
 			tag     string

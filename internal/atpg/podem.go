@@ -76,8 +76,12 @@ const DefaultBacktrackLimit = 20000
 // fanout cone, seeded at the fault site. After that every piVal write
 // goes through setPI, which records the input as dirty, and imply
 // re-evaluates only the fanout of the dirty inputs whose values changed,
-// in schedule order. The faulty machine can differ from the good one only
-// inside the cone, so the state checks walk the cone alone.
+// in schedule order. The queue is keyed by rank, a gate's schedule
+// position, which the compiled machine stores once per netlist beside
+// its fanout arena. The faulty machine can differ from the good one only
+// inside the cone, so detection reads the cone's outputs alone, and the
+// D-frontier check walks only the gates that carry a D, out from the
+// cone's root.
 type Engine struct {
 	n       *netlist.Netlist
 	c       *sim.Compiled // shared compiled machine driving imply
@@ -94,7 +98,6 @@ type Engine struct {
 	// schedule (sched). Words lo..hi may hold set bits; the marks are
 	// reset whenever the queue drains.
 	sched   []int32 // rank -> gate ID
-	rank    []int32 // gate ID -> rank; unused for inputs, never queued
 	pending []uint64
 	lo, hi  int
 
@@ -103,10 +106,10 @@ type Engine struct {
 	ndirty  int
 	piDirty []bool
 
-	frontier []int32  // D-frontier of the current assignment, in cone order
-	seen     []uint32 // xPathExists visit stamps
+	frontier []int32  // D-frontier of the current assignment, in walk order
+	seen     []uint32 // scanFrontier and xPathExists visit stamps
 	epoch    uint32
-	dfs      []int32 // xPathExists explicit stack
+	dfs      []int32 // scanFrontier and xPathExists explicit stack
 	stack    []frame // Generate's decision stack
 
 	target     fault.Fault
@@ -155,7 +158,6 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 		outBits:  make([]uint64, (ng+63)/64),
 		level:    make([]int32, ng),
 		sched:    sched,
-		rank:     make([]int32, ng),
 		pending:  make([]uint64, words),
 		lo:       words,
 		hi:       -1,
@@ -186,9 +188,6 @@ func NewEngine(n *netlist.Netlist, opt Options) (*Engine, error) {
 	}
 	for id := 0; id < ng; id++ {
 		e.level[id] = int32(n.Gate(id).Level)
-	}
-	for r, id := range sched {
-		e.rank[id] = int32(r)
 	}
 	return e, nil
 }
@@ -369,17 +368,23 @@ func (e *Engine) imply() {
 // several changed fanins may set more than once, and widens the word
 // marks to cover it.
 func (e *Engine) enqueue(id int32) {
-	r := e.rank[id]
+	r := e.c.Rank(int(id))
 	w := int(r >> 6)
 	e.pending[w] |= 1 << (r & 63)
 	e.lo, e.hi = min(e.lo, w), max(e.hi, w)
 }
 
-// enqueueFanout queues every reader of gate id.
+// enqueueFanout queues every reader of gate id. Its readers' ranks come
+// in ascending order, so the first and last widen the word marks once.
 func (e *Engine) enqueueFanout(id int32) {
-	for _, fo := range e.c.Fanout(int(id)) {
-		e.enqueue(fo)
+	rs := e.c.ReaderRanks(int(id))
+	if len(rs) == 0 {
+		return
 	}
+	for _, r := range rs {
+		e.pending[r>>6] |= 1 << (r & 63)
+	}
+	e.lo, e.hi = min(e.lo, int(rs[0]>>6)), max(e.hi, int(rs[len(rs)-1]>>6))
 }
 
 // propagate drains the event queue lowest rank first, between the word
@@ -415,8 +420,8 @@ func (e *Engine) propagate() int {
 }
 
 // state classifies the current search position. Once the fault is
-// activated it scans the D-frontier into e.frontier, which objective
-// then reads: one scan per decision.
+// activated it walks the D-frontier into e.frontier, which objective
+// then reads: one walk per decision.
 func (e *Engine) state() searchState {
 	// Detected: any PO differs with both values known. Only the cone's
 	// outputs can.
@@ -442,37 +447,59 @@ func (e *Engine) state() searchState {
 	return stateUndetermined
 }
 
-// scanFrontier lists, in the cone's (level, id) order, the gates whose
-// output is undetermined in at least one machine while some fanin
-// already carries a D/D' discrepancy. A D sits in the target's cone, so
-// its readers do too, and the scan walks the cone alone. For an
-// input-pin fault the discrepancy materialises inside the faulted gate
-// (the driving net itself carries equal values in both machines), so
-// that gate, the cone's root, seeds the frontier once the fault is
-// activated.
+// scanFrontier lists the D-frontier of an activated fault: the gates
+// whose output is undetermined in at least one machine while some fanin
+// carries a D/D' discrepancy. It walks out from the cone's root through
+// the gates that carry a D, so it costs the fault's D-region, not its
+// cone. Every D lies on that walk: a gate other than the root whose two
+// values are known and differ has a fanin carrying a D, because with
+// none the pinwise join of its two fanin vectors exists and is at least
+// as defined as either, and three-valued evaluation is monotone, so
+// wherever both outputs are known both equal the join's value. The root
+// is exempt since its faulty value is the fault's. For an input-pin
+// fault the discrepancy materialises inside the faulted gate (the
+// driving net itself carries equal values in both machines), so that
+// gate, the root, seeds the frontier while it is undetermined. The list
+// is in walk order: objective's pick and xPathExists' answer do not
+// depend on it.
 func (e *Engine) scanFrontier() {
-	fr := e.frontier[:0]
-	pinGate := int32(-1)
-	if site := e.good(int(e.siteNet)); e.target.Pin >= 0 && site.Known() && site != e.target.Value {
-		pinGate = int32(e.target.Gate)
+	fr, stack := e.frontier[:0], e.dfs[:0]
+	ep := e.stamp()
+	root := int32(e.cone.Root)
+	e.seen[root] = ep
+	switch {
+	case e.carriesD(int(root)):
+		stack = append(stack, root)
+	case e.target.Pin >= 0 && !e.known(int(root)):
+		fr = append(fr, root)
 	}
-	for _, gid := range e.cone.Order {
-		id := int32(gid)
-		if e.piOf[id] >= 0 || e.known(gid) {
-			continue
-		}
-		if id == pinGate {
-			fr = append(fr, id)
-			continue
-		}
-		for _, fi := range e.c.Fanin(gid) {
-			if e.carriesD(int(fi)) {
-				fr = append(fr, id)
-				break
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, fo := range e.c.Fanout(int(id)) {
+			if e.seen[fo] == ep {
+				continue
+			}
+			e.seen[fo] = ep
+			switch {
+			case !e.known(int(fo)):
+				fr = append(fr, fo)
+			case e.carriesD(int(fo)):
+				stack = append(stack, fo)
 			}
 		}
 	}
 	e.frontier = fr
+}
+
+// stamp starts a new visit epoch of seen and returns it.
+func (e *Engine) stamp() uint32 {
+	e.epoch++
+	if e.epoch == 0 { // stamp wrap-around: forget every old visit
+		clear(e.seen)
+		e.epoch = 1
+	}
+	return e.epoch
 }
 
 // xPathExists checks whether any D-frontier gate reaches a primary output
@@ -481,17 +508,13 @@ func (e *Engine) scanFrontier() {
 // earlier frontier gate reaches no output, or the search would have
 // returned.
 func (e *Engine) xPathExists() bool {
-	e.epoch++
-	if e.epoch == 0 { // stamp wrap-around: forget every old visit
-		clear(e.seen)
-		e.epoch = 1
-	}
+	ep := e.stamp()
 	stack := e.dfs[:0]
 	for _, g := range e.frontier {
-		if e.seen[g] == e.epoch {
+		if e.seen[g] == ep {
 			continue
 		}
-		e.seen[g] = e.epoch
+		e.seen[g] = ep
 		stack = append(stack, g)
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
@@ -500,10 +523,10 @@ func (e *Engine) xPathExists() bool {
 				return true
 			}
 			for _, fo := range e.c.Fanout(int(id)) {
-				if e.seen[fo] == e.epoch || e.known(int(fo)) {
+				if e.seen[fo] == ep || e.known(int(fo)) {
 					continue
 				}
-				e.seen[fo] = e.epoch
+				e.seen[fo] = ep
 				stack = append(stack, fo)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rescue/internal/circuits"
@@ -229,4 +230,114 @@ func TestGenerateWarmAllocations(t *testing.T) {
 			t.Errorf("no %v fault exercised", out)
 		}
 	}
+}
+
+// refScanFrontier is the cone scan that scanFrontier's walk replaced,
+// kept as its oracle: in the cone's (level, id) order, every gate other
+// than an input that is undetermined in at least one machine and has a
+// fanin carrying a D, and the root of an activated pin fault while it
+// is undetermined.
+func refScanFrontier(e *Engine) []int32 {
+	var fr []int32
+	pinGate := int32(-1)
+	if site := e.good(int(e.siteNet)); e.target.Pin >= 0 && site.Known() && site != e.target.Value {
+		pinGate = int32(e.target.Gate)
+	}
+	for _, gid := range e.cone.Order {
+		id := int32(gid)
+		if e.piOf[id] >= 0 || e.known(gid) {
+			continue
+		}
+		if id == pinGate {
+			fr = append(fr, id)
+			continue
+		}
+		for _, fi := range e.c.Fanin(gid) {
+			if e.carriesD(int(fi)) {
+				fr = append(fr, id)
+				break
+			}
+		}
+	}
+	return fr
+}
+
+// generateChecked is Generate's loop with one check added: at every
+// activated, undetected state, the frontier that state walked must
+// equal refScanFrontier's as a set. It returns the outcome and the
+// number of states checked.
+func generateChecked(t *testing.T, e *Engine, f fault.Fault) (Outcome, int) {
+	t.Helper()
+	e.backtracks, e.evals = 0, 0
+	e.retarget(f)
+	checks := 0
+	for {
+		e.imply()
+		st := e.state()
+		if site := e.good(int(e.siteNet)); st != stateDetected && site.Known() && site != f.Value {
+			checks++
+			got, want := slices.Clone(e.frontier), refScanFrontier(e)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %s: walked frontier %v, cone scan %v",
+					e.n.Name, f.Describe(e.n), got, want)
+			}
+		}
+		switch st {
+		case stateDetected:
+			return TestFound, checks
+		case stateConflict:
+			if ok, why := e.backtrack(); !ok {
+				return why, checks
+			}
+			continue
+		}
+		objGate, objVal, ok := e.objective()
+		if !ok {
+			if okBT, why := e.backtrack(); !okBT {
+				return why, checks
+			}
+			continue
+		}
+		pi, v := e.backtrace(objGate, objVal)
+		if e.piVal[pi].Known() {
+			if okBT, why := e.backtrack(); !okBT {
+				return why, checks
+			}
+			continue
+		}
+		e.setPI(pi, v)
+		e.stack = append(e.stack, frame{pi: int32(pi), val: v})
+	}
+}
+
+// TestFrontierWalkMatchesConeScan drives Generate's loop step by step
+// over the uncollapsed stuck-at list of every scan-viewed registry
+// circuit, so every pin fault is searched, and compares the D-frontier
+// walk with the cone scan it replaced at every activated, undetected
+// state. Each stepped search must end with Generate's own outcome and
+// backtrack count.
+func TestFrontierWalkMatchesConeScan(t *testing.T) {
+	checks := 0
+	for _, name := range circuits.Names() {
+		n := combRegistry(t, name)
+		eng, err := NewEngine(n, Options{BacktrackLimit: 200})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, f := range fault.AllStuckAt(n) {
+			out, k := generateChecked(t, eng, f)
+			bt := eng.Backtracks()
+			checks += k
+			if _, want := eng.Generate(f); out != want || bt != eng.Backtracks() {
+				t.Fatalf("%s: %s: stepped search %v after %d backtracks, Generate %v after %d",
+					name, f.Describe(n), out, bt, want, eng.Backtracks())
+			}
+		}
+	}
+	if checks == 0 {
+		t.Fatal("no activated state was checked")
+	}
+	t.Logf("%d activated states checked", checks)
 }

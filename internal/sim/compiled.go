@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"rescue/internal/logic"
 	"rescue/internal/netlist"
@@ -28,6 +29,9 @@ var obsCompiles = obs.NewCounter("sim_compiles_total", "Netlist-to-SoA machine c
 //     netlist.Gate.Fanout order),
 //   - the levelized evaluation schedule (the combinational gate IDs in
 //     (level, id) order — exactly the gates one full pass evaluates),
+//     each gate's rank (its schedule position), and a rank arena
+//     beside the fanout arena (fanRank[fanoutOff[id]:fanoutOff[id+1]]
+//     = the ranks of gate id's readers, ascending),
 //   - and the input/output/DFF index slices,
 //
 // so the inner loops are closure-free slice walks over int32 indices.
@@ -49,6 +53,8 @@ type Compiled struct {
 	fanoutOff []int32  // len NumGates+1: prefix offsets into fanout
 	fanout    []int32  // flat fanout arena, netlist.Gate.Fanout order
 	schedule  []int32  // combinational gate IDs in (level, id) order
+	rank      []int32  // per gate ID: schedule position, -1 for Input/DFF
+	fanRank   []int32  // per fanout arena entry: readers' ranks, ascending per gate
 	inputs    []int32  // primary input gate IDs in declaration order
 	outputs   []int32  // primary output gate IDs in declaration order
 	dffs      []int32  // DFF gate IDs in declaration order
@@ -192,10 +198,20 @@ func compile(n *netlist.Netlist) (*Compiled, error) {
 		}
 	}
 	c.schedule = make([]int32, 0, ng-len(n.Inputs)-len(n.DFFs))
+	c.rank = make([]int32, ng)
 	for _, id := range order {
+		c.rank[id] = -1
 		if c.code[id] != opHold {
+			c.rank[id] = int32(len(c.schedule))
 			c.schedule = append(c.schedule, int32(id))
 		}
+	}
+	c.fanRank = make([]int32, len(c.fanout))
+	for i, fo := range c.fanout {
+		c.fanRank[i] = c.rank[fo]
+	}
+	for id := 0; id < ng; id++ {
+		slices.Sort(c.fanRank[c.fanoutOff[id]:c.fanoutOff[id+1]])
 	}
 	c.identity = make([]int32, c.maxFanin)
 	for i := range c.identity {
@@ -309,9 +325,20 @@ func (c *Compiled) Fanin(id int) []int32 { return c.fanin[c.faninOff[id]:c.fanin
 
 // Fanout returns the gates reading gate id, one entry per reading pin
 // in netlist.Gate.Fanout order, as a read-only view of the compiled
-// fanout arena. Event-driven passes (PODEM implication, slicing's
-// faulty overlay) queue readers in this order.
+// fanout arena. Slicing's faulty overlay queues readers in this order.
 func (c *Compiled) Fanout(id int) []int32 { return c.fanout[c.fanoutOff[id]:c.fanoutOff[id+1]] }
+
+// Rank returns gate id's position in Schedule, or -1 for an input or
+// DFF, which no pass evaluates.
+func (c *Compiled) Rank(id int) int32 { return c.rank[id] }
+
+// ReaderRanks returns the ranks of the gates reading gate id, one entry
+// per reading pin, in ascending order, as a read-only view. A queue
+// keyed by rank (PODEM implication's) reads its span from the first and
+// last entry.
+func (c *Compiled) ReaderRanks(id int) []int32 {
+	return c.fanRank[c.fanoutOff[id]:c.fanoutOff[id+1]]
+}
 
 // evalOpFaultedW evaluates the fault-site gate of a word pass: an output
 // fault yields the stuck value in every slot, a pin fault makes only

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rescue/internal/circuits"
@@ -51,7 +52,9 @@ func loadBlock(t *testing.T, p *Packed, patterns []logic.Vector, states []logic.
 // oracles: for every circuit, over random X-laden pattern blocks, the
 // compiled full pass must equal the interpreted full pass word-for-word
 // on every gate, and the Evaluator must agree with the interpreted
-// scalar pass and with the packed pass on every pattern slot.
+// scalar pass and with the packed pass on every pattern slot. Every
+// gate's Rank must be its schedule position (-1 for an input or DFF),
+// and its ReaderRanks the sorted ranks of its Fanout.
 func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, name := range circuits.Names() {
@@ -86,6 +89,31 @@ func TestCompiledMatchesInterpretedOnRegistry(t *testing.T) {
 			if got := compiled.EvalGate(id); got != compiled.Word(int(id)) {
 				t.Fatalf("%s: gate %q: EvalGate %+v != full pass %+v",
 					name, n.Gate(int(id)).Name, got, compiled.Word(int(id)))
+			}
+		}
+
+		rank := make([]int32, n.NumGates())
+		for id := range rank {
+			rank[id] = -1
+		}
+		for r, id := range compiled.c.Schedule() {
+			rank[id] = int32(r)
+		}
+		for id := range rank {
+			g := n.Gate(id)
+			held := g.Type == netlist.Input || g.Type == netlist.DFF
+			if held != (rank[id] < 0) || compiled.c.Rank(id) != rank[id] {
+				t.Fatalf("%s: gate %q (%v): Rank %d, schedule position %d",
+					name, g.Name, g.Type, compiled.c.Rank(id), rank[id])
+			}
+			var want []int32
+			for _, fo := range compiled.c.Fanout(id) {
+				want = append(want, rank[fo])
+			}
+			slices.Sort(want)
+			if got := compiled.c.ReaderRanks(id); !slices.Equal(got, want) {
+				t.Fatalf("%s: gate %q: ReaderRanks %v, want the sorted ranks of its readers %v",
+					name, g.Name, got, want)
 			}
 		}
 
