@@ -19,16 +19,15 @@
 // RUN_DIR/checkpoint.jsonl, and re-running the same command after an
 // interruption resumes exactly where the log left off — the final
 // RUN_DIR/campaign.json is byte-identical to an uninterrupted run.
-// -serve ADDR exposes the live campaign over HTTP (/status, /jobs,
-// /result) and keeps serving the finished result until interrupted.
 //
-// -multi BASE_DIR (with -serve ADDR) starts the long-lived multi-run
+// -multi BASE_DIR with -serve ADDR starts the long-lived multi-run
 // server instead: campaigns are submitted over POST /runs, queue behind
 // a bounded admission queue (-queue-cap, 429 + Retry-After when full),
 // and execute -max-runs at a time sharing the process-wide caches. Each
 // run is durable under BASE_DIR/run-NNNNNN; restarting the server on
 // the same BASE_DIR resumes every unfinished run. The matrix flags are
-// ignored in this mode — matrices arrive over the API.
+// ignored in this mode — matrices arrive over the API, and a live
+// campaign is watched on /runs/{id}/status, /jobs and /result.
 package main
 
 import (
@@ -84,7 +83,7 @@ func main() {
 	jsonl := flag.String("jsonl", "-", `per-job JSONL stream path ("-" = stdout, "" = off)`)
 	out := flag.String("out", "", "campaign summary JSON path (default: render a text summary)")
 	dir := flag.String("dir", "", "run directory for the crash-safe checkpoint log (re-run to resume; writes campaign.json there on completion)")
-	serve := flag.String("serve", "", "serve the live campaign HTTP API (/status /jobs /result) on this address, e.g. :8080")
+	serve := flag.String("serve", "", "multi-run mode: serve the campaign HTTP API on this address, e.g. :8080 (requires -multi)")
 	multi := flag.String("multi", "", "multi-run server mode: base directory for durable run directories (requires -serve; matrices arrive over POST /runs)")
 	queueCap := flag.Int("queue-cap", 16, "multi-run mode: bounded admission queue size (overflow answers 429)")
 	maxRuns := flag.Int("max-runs", 2, "multi-run mode: campaigns executing concurrently")
@@ -109,6 +108,9 @@ func main() {
 		fatal(fmt.Sprintf(`-stage-cache must be "on" or "off", got %q`, *stageCache))
 	}
 
+	if *serve != "" && *multi == "" {
+		fatal("-serve requires -multi BASE_DIR (campaigns are served by the multi-run server: POST the matrix to /runs)")
+	}
 	if *multi != "" {
 		if *serve == "" {
 			fatal("-multi requires -serve ADDR (the multi-run server only exists over its HTTP API)")
@@ -252,38 +254,12 @@ func main() {
 	}
 	start := time.Now()
 	var sum *campaign.Summary
-	var wall time.Duration
-	switch {
-	case *serve != "":
-		svc, serr := campaign.NewService(m, cfg)
-		if serr != nil {
-			fatal(serr)
-		}
-		ln, lerr := net.Listen("tcp", *serve)
-		if lerr != nil {
-			fatal(lerr)
-		}
-		log.Printf("serving campaign API on http://%s (/status /jobs /result)", ln.Addr())
-		serveCtx, stopServe := context.WithCancel(context.Background())
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- svc.Serve(serveCtx, ln) }()
-		sum, err = svc.Run(ctx, ck)
-		wall = time.Since(start)
-		if err == nil && ctx.Err() == nil {
-			log.Printf("campaign done; serving the result until interrupted (Ctrl-C)")
-			<-ctx.Done()
-		}
-		stopServe()
-		if serr := <-serveDone; serr != nil {
-			log.Printf("server: %v", serr)
-		}
-	case ck != nil:
+	if ck != nil {
 		sum, err = ck.Run(ctx, cfg)
-		wall = time.Since(start)
-	default:
+	} else {
 		sum, err = campaign.Run(ctx, m, cfg)
-		wall = time.Since(start)
 	}
+	wall := time.Since(start)
 	if err != nil {
 		if sum != nil {
 			fmt.Fprintf(os.Stderr, "%s", sum.Render())

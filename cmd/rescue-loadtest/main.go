@@ -52,38 +52,52 @@ func main() {
 	uniqueSeeds := flag.Bool("unique-seeds", false, "give every run a distinct base seed (defeats cross-run stage dedup; measures the no-overlap floor)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall deadline")
 	flag.Parse()
+	if *runs < 1 || *clients < 1 {
+		log.Fatalf("-runs and -clients must be at least 1, got %d and %d", *runs, *clients)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
+	// cleanup stops the -self-serve server and removes its base
+	// directory. fatalf runs it first, because log.Fatalf skips deferred
+	// calls.
+	cleanup := func() {}
+	defer func() { cleanup() }()
+	fatalf := func(format string, v ...any) {
+		cleanup()
+		log.Fatalf(format, v...)
+	}
 	base := *addr
 	if *selfServe {
 		dir, err := os.MkdirTemp("", "rescue-loadtest-*")
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer os.RemoveAll(dir)
+		cleanup = func() { os.RemoveAll(dir) }
 		srv, err := campaign.NewServer(campaign.ServerConfig{
 			BaseDir:       dir,
 			QueueCapacity: *queueCap,
 			MaxActiveRuns: *maxRuns,
 		})
 		if err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 		serveCtx, stopServe := context.WithCancel(context.Background())
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- srv.Serve(serveCtx, ln) }()
-		defer func() {
+		// A failing client may call fatalf while another does.
+		cleanup = sync.OnceFunc(func() {
 			stopServe()
 			if err := <-serveDone; err != nil {
 				log.Printf("server shutdown: %v", err)
 			}
-		}()
+			os.RemoveAll(dir)
+		})
 		base = "http://" + ln.Addr().String()
 		log.Printf("self-serve server on %s (queue %d, %d concurrent runs)", base, *queueCap, *maxRuns)
 	}
@@ -94,7 +108,7 @@ func main() {
 
 	before, err := scrapeMetrics(ctx, base)
 	if err != nil {
-		log.Fatalf("scraping /metrics: %v (is the server up?)", err)
+		fatalf("scraping /metrics: %v (is the server up?)", err)
 	}
 
 	// Fan the submissions out: each client POSTs its share, honoring 429
@@ -128,13 +142,13 @@ func main() {
 				}
 				js, err := json.Marshal(m)
 				if err != nil {
-					log.Fatal(err)
+					fatalf("%v", err)
 				}
 				for {
 					t0 := time.Now()
 					resp, err := transport.Post(base+"/runs", "application/json", bytes.NewReader(js))
 					if err != nil {
-						log.Fatalf("client %d: %v", c, err)
+						fatalf("client %d: %v", c, err)
 					}
 					body, _ := io.ReadAll(resp.Body)
 					resp.Body.Close()
@@ -150,15 +164,15 @@ func main() {
 						case <-time.After(wait):
 							continue
 						case <-ctx.Done():
-							log.Fatalf("deadline while backing off (run %d)", i)
+							fatalf("deadline while backing off (run %d)", i)
 						}
 					}
 					if resp.StatusCode != http.StatusAccepted {
-						log.Fatalf("POST /runs: status %d (%s)", resp.StatusCode, body)
+						fatalf("POST /runs: status %d (%s)", resp.StatusCode, body)
 					}
 					var info campaign.RunInfo
 					if err := json.Unmarshal(body, &info); err != nil {
-						log.Fatalf("decoding admission response: %v", err)
+						fatalf("decoding admission response: %v", err)
 					}
 					mu.Lock()
 					accepted = append(accepted, submission{id: info.ID, latency: time.Since(t0)})
@@ -175,7 +189,7 @@ func main() {
 	for _, sub := range accepted {
 		info, err := waitTerminal(ctx, transport, base, sub.id)
 		if err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 		if info.State != campaign.RunDone {
 			failed++
@@ -186,7 +200,7 @@ func main() {
 
 	after, err := scrapeMetrics(ctx, base)
 	if err != nil {
-		log.Fatalf("scraping /metrics: %v", err)
+		fatalf("scraping /metrics: %v", err)
 	}
 
 	lat := make([]time.Duration, 0, len(accepted))
@@ -222,7 +236,7 @@ func main() {
 	fmt.Printf("stage cache         %.0f hits, %.0f misses, %.0f waits (%.1f%% cross-run dedup)\n",
 		hits, misses, waits, hitRate)
 	if failed > 0 {
-		log.Fatalf("%d runs did not complete", failed)
+		fatalf("%d runs did not complete", failed)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"rescue/internal/puf"
 )
@@ -18,6 +19,9 @@ import (
 // keyBits is the fuzzy extractor's key length: each key bit takes rep
 // cells of one device.
 const keyBits = 128
+
+// absoluteZeroC is the lowest temperature -temp accepts, in °C.
+const absoluteZeroC = -273.15
 
 func main() {
 	log.SetFlags(0)
@@ -30,6 +34,9 @@ func main() {
 	flag.Parse()
 	if *devices < 2 {
 		log.Fatalf("-devices must be at least 2 for inter-device uniqueness and the cross-device check, got %d", *devices)
+	}
+	if math.IsNaN(*temp) || math.IsInf(*temp, 0) || *temp < absoluteZeroC {
+		log.Fatalf("-temp must be a finite temperature of at least %.2f°C, got %v", absoluteZeroC, *temp)
 	}
 
 	var model puf.Model

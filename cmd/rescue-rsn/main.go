@@ -23,6 +23,9 @@ func main() {
 	seed := flag.Int64("seed", 7, "network generator seed")
 	diagnose := flag.String("diagnose", "", "inject a SIB-stuck-closed fault at this node and diagnose")
 	flag.Parse()
+	if *levels < 0 || *tdrs < 0 {
+		log.Fatalf("-levels and -tdrs must not be negative, got %d and %d", *levels, *tdrs)
+	}
 
 	net, err := rsn.RandomNetwork("cli", *levels, *tdrs, *seed)
 	if err != nil {

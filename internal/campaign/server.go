@@ -12,12 +12,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"rescue/internal/obs"
 )
 
-// The multi-tenant campaign server: rescue-campaign -serve grown from
-// one-run observation into a long-lived service. Matrix specs POSTed to
+// The multi-tenant campaign server, the one HTTP surface for campaigns
+// (rescue-campaign -multi BASE_DIR -serve ADDR). Matrix specs POSTed to
 // /runs are validated (Matrix.Expand) and admitted into a bounded run
 // queue — a full queue answers 429 with Retry-After instead of letting
 // work pile up unboundedly — and a fixed pool of executors drains the
@@ -251,15 +252,12 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc, err := NewService(m, s.cfg.RunConfig)
-	if err == nil {
-		// The logged results count on the API while the run waits.
-		err = svc.bind(ck)
-	}
+	svc, err := newService(m, s.cfg.RunConfig)
 	if err != nil {
 		ck.Close()
 		return nil, err
 	}
+	svc.bind(ck) // the logged results count on the API while the run waits
 	return &serverRun{id: id, dir: dir, svc: svc, ck: ck}, nil
 }
 
@@ -267,7 +265,7 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 // checkpoint header are durable before Submit returns. A full queue
 // returns ErrQueueFull; a draining server returns ErrDraining.
 func (s *Server) Submit(m Matrix) (RunInfo, error) {
-	svc, err := NewService(m, s.cfg.RunConfig)
+	svc, err := newService(m, s.cfg.RunConfig)
 	if err != nil {
 		return RunInfo{}, err
 	}
@@ -289,7 +287,7 @@ func (s *Server) Submit(m Matrix) (RunInfo, error) {
 	s.mu.Unlock()
 
 	dir := filepath.Join(s.cfg.BaseDir, runDirName(id))
-	// NewService already validated the spec above, so a failure here is
+	// newService already validated the spec above, so a failure here is
 	// the server's own (disk) — wrapped so the HTTP layer can tell it
 	// from a bad matrix.
 	ck, err := NewCheckpoint(dir, m)
@@ -414,7 +412,7 @@ func (s *Server) execute(r *serverRun) {
 	r.mu.Unlock()
 
 	obsServerActive.Add(1)
-	_, err := r.svc.run(runCtx, ck)
+	err := r.svc.run(runCtx, ck)
 	obsServerActive.Add(-1)
 	cancel()
 
@@ -537,11 +535,27 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, info)
 	})
-	runRoutes(mux, "/runs/{id}", func(w http.ResponseWriter, req *http.Request) *Service {
+	mux.HandleFunc("GET /runs/{id}/status", func(w http.ResponseWriter, req *http.Request) {
 		if r := s.resolve(w, req); r != nil {
-			return r.svc
+			writeJSON(w, http.StatusOK, r.svc.Status())
 		}
-		return nil
+	})
+	mux.HandleFunc("GET /runs/{id}/jobs", func(w http.ResponseWriter, req *http.Request) {
+		r := s.resolve(w, req)
+		if r == nil {
+			return
+		}
+		// Jobs itself clamps (default page on limit<=0, maxPageLimit cap),
+		// so an explicit limit=0 serves the default page, never the whole
+		// expanded matrix.
+		if offset, limit, ok := pageParams(w, req); ok {
+			writeJSON(w, http.StatusOK, r.svc.Jobs(offset, limit))
+		}
+	})
+	mux.HandleFunc("GET /runs/{id}/result", func(w http.ResponseWriter, req *http.Request) {
+		if r := s.resolve(w, req); r != nil {
+			r.svc.writeResult(w)
+		}
 	})
 	return mux
 }
@@ -597,9 +611,33 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// drainTimeout bounds Serve's graceful shutdown: the server's drain and
+// the in-flight HTTP requests together.
+const drainTimeout = 5 * time.Second
+
 // Serve answers the multi-run API on the listener until ctx is
 // cancelled, then shuts down gracefully: the server drains (Shutdown)
-// and in-flight HTTP requests get drainTimeout to finish.
+// and in-flight HTTP requests finish, both within drainTimeout. A drain
+// error is returned before an HTTP one.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	return serve(ctx, ln, s.Handler(), s.Shutdown)
+	srv := &http.Server{Handler: s.Handler()}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		if errors.Is(err, http.ErrServerClosed) {
+			return nil
+		}
+		return err
+	case <-ctx.Done():
+		shctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		derr := s.Shutdown(shctx)
+		herr := srv.Shutdown(shctx)
+		<-errCh // Serve has returned http.ErrServerClosed
+		if derr != nil {
+			return derr
+		}
+		return herr
+	}
 }

@@ -867,7 +867,7 @@ func TestServerQueuedRunHasNoStageCacheTraffic(t *testing.T) {
 	waitRunState(t, h, decode[RunInfo](t, body).ID, RunRunning)
 	_, body = postRun(t, h, m)
 	queued := decode[RunInfo](t, body)
-	single, err := NewService(m, Config{})
+	single, err := newService(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

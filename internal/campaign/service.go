@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"runtime"
 	"sort"
@@ -24,7 +23,7 @@ const (
 	// RunQueued: built (and, on the server, durably headered on disk)
 	// but not started.
 	RunQueued RunState = "queued"
-	// RunRunning: Run is executing the campaign.
+	// RunRunning: the campaign is executing.
 	RunRunning RunState = "running"
 	// RunDone: completed; the canonical campaign.json exists.
 	RunDone RunState = "done"
@@ -38,18 +37,16 @@ const (
 // errCanceledBeforeExecution is the error of a run canceled while queued.
 var errCanceledBeforeExecution = errors.New("canceled before execution")
 
-// Service is one campaign run and its HTTP API: /status answers with the
-// per-aspect rollup-so-far, /jobs pages through per-job states, and
-// /result serves the canonical campaign.json once the run is done. A
-// Service starts queued; Run moves it to running and then to done,
-// failed or canceled. The multi-run server additionally cancels queued
-// services before they run and restores finished ones from their run
-// directories, and serves the same endpoints under /runs/{id}. The
-// handlers are safe against the in-flight worker pool, so a long
-// campaign can be observed live; Serve drains in-flight requests on
-// shutdown.
+// Service is one campaign run on the multi-run server and the state
+// behind its /runs/{id} endpoints: /status answers with the per-aspect
+// rollup-so-far, /jobs pages through per-job states, and /result serves
+// the canonical campaign.json once the run is done. A Service starts
+// queued; the server's executor moves it to running and then to done,
+// failed or canceled, or cancels it while still queued. A run finished
+// in an earlier process is restored done from its run directory. The
+// accessors are safe against the in-flight worker pool, so a long
+// campaign can be observed live.
 type Service struct {
-	matrix  Matrix
 	cfg     Config
 	jobs    []Job
 	workers int
@@ -73,13 +70,9 @@ type Service struct {
 	cacheBase, cacheEnd *StageCacheStatus
 }
 
-// drainTimeout bounds the graceful-shutdown drain of in-flight requests.
-const drainTimeout = 5 * time.Second
-
-// NewService validates the matrix and prepares a queued service around
-// it. Run starts the campaign; Handler (or Serve) answers concurrently
-// from the first request on.
-func NewService(m Matrix, cfg Config) (*Service, error) {
+// newService validates the matrix and prepares a queued service around
+// it.
+func newService(m Matrix, cfg Config) (*Service, error) {
 	jobs, err := m.Expand()
 	if err != nil {
 		return nil, err
@@ -89,7 +82,6 @@ func NewService(m Matrix, cfg Config) (*Service, error) {
 		workers = runtime.NumCPU()
 	}
 	return &Service{
-		matrix:  m,
 		cfg:     cfg,
 		jobs:    jobs,
 		workers: workers,
@@ -111,7 +103,7 @@ func restoreService(m Matrix, raw []byte) (*Service, error) {
 	if err := json.Unmarshal(raw, &sum); err != nil {
 		return nil, err
 	}
-	s := &Service{matrix: m, cfg: Config{DisableStageCache: true}, jobs: jobs,
+	s := &Service{cfg: Config{DisableStageCache: true}, jobs: jobs,
 		state: RunDone, result: raw, results: make(map[int]Result, len(jobs))}
 	seen := make(map[int]bool, len(sum.Results))
 	for _, r := range sum.Results {
@@ -121,18 +113,6 @@ func restoreService(m Matrix, raw []byte) (*Service, error) {
 		s.results[r.Job.ID] = r
 	}
 	return s, nil
-}
-
-// Run executes the campaign, recording every result for the HTTP API; a
-// non-nil checkpoint makes the run durable (replayed jobs appear as
-// already completed, new results hit the log before the API sees them).
-// It blocks until the campaign finishes and must be called at most once,
-// on a queued service.
-func (s *Service) Run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
-	if err := s.start(); err != nil {
-		return nil, err
-	}
-	return s.run(ctx, ck)
 }
 
 // start moves a queued service to running.
@@ -147,37 +127,24 @@ func (s *Service) start() error {
 	return nil
 }
 
-// run executes a started service's campaign; see Run.
-func (s *Service) run(ctx context.Context, ck *Checkpoint) (*Summary, error) {
+// run executes a started service's campaign under its checkpoint: each
+// new result hits the log before the API sees it. It returns the
+// campaign's error.
+func (s *Service) run(ctx context.Context, ck *Checkpoint) error {
 	cfg := s.cfg
-	user := cfg.OnResult
-	cfg.OnResult = func(r Result) {
-		s.record(r)
-		if user != nil {
-			user(r)
-		}
-	}
-	var sum *Summary
-	var err error
-	if ck != nil {
-		err = s.bind(ck)
-		if err == nil {
-			sum, err = ck.Run(ctx, cfg)
-		}
-	} else {
-		sum, err = Run(ctx, s.matrix, cfg)
-	}
+	cfg.OnResult = s.record
+	sum, err := ck.Run(ctx, cfg)
 	s.mu.Lock()
 	s.state, s.sum, s.runErr = runState(err), sum, err
 	s.elapsed = s.clock.Elapsed()
 	s.cacheEnd = stageCacheTraffic(s.cacheBase)
 	s.mu.Unlock()
-	return sum, err
+	return err
 }
 
 // cancelQueued ends a service that has not started: it reports canceled
-// with errCanceledBeforeExecution, and Run refuses to start it. It
-// returns false once the service has started.
+// with errCanceledBeforeExecution, and start refuses it. It returns false
+// once the service has started.
 func (s *Service) cancelQueued() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -189,28 +156,15 @@ func (s *Service) cancelQueued() bool {
 	return true
 }
 
-// bind verifies the checkpoint belongs to this service's matrix and
-// surfaces its replayed results through the API. Binding the same log
-// twice is harmless: results are keyed by job ID.
-func (s *Service) bind(ck *Checkpoint) error {
-	a, err := matrixIdentity(s.matrix)
-	if err != nil {
-		return err
-	}
-	b, err := matrixIdentity(ck.matrix)
-	if err != nil {
-		return err
-	}
-	if a != b {
-		return fmt.Errorf("campaign: service and checkpoint matrices differ")
-	}
+// bind surfaces a resumed checkpoint's replayed results through the
+// API while the run waits in the queue.
+func (s *Service) bind(ck *Checkpoint) {
 	for _, r := range ck.Completed() {
 		s.record(r)
 	}
 	s.mu.Lock()
 	s.replayed = len(ck.Completed())
 	s.mu.Unlock()
-	return nil
 }
 
 func (s *Service) record(r Result) {
@@ -235,7 +189,7 @@ type ServiceStatus struct {
 	// Replayed counts checkpoint-replayed results included in Completed;
 	// throughput is computed over the executed remainder only.
 	Replayed int `json:"replayed,omitempty"`
-	// ElapsedSec is wall-clock since Run started (frozen at completion);
+	// ElapsedSec is wall-clock since the run started (frozen at completion);
 	// JobsPerSec is executed-jobs-so-far over that window — the
 	// throughput-so-far of the live campaign.
 	ElapsedSec float64 `json:"elapsed_sec"`
@@ -450,48 +404,6 @@ func (s *Service) runInfo(id int, dir string) RunInfo {
 	return in
 }
 
-// Handler returns the service's HTTP API:
-//
-//	GET /status  — ServiceStatus JSON (rollup-so-far + throughput-so-far)
-//	GET /jobs    — JobsPage JSON; query params offset, limit (default 100)
-//	GET /result  — the canonical campaign.json once done (409 before)
-//	GET /metrics — the process-wide obs registry in Prometheus text format
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", obs.Default.Handler())
-	runRoutes(mux, "", func(http.ResponseWriter, *http.Request) *Service { return s })
-	return mux
-}
-
-// runRoutes registers one run's endpoints under prefix: GET
-// prefix/status, prefix/jobs and prefix/result, answered by the Service
-// resolve returns for the request. resolve answers the request itself
-// and returns nil when there is no such run.
-func runRoutes(mux *http.ServeMux, prefix string, resolve func(http.ResponseWriter, *http.Request) *Service) {
-	mux.HandleFunc("GET "+prefix+"/status", func(w http.ResponseWriter, r *http.Request) {
-		if s := resolve(w, r); s != nil {
-			writeJSON(w, http.StatusOK, s.Status())
-		}
-	})
-	mux.HandleFunc("GET "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
-		s := resolve(w, r)
-		if s == nil {
-			return
-		}
-		// Jobs itself clamps (default page on limit<=0, maxPageLimit cap),
-		// so an explicit limit=0 serves the default page, never the whole
-		// expanded matrix.
-		if offset, limit, ok := pageParams(w, r); ok {
-			writeJSON(w, http.StatusOK, s.Jobs(offset, limit))
-		}
-	})
-	mux.HandleFunc("GET "+prefix+"/result", func(w http.ResponseWriter, r *http.Request) {
-		if s := resolve(w, r); s != nil {
-			s.writeResult(w)
-		}
-	})
-}
-
 // writeResult serves the canonical campaign result: the campaign.json
 // bytes once the run completed, 409 {"state":"queued"} or
 // {"state":"running"} before, 409 {"state":"canceled"} for a canceled run
@@ -551,41 +463,4 @@ func pageParams(w http.ResponseWriter, r *http.Request) (offset, limit int, ok b
 		vals[i] = v
 	}
 	return vals[0], vals[1], true
-}
-
-// Serve answers API requests on the listener until ctx is cancelled,
-// then shuts down gracefully: new connections stop, in-flight requests
-// drain (bounded by drainTimeout) before Serve returns. The campaign
-// itself is driven by Run, typically in another goroutine.
-func (s *Service) Serve(ctx context.Context, ln net.Listener) error {
-	return serve(ctx, ln, s.Handler(), nil)
-}
-
-// serve answers h on the listener until ctx is cancelled. It then runs
-// drain, if any, and lets in-flight requests finish, both within
-// drainTimeout, and returns drain's error first.
-func serve(ctx context.Context, ln net.Listener, h http.Handler, drain func(context.Context) error) error {
-	srv := &http.Server{Handler: h}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-		shctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		var derr error
-		if drain != nil {
-			derr = drain(shctx)
-		}
-		herr := srv.Shutdown(shctx)
-		<-errCh // Serve has returned http.ErrServerClosed
-		if derr != nil {
-			return derr
-		}
-		return herr
-	}
 }

@@ -76,11 +76,8 @@ type (
 	// CampaignCheckpoint is an open crash-safe checkpoint log bound to
 	// one campaign matrix (see internal/campaign's durability layer).
 	CampaignCheckpoint = campaign.Checkpoint
-	// CampaignService exposes a running campaign over HTTP
-	// (/status, /jobs, /result) with graceful-drain shutdown.
-	CampaignService = campaign.Service
-	// CampaignServiceStatus is the /status payload: progress counters
-	// plus the per-aspect rollups over the results so far.
+	// CampaignServiceStatus is the /runs/{id}/status payload: progress
+	// counters plus the per-aspect rollups over the results so far.
 	CampaignServiceStatus = campaign.ServiceStatus
 	// CampaignServer is the long-lived multi-run server: POST /runs
 	// admission with a bounded backpressured queue, bounded-concurrency
@@ -194,12 +191,6 @@ func RunCampaignCheckpointed(ctx context.Context, dir string, m CampaignMatrix, 
 // record). Run the returned checkpoint to finish the remaining jobs.
 func ResumeCampaign(dir string, m CampaignMatrix) (*CampaignCheckpoint, error) {
 	return campaign.Resume(dir, m)
-}
-
-// NewCampaignService wraps a campaign in the live HTTP API; see
-// CampaignService and cmd/rescue-campaign's -serve flag.
-func NewCampaignService(m CampaignMatrix, cfg CampaignConfig) (*CampaignService, error) {
-	return campaign.NewService(m, cfg)
 }
 
 // NewCampaignServer starts the long-lived multi-run campaign server:

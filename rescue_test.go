@@ -2,7 +2,12 @@ package rescue_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"rescue"
 	"rescue/internal/seu"
@@ -159,14 +164,35 @@ func TestFacadeCheckpointedCampaignAndService(t *testing.T) {
 		t.Fatal("resumed summary differs from the original run")
 	}
 
-	svc, err := rescue.NewCampaignService(m, rescue.CampaignConfig{})
+	// One run round-trips through the multi-run server and its
+	// /runs/{id}/result serves the same bytes.
+	srv, err := rescue.NewCampaignServer(rescue.CampaignServerConfig{BaseDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Run(context.Background(), nil); err != nil {
+	defer srv.Shutdown(context.Background())
+	info, err := srv.Submit(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Status(); st.State != "done" || st.Completed != 1 {
-		t.Fatalf("service status = %+v", st)
+	h := srv.Handler()
+	var st rescue.CampaignServiceStatus
+	for deadline := time.Now().Add(30 * time.Second); st.State != "done"; time.Sleep(5 * time.Millisecond) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/runs/%d/status", info.ID), nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "failed" || st.State == "canceled" || time.Now().After(deadline) {
+			t.Fatalf("server run status = %+v", st)
+		}
+	}
+	if st.Completed != 1 {
+		t.Fatalf("server run status = %+v", st)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/runs/%d/result", info.ID), nil))
+	if rec.Body.String() != string(a)+"\n" {
+		t.Fatal("served result differs from the checkpointed run")
 	}
 }
