@@ -108,6 +108,9 @@ func main() {
 		fatal(fmt.Sprintf(`-stage-cache must be "on" or "off", got %q`, *stageCache))
 	}
 
+	if *queueCap < 1 || *maxRuns < 1 {
+		fatal(fmt.Sprintf("-queue-cap and -max-runs must be at least 1, got %d and %d", *queueCap, *maxRuns))
+	}
 	if *serve != "" && *multi == "" {
 		fatal("-serve requires -multi BASE_DIR (campaigns are served by the multi-run server: POST the matrix to /runs)")
 	}

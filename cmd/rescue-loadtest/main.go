@@ -52,8 +52,9 @@ func main() {
 	uniqueSeeds := flag.Bool("unique-seeds", false, "give every run a distinct base seed (defeats cross-run stage dedup; measures the no-overlap floor)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "overall deadline")
 	flag.Parse()
-	if *runs < 1 || *clients < 1 {
-		log.Fatalf("-runs and -clients must be at least 1, got %d and %d", *runs, *clients)
+	if *runs < 1 || *clients < 1 || *queueCap < 1 || *maxRuns < 1 {
+		log.Fatalf("-runs, -clients, -queue-cap and -max-runs must be at least 1, got %d, %d, %d and %d",
+			*runs, *clients, *queueCap, *maxRuns)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

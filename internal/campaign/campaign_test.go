@@ -419,7 +419,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 			if j.ID == 3 {
 				panic("injected failure")
 			}
-			return runJobWith(ctx, j, nil, sharedStageCache)
+			return runJobWith(ctx, j, nil, sharedStageCache, new(stageTraffic))
 		},
 	}
 	sum, err := Run(context.Background(), testMatrix(), cfg)
@@ -502,7 +502,7 @@ func TestCampaignMatchesRunFlow(t *testing.T) {
 	if sum.Failed != 0 {
 		t.Fatalf("campaign failed:\n%s", sum.Render())
 	}
-	direct := runJobWith(context.Background(), sum.Results[0].Job, nil, sharedStageCache)
+	direct := runJobWith(context.Background(), sum.Results[0].Job, nil, sharedStageCache, new(stageTraffic))
 	if direct.Err != "" {
 		t.Fatal(direct.Err)
 	}

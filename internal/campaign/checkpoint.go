@@ -305,8 +305,8 @@ func matrixIdentity(m Matrix) (string, error) {
 // validateReplayed checks one replayed result against its matrix cell
 // and records it in seen. It is the single source of truth for what may
 // re-enter a campaign as already completed — shared by the checkpoint
-// decoder and the engine's Config.Completed validation so the two can
-// never drift.
+// decoder and the engine's validation of the results Checkpoint.Run
+// replays, so the two can never drift.
 func validateReplayed(r Result, jobs []Job, seen map[int]bool) error {
 	id := r.Job.ID
 	switch {
@@ -421,7 +421,7 @@ func destroyRunDir(dir string) error {
 func (c *Checkpoint) Run(ctx context.Context, cfg Config) (*Summary, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	cfg.Completed = c.completed
+	cfg.completed = c.completed
 	user := cfg.OnResult
 	cfg.OnResult = func(r Result) {
 		// Durability first: the result reaches the log before any

@@ -409,7 +409,7 @@ func TestRunRejectsBadCompleted(t *testing.T) {
 		{{Job: jobs[0], Canceled: true}},
 	}
 	for i, completed := range cases {
-		if _, err := Run(context.Background(), m, Config{Completed: completed}); err == nil {
+		if _, err := Run(context.Background(), m, Config{completed: completed}); err == nil {
 			t.Errorf("case %d: Run accepted invalid Completed results", i)
 		}
 	}

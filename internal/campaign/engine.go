@@ -39,9 +39,9 @@ type Config struct {
 	// OnResult, when set, streams each job result as it completes. It is
 	// called from a single collector goroutine (never concurrently), in
 	// completion order — which is nondeterministic under parallelism; the
-	// final Summary is always sorted and deterministic. Replayed results
-	// (see Completed) are not streamed — they were streamed by the run
-	// that produced them.
+	// final Summary is always sorted and deterministic. Results a
+	// checkpoint replays (see Checkpoint.Run) are not streamed — they were
+	// streamed by the run that produced them.
 	//
 	// The serialization is a load-bearing API guarantee, not an
 	// implementation accident: callers (the CLI's progress counter and
@@ -59,13 +59,16 @@ type Config struct {
 	// not a semantics switch.
 	DisableStageCache bool
 
-	// Completed holds results replayed from a checkpoint log: their jobs
-	// are skipped instead of re-run and the results merge into the
-	// Summary as-is, so a resumed campaign aggregates to the same bytes
-	// as an uninterrupted one. Every entry must match a distinct job of
-	// the expanded matrix exactly. Replayed jobs never execute, so they
-	// neither consult nor repopulate the stage cache.
-	Completed []Result
+	// completed holds the results Checkpoint.Run replays from its log:
+	// their jobs are skipped instead of re-run and the results merge into
+	// the Summary as-is, so a resumed campaign aggregates to the same
+	// bytes as an uninterrupted one. Every entry must match a distinct
+	// job of the expanded matrix exactly. Replayed jobs never execute, so
+	// they neither consult nor repopulate the stage cache.
+	completed []Result
+	// traffic, when set, counts the run's own stage-cache lookups (the
+	// multi-run server's /status block).
+	traffic *stageTraffic
 
 	// runJob overrides the job runner in tests (panic injection etc.).
 	runJob func(context.Context, Job) Result
@@ -104,8 +107,8 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 	// Replayed results take their jobs off the schedule; each must match
 	// its matrix cell exactly, or the checkpoint belongs to a different
 	// campaign and resuming would silently mix runs.
-	replayed := make(map[int]bool, len(cfg.Completed))
-	for _, r := range cfg.Completed {
+	replayed := make(map[int]bool, len(cfg.completed))
+	for _, r := range cfg.completed {
 		if err := validateReplayed(r, jobs, replayed); err != nil {
 			return nil, fmt.Errorf("campaign: completed result: %v", err)
 		}
@@ -139,7 +142,11 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 			// singleflight waits instead of cold recomputations later.
 			pending = orderForCache(pending)
 		}
-		run = func(ctx context.Context, j Job) Result { return runJobWith(ctx, j, spare, cache) }
+		traffic := cfg.traffic
+		if traffic == nil {
+			traffic = new(stageTraffic)
+		}
+		run = func(ctx context.Context, j Job) Result { return runJobWith(ctx, j, spare, cache, traffic) }
 	}
 	obsRuns.Inc()
 	obsJobsReplayed.Add(int64(len(replayed)))
@@ -189,7 +196,7 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 	}()
 
 	results := make([]Result, 0, len(jobs))
-	results = append(results, cfg.Completed...)
+	results = append(results, cfg.completed...)
 	for r := range resCh {
 		obsJobsCompleted.Inc()
 		switch {
@@ -241,8 +248,8 @@ func safeRun(ctx context.Context, j Job, run func(context.Context, Job) Result) 
 // stage cache. The run's spare-worker budget and stage cache (nil for
 // none) are not Job coordinates: results are identical at any budget
 // and with the cache on or off, so checkpoints and job identity stay
-// untouched by both.
-func runJobWith(ctx context.Context, j Job, spare *atpg.Slots, cache *stageCache) Result {
+// untouched by both. The job's cache lookups count in traffic.
+func runJobWith(ctx context.Context, j Job, spare *atpg.Slots, cache *stageCache, traffic *stageTraffic) Result {
 	art := circuitArtifactFor(j.Circuit)
 	if art.err != nil {
 		return Result{Job: j, Err: art.err.Error()}
@@ -300,7 +307,7 @@ func runJobWith(ctx context.Context, j Job, spare *atpg.Slots, cache *stageCache
 		Spare:       spare,
 	}
 	if cache != nil {
-		cfg.Memo = jobMemo{ctx: ctx, cache: cache, job: j}
+		cfg.Memo = jobMemo{ctx: ctx, cache: cache, traffic: traffic, job: j}
 	}
 	rep, err := core.RunStages(ctx, cfg, stages...)
 	if err != nil {

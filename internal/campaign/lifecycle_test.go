@@ -162,7 +162,7 @@ func TestRunLifecycleStates(t *testing.T) {
 				case <-ctx.Done():
 					return Result{Job: j, Canceled: true, Err: ctx.Err().Error()}
 				}
-				return runJobWith(ctx, j, nil, sharedStageCache)
+				return runJobWith(ctx, j, nil, sharedStageCache, new(stageTraffic))
 			},
 		},
 	}

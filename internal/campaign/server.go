@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,9 +32,16 @@ import (
 // caches — overlapping matrices deduplicate across tenants exactly as
 // overlapping jobs deduplicate within one run.
 
-// Server admission/lifecycle instrumentation (the queue itself owns the
-// depth gauge and wait histogram in runqueue.go).
+// Server admission/lifecycle instrumentation. Queue depth tracks runs
+// admitted but not yet taken by an executor; the wait histogram records
+// how long an admitted run sat in the queue before an executor picked it
+// up — the number the load-test harness watches to find the
+// admission/concurrency knee.
 var (
+	obsServerQueueDepth = obs.NewGauge("campaign_server_run_queue_depth",
+		"Campaign runs admitted to the server queue but not yet executing.")
+	obsServerQueueWait = obs.NewHistogram("campaign_server_queue_wait_seconds",
+		"Time an admitted run spent queued before an executor took it.", obs.DurationBuckets)
 	obsServerAdmitted = obs.NewCounter("campaign_server_runs_admitted_total",
 		"Campaign runs accepted into the server's run queue.")
 	obsServerRejected = obs.NewCounter("campaign_server_runs_rejected_total",
@@ -64,18 +72,17 @@ type ServerConfig struct {
 	// client sees 202. On construction the directory is scanned and
 	// unfinished runs re-queue from their checkpoints.
 	BaseDir string
-	// QueueCapacity bounds the admission queue (default 16). A POST
-	// arriving at a full queue is rejected with 429 and Retry-After —
-	// backpressure, not buffering.
+	// QueueCapacity bounds the admission queue (0 selects 16; negative
+	// is refused). A POST arriving at a full queue is rejected with 429
+	// and Retry-After — backpressure, not buffering.
 	QueueCapacity int
-	// MaxActiveRuns bounds how many runs execute concurrently (default
-	// 2). Each run additionally parallelises internally per
-	// RunConfig.Parallelism.
+	// MaxActiveRuns bounds how many runs execute concurrently (0 selects
+	// 2; negative is refused). Each run additionally parallelises
+	// internally per RunConfig.Parallelism.
 	MaxActiveRuns int
 	// RunConfig is the engine Config template every run executes under.
-	// OnResult and Completed must be nil: results stream per run through
-	// the checkpoint log and the /runs API, and replay is the
-	// checkpoint's job.
+	// OnResult must be nil: results stream per run through the checkpoint
+	// log and the /runs API.
 	RunConfig Config
 }
 
@@ -107,25 +114,31 @@ type RunsPage struct {
 // and Shutdown to drain: active runs stop at the next stage boundary
 // with their checkpoints intact, queued runs stay durable on disk, and
 // both resume when the next server starts on the same base directory.
+//
+// mu is the one lock on every run's lifecycle: admission, dispatch,
+// cancellation and drain are each a single critical section over the
+// listing, the queue and the run's record.
 type Server struct {
-	cfg   ServerConfig
-	queue *runQueue
+	cfg ServerConfig
 
 	ctx    context.Context // cancelled by Shutdown; parents every run
 	cancel context.CancelFunc
 	wg     sync.WaitGroup // executors
+	// wake holds one token: a run was queued or the server drains.
+	wake chan struct{}
 
 	mu        sync.Mutex
 	runs      map[int]*serverRun
 	order     []*serverRun // admission order; the /runs listing walks this
+	queue     []*serverRun // queued runs in admission order, bounded by QueueCapacity
 	nextID    int
 	draining  bool
 	recovered int
 
-	// testBeforeOffer, when non-nil, runs in Submit's window between the
-	// listing insert and the queue offer — tests use it to interleave a
-	// rival Submit deterministically.
-	testBeforeOffer func()
+	// testBeforeQueue, when non-nil, runs in Submit's window between the
+	// checkpoint write and the queue insert — tests use it to interleave
+	// a rival Submit deterministically.
+	testBeforeQueue func()
 }
 
 // NewServer validates the config, recovers the base directory's
@@ -134,13 +147,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.BaseDir == "" {
 		return nil, fmt.Errorf("campaign: ServerConfig.BaseDir is required (the server is durable by design)")
 	}
-	if cfg.RunConfig.OnResult != nil || cfg.RunConfig.Completed != nil {
-		return nil, fmt.Errorf("campaign: ServerConfig.RunConfig must not set OnResult or Completed (per-run streaming and replay belong to the server)")
+	if cfg.RunConfig.OnResult != nil {
+		return nil, fmt.Errorf("campaign: ServerConfig.RunConfig must not set OnResult (per-run streaming belongs to the server)")
 	}
-	if cfg.QueueCapacity <= 0 {
+	if cfg.QueueCapacity < 0 || cfg.MaxActiveRuns < 0 {
+		return nil, fmt.Errorf("campaign: ServerConfig.QueueCapacity and MaxActiveRuns must not be negative, got %d and %d", cfg.QueueCapacity, cfg.MaxActiveRuns)
+	}
+	if cfg.QueueCapacity == 0 {
 		cfg.QueueCapacity = 16
 	}
-	if cfg.MaxActiveRuns <= 0 {
+	if cfg.MaxActiveRuns == 0 {
 		cfg.MaxActiveRuns = 2
 	}
 	if err := os.MkdirAll(cfg.BaseDir, 0o755); err != nil {
@@ -149,9 +165,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
-		queue:  newRunQueue(cfg.QueueCapacity),
 		ctx:    ctx,
 		cancel: cancel,
+		wake:   make(chan struct{}, 1),
 		runs:   make(map[int]*serverRun),
 	}
 	if err := s.recover(); err != nil {
@@ -162,7 +178,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.executor()
+			for {
+				ctx, r, ck := s.take()
+				if r == nil {
+					return
+				}
+				s.execute(ctx, r, ck)
+			}
 		}()
 	}
 	return s, nil
@@ -221,13 +243,14 @@ func (s *Server) recover() error {
 			obsServerRecoverSkipped.Inc()
 			continue
 		}
-		s.runs[id] = r
-		s.order = append(s.order, r)
+		// Recovery never drops a durable run, whatever the queue's bound.
+		s.mu.Lock()
+		s.addLocked(r)
 		if r.ck != nil { // unfinished
-			s.queue.offer(r, true) // recovery never drops a durable run
 			s.recovered++
 			obsServerRecovered.Inc()
 		}
+		s.mu.Unlock()
 	}
 	return nil
 }
@@ -237,100 +260,119 @@ func (s *Server) recoverRun(id int, dir string) (*serverRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	jobs, err := m.Expand()
+	if err != nil {
+		return nil, err
+	}
 	if raw, err := os.ReadFile(filepath.Join(dir, SummaryFile)); err == nil {
 		// Completed before the previous process died: serve the durable
-		// bytes as-is — no re-execution.
-		svc, err := restoreService(m, raw)
-		if err != nil {
+		// bytes as-is — no re-execution, so no workers, no stage-cache
+		// view and no wall-clock to report.
+		var sum Summary
+		if err := json.Unmarshal(raw, &sum); err != nil {
 			return nil, fmt.Errorf("campaign: %s: corrupt %s: %v", dir, SummaryFile, err)
 		}
-		return &serverRun{id: id, dir: dir, svc: svc}, nil
+		r := &serverRun{id: id, dir: dir, cfg: Config{DisableStageCache: true}, jobs: jobs,
+			state: RunDone, result: raw, results: make(map[int]Result, len(jobs))}
+		seen := make(map[int]bool, len(sum.Results))
+		for _, res := range sum.Results {
+			if err := validateReplayed(res, jobs, seen); err != nil {
+				return nil, fmt.Errorf("campaign: %s: corrupt %s: %v", dir, SummaryFile, err)
+			}
+			r.results[res.Job.ID] = res
+		}
+		return r, nil
 	}
 	// Unfinished: hold the log (and its flock) and re-queue. Resume
-	// validates every durable record against the header's own matrix.
+	// validates every durable record against the header's own matrix, and
+	// the logged results count on the API while the run waits.
 	ck, err := Resume(dir, m)
 	if err != nil {
 		return nil, err
 	}
-	svc, err := newService(m, s.cfg.RunConfig)
-	if err != nil {
-		ck.Close()
-		return nil, err
+	r := newServerRun(id, dir, jobs, s.cfg.RunConfig)
+	for _, res := range ck.Completed() {
+		r.results[res.Job.ID] = res
 	}
-	svc.bind(ck) // the logged results count on the API while the run waits
-	return &serverRun{id: id, dir: dir, svc: svc, ck: ck}, nil
+	r.replayed, r.ck = len(ck.Completed()), ck
+	return r, nil
+}
+
+// addLocked lists r and, while it holds a checkpoint to run under,
+// queues it and wakes an executor. The caller holds s.mu.
+func (s *Server) addLocked(r *serverRun) {
+	s.runs[r.id] = r
+	s.order = append(s.order, r)
+	if r.ck != nil {
+		r.queueSpan = obs.StartSpan(obsServerQueueWait)
+		s.queue = append(s.queue, r)
+		obsServerQueueDepth.Add(1)
+		s.signal()
+	}
+}
+
+// refuseLocked reports why the server admits no run now: it drains, or
+// its queue is full (counted as a rejection). The caller holds s.mu.
+func (s *Server) refuseLocked() error {
+	switch {
+	case s.draining:
+		return ErrDraining
+	case len(s.queue) >= s.cfg.QueueCapacity:
+		obsServerRejected.Inc()
+		return ErrQueueFull
+	}
+	return nil
 }
 
 // Submit validates and admits one matrix: the run directory and its
 // checkpoint header are durable before Submit returns. A full queue
-// returns ErrQueueFull; a draining server returns ErrDraining.
+// returns ErrQueueFull; a draining server returns ErrDraining. Both are
+// checked before the checkpoint write, so a rejection storm churns no
+// directories, and again when the run joins the listing and the queue
+// together; a Submit that loses the last slot (or to a drain) in between
+// destroys only its own directory.
 func (s *Server) Submit(m Matrix) (RunInfo, error) {
-	svc, err := newService(m, s.cfg.RunConfig)
+	jobs, err := m.Expand()
 	if err != nil {
 		return RunInfo{}, err
 	}
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return RunInfo{}, ErrDraining
-	}
-	// Fast-path rejection before any disk work. The queue's own offer
-	// below is the authoritative check; this one just keeps a rejection
-	// storm from churning directories.
-	if s.queue.depth() >= s.cfg.QueueCapacity {
-		s.mu.Unlock()
-		obsServerRejected.Inc()
-		return RunInfo{}, ErrQueueFull
-	}
+	err = s.refuseLocked()
 	id := s.nextID
-	s.nextID++
+	if err == nil {
+		s.nextID++
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return RunInfo{}, err
+	}
 
 	dir := filepath.Join(s.cfg.BaseDir, runDirName(id))
-	// newService already validated the spec above, so a failure here is
-	// the server's own (disk) — wrapped so the HTTP layer can tell it
-	// from a bad matrix.
+	// Expand already validated the spec above, so a failure here is the
+	// server's own (disk) — wrapped so the HTTP layer can tell it from a
+	// bad matrix.
 	ck, err := NewCheckpoint(dir, m)
 	if err != nil {
 		return RunInfo{}, fmt.Errorf("%w: %v", errSubmitInternal, err)
 	}
-	r := &serverRun{id: id, dir: dir, svc: svc, ck: ck}
+	r := newServerRun(id, dir, jobs, s.cfg.RunConfig)
+	r.ck = ck
+	if s.testBeforeQueue != nil {
+		s.testBeforeQueue()
+	}
+	var info RunInfo
 	s.mu.Lock()
-	draining := s.draining
-	if !draining {
-		s.runs[id] = r
-		s.order = append(s.order, r)
+	if err = s.refuseLocked(); err == nil {
+		s.addLocked(r)
+		info = r.info()
 	}
 	s.mu.Unlock()
-	if s.testBeforeOffer != nil {
-		s.testBeforeOffer()
-	}
-	if draining || !s.queue.offer(r, false) {
-		// Lost the race for the last slot (or to a drain): undo the
-		// admission completely — the directory must not resurrect the
-		// run at the next restart. s.mu was released across offer, so a
-		// concurrent Submit may have appended behind r: splice r out by
-		// identity, never by position.
-		s.mu.Lock()
-		if s.runs[id] == r {
-			delete(s.runs, id)
-			for i, it := range s.order {
-				if it == r {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					break
-				}
-			}
-		}
-		s.mu.Unlock()
+	if err != nil {
 		ck.Destroy()
-		if draining {
-			return RunInfo{}, ErrDraining
-		}
-		obsServerRejected.Inc()
-		return RunInfo{}, ErrQueueFull
+		return RunInfo{}, err
 	}
 	obsServerAdmitted.Inc()
-	return r.info(), nil
+	return info, nil
 }
 
 // Sentinel admission errors; the HTTP layer maps them to 429/503.
@@ -351,21 +393,38 @@ var (
 // next stage boundary (poll its status for the terminal "canceled").
 // Finished runs are not cancellable.
 func (s *Server) Cancel(id int) (RunInfo, error) {
-	r, ok := s.lookup(id)
+	s.mu.Lock()
+	r, ok := s.runs[id]
 	if !ok {
+		s.mu.Unlock()
 		return RunInfo{}, errUnknownRun
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	var ck *Checkpoint
+	queued := r.state == RunQueued
 	switch {
-	case r.svc.cancelQueued():
-		// Whether or not the queue still holds it (an executor may have
-		// taken it and be blocked on r.mu right now), the canceled
-		// Service never starts.
-		s.queue.remove(r)
-		if r.ck != nil {
-			r.ck.Destroy()
-			r.ck = nil
+	case queued:
+		// Shutdown's drain may already have emptied the queue (and taken
+		// the checkpoint); the run still never starts.
+		if i := slices.Index(s.queue, r); i >= 0 {
+			s.queue = slices.Delete(s.queue, i, i+1)
+			obsServerQueueDepth.Add(-1)
+			r.queueSpan.End()
+		}
+		r.state, r.runErr = RunCanceled, errCanceledBeforeExecution
+		r.cacheEnd = r.traffic.status()
+		ck, r.ck = r.ck, nil
+	case r.state == RunRunning:
+		r.userCanceled = true
+		r.cancel()
+	default:
+		s.mu.Unlock()
+		return RunInfo{}, fmt.Errorf("campaign: run %d already %s", id, r.state)
+	}
+	info := r.info()
+	s.mu.Unlock()
+	if queued {
+		if ck != nil {
+			ck.Destroy()
 		} else {
 			// Shutdown's drain already closed the checkpoint log; the
 			// directory must still go, or the next server start would
@@ -373,82 +432,104 @@ func (s *Server) Cancel(id int) (RunInfo, error) {
 			destroyRunDir(r.dir)
 		}
 		obsServerCanceled.Inc()
-	case r.cancel != nil:
-		r.userCanceled = true
-		r.cancel()
-	default:
-		return RunInfo{}, fmt.Errorf("campaign: run %d already %s", id, r.info().State)
 	}
-	return r.info(), nil
+	return info, nil
 }
 
 var errUnknownRun = errors.New("campaign: unknown run")
 
-// executor drains the queue until shutdown, one run at a time.
-func (s *Server) executor() {
+// take blocks until a run is queued and starts it — state, clock and
+// cancel func — in the critical section that pops it, so a run Cancel
+// removed from the queue is never taken. It returns a nil run once the
+// server drains: drained runs stay queued on disk for the next start.
+func (s *Server) take() (context.Context, *serverRun, *Checkpoint) {
 	for {
-		r, ok := s.queue.take(s.ctx)
-		if !ok {
-			return
+		s.mu.Lock()
+		if s.draining {
+			s.mu.Unlock()
+			s.signal() // cascade the drain wake-up to the other executors
+			return nil, nil, nil
 		}
-		s.execute(r)
+		if len(s.queue) > 0 {
+			r := s.queue[0]
+			s.queue = s.queue[1:]
+			obsServerQueueDepth.Add(-1)
+			r.queueSpan.End()
+			ctx, cancel := context.WithCancel(s.ctx)
+			r.state, r.clock, r.cancel = RunRunning, obs.StartSpan(nil), cancel
+			ck := r.ck
+			if len(s.queue) > 0 {
+				s.signal() // other executors may be waiting too
+			}
+			s.mu.Unlock()
+			return ctx, r, ck
+		}
+		s.mu.Unlock()
+		<-s.wake
 	}
 }
 
-// execute drives one run start to finish: the per-run Service runs
-// under the run's checkpoint, sharing the process-wide artifact and
-// stage caches with every concurrent run. User cancellation discards
-// the run directory (an explicit discard); a server drain keeps it
-// resumable.
-func (s *Server) execute(r *serverRun) {
-	r.mu.Lock()
-	if r.svc.start() != nil { // canceled between queue and here
-		r.mu.Unlock()
-		return
+// signal leaves the wake token for one executor, unless one is pending.
+func (s *Server) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
 	}
-	runCtx, cancel := context.WithCancel(s.ctx)
-	r.cancel = cancel
-	ck := r.ck
-	r.mu.Unlock()
+}
 
+// execute drives one started run to its end under its checkpoint,
+// sharing the process-wide artifact and stage caches with every
+// concurrent run: each new result hits the log before the API sees it.
+// User cancellation discards the run directory (an explicit discard); a
+// server drain keeps it resumable.
+func (s *Server) execute(ctx context.Context, r *serverRun, ck *Checkpoint) {
+	cfg := r.cfg
+	cfg.traffic = &r.traffic
+	cfg.OnResult = func(res Result) {
+		s.mu.Lock()
+		r.results[res.Job.ID] = res
+		s.mu.Unlock()
+	}
 	obsServerActive.Add(1)
-	err := r.svc.run(runCtx, ck)
+	sum, err := ck.Run(ctx, cfg)
 	obsServerActive.Add(-1)
-	cancel()
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cancel = nil
-	r.ck = nil
-	switch runState(err) {
+	state := runState(err)
+	s.mu.Lock()
+	r.state, r.sum, r.runErr = state, sum, err
+	r.elapsed, r.cacheEnd = r.clock.Elapsed(), r.traffic.status()
+	r.cancel()
+	r.cancel, r.ck = nil, nil
+	// An explicit DELETE discards the run's directory so it cannot
+	// resurrect at the next restart — even when a server drain raced the
+	// unwind.
+	discard := state == RunCanceled && r.userCanceled
+	s.mu.Unlock()
+
+	switch state {
 	case RunDone:
 		obsServerCompleted.Inc()
-		ck.Close()
 	case RunCanceled:
 		obsServerCanceled.Inc()
-		if r.userCanceled {
-			// Explicit DELETE: the tenant discarded the run; its directory
-			// must not resurrect it at the next restart — even when a
-			// server drain raced the unwind.
-			ck.Destroy()
-		} else {
-			// Server drain (or a deadline the engine surfaced): keep the
-			// checkpoint — the run resumes on the next start.
-			ck.Close()
-		}
 	default:
 		obsServerFailed.Inc()
-		// Keep the log: completed jobs stay durable and a restart retries
-		// only the remainder.
+	}
+	if discard {
+		ck.Destroy()
+	} else {
+		// Done, failed (completed jobs stay durable and a restart retries
+		// only the remainder), or drained (the run resumes on the next
+		// start).
 		ck.Close()
 	}
 }
 
 // Runs returns the [offset, offset+limit) admission-ordered window of
-// run listings, with the same clamping discipline as Service.Jobs.
+// run listings, with the same clamping discipline as the /jobs pages.
 func (s *Server) Runs(offset, limit int) RunsPage {
 	offset, limit = clampPage(offset, limit)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	total := len(s.order)
 	if offset > total {
 		offset = total
@@ -457,11 +538,8 @@ func (s *Server) Runs(offset, limit int) RunsPage {
 	if end > total || end < offset {
 		end = total
 	}
-	window := make([]*serverRun, end-offset)
-	copy(window, s.order[offset:end])
-	s.mu.Unlock()
-	page := RunsPage{Total: total, Offset: offset, Runs: make([]RunInfo, 0, len(window))}
-	for _, r := range window {
+	page := RunsPage{Total: total, Offset: offset, Runs: make([]RunInfo, 0, end-offset)}
+	for _, r := range s.order[offset:end] {
 		page.Runs = append(page.Runs, r.info())
 	}
 	page.Count = len(page.Runs)
@@ -520,7 +598,10 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
 		if r := s.resolve(w, req); r != nil {
-			writeJSON(w, http.StatusOK, r.info())
+			s.mu.Lock()
+			info := r.info()
+			s.mu.Unlock()
+			writeJSON(w, http.StatusOK, info)
 		}
 	})
 	mux.HandleFunc("DELETE /runs/{id}", func(w http.ResponseWriter, req *http.Request) {
@@ -537,7 +618,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /runs/{id}/status", func(w http.ResponseWriter, req *http.Request) {
 		if r := s.resolve(w, req); r != nil {
-			writeJSON(w, http.StatusOK, r.svc.Status())
+			writeJSON(w, http.StatusOK, s.status(r))
 		}
 	})
 	mux.HandleFunc("GET /runs/{id}/jobs", func(w http.ResponseWriter, req *http.Request) {
@@ -545,16 +626,16 @@ func (s *Server) Handler() http.Handler {
 		if r == nil {
 			return
 		}
-		// Jobs itself clamps (default page on limit<=0, maxPageLimit cap),
+		// jobs itself clamps (default page on limit<=0, maxPageLimit cap),
 		// so an explicit limit=0 serves the default page, never the whole
 		// expanded matrix.
 		if offset, limit, ok := pageParams(w, req); ok {
-			writeJSON(w, http.StatusOK, r.svc.Jobs(offset, limit))
+			writeJSON(w, http.StatusOK, s.jobs(r, offset, limit))
 		}
 	})
 	mux.HandleFunc("GET /runs/{id}/result", func(w http.ResponseWriter, req *http.Request) {
 		if r := s.resolve(w, req); r != nil {
-			r.svc.writeResult(w)
+			s.writeResult(w, r)
 		}
 	})
 	return mux
@@ -583,32 +664,34 @@ func (s *Server) resolve(w http.ResponseWriter, req *http.Request) *serverRun {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
+	// The queued runs' checkpoints hold their log files (and flocks) open
+	// from admission; the runs stay queued in the listing, and their
+	// directories remain for the next server start to re-queue. The gauge
+	// must not keep counting runs this process will never dispatch.
+	var queued []*Checkpoint
+	for _, r := range s.queue {
+		queued = append(queued, r.ck)
+		r.ck = nil
+	}
+	obsServerQueueDepth.Add(int64(-len(s.queue)))
+	s.queue = nil
 	s.mu.Unlock()
-	s.queue.close()
+	for _, ck := range queued {
+		ck.Close()
+	}
+	s.signal()
 	s.cancel() // cancels every active run's context
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	// Close the checkpoints of runs that never executed — they hold the
-	// log files (and flocks) open from admission. Their directories
-	// remain: the next server start re-queues them.
-	for _, r := range s.queue.drainQueued() {
-		r.mu.Lock()
-		if r.ck != nil {
-			r.ck.Close()
-			r.ck = nil
-		}
-		r.mu.Unlock()
-	}
-	return err
 }
 
 // drainTimeout bounds Serve's graceful shutdown: the server's drain and

@@ -506,6 +506,13 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("NewServer accepted an empty BaseDir")
 	}
+	// Zero selects a default limit; a negative one is a mistake.
+	for _, cfg := range []ServerConfig{{QueueCapacity: -1}, {MaxActiveRuns: -1}} {
+		cfg.BaseDir = t.TempDir()
+		if _, err := NewServer(cfg); err == nil {
+			t.Errorf("NewServer accepted QueueCapacity %d, MaxActiveRuns %d", cfg.QueueCapacity, cfg.MaxActiveRuns)
+		}
+	}
 }
 
 // TestServerSubmitUndoKeepsRivalRun pins the undo path of a Submit that
@@ -528,12 +535,12 @@ func TestServerSubmitUndoKeepsRivalRun(t *testing.T) {
 	blocker := decode[RunInfo](t, body)
 	waitRunState(t, h, blocker.ID, RunRunning)
 
-	// While the victim Submit sits between its listing insert and its
-	// queue offer, a rival Submit takes the last slot.
+	// While the victim Submit sits between its checkpoint write and its
+	// queue insert, a rival Submit takes the last slot.
 	var rival RunInfo
 	var rivalErr error
-	s.testBeforeOffer = func() {
-		s.testBeforeOffer = nil // the rival's own Submit offers unimpeded
+	s.testBeforeQueue = func() {
+		s.testBeforeQueue = nil // the rival's own Submit queues unimpeded
 		rival, rivalErr = s.Submit(m)
 	}
 	if _, err := s.Submit(m); !errors.Is(err, ErrQueueFull) {
@@ -867,22 +874,25 @@ func TestServerQueuedRunHasNoStageCacheTraffic(t *testing.T) {
 	waitRunState(t, h, decode[RunInfo](t, body).ID, RunRunning)
 	_, body = postRun(t, h, m)
 	queued := decode[RunInfo](t, body)
-	single, err := newService(m, Config{})
+	jobs, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := newServerRun(0, "", jobs, Config{})
 
-	before := stageCacheSnapshot()
+	lookups := func() int64 {
+		return obsStageCacheHits.Value() + obsStageCacheMisses.Value() + obsStageCacheWaits.Value()
+	}
+	before := lookups()
 	if _, err := Run(context.Background(), testMatrix(), Config{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
-	after := stageCacheSnapshot()
-	if after.Hits+after.Misses+after.Waits == before.Hits+before.Misses+before.Waits {
+	if lookups() == before {
 		t.Fatal("the campaign elsewhere made no stage-cache traffic")
 	}
 
 	st := decode[ServiceStatus](t, second(get(t, h, fmt.Sprintf("/runs/%d/status", queued.ID))))
-	for label, sc := range map[string]*StageCacheStatus{"queued server run": st.StageCache, "unstarted service": single.Status().StageCache} {
+	for label, sc := range map[string]*StageCacheStatus{"queued server run": st.StageCache, "unstarted run": s.status(single).StageCache} {
 		if sc == nil || sc.Hits != 0 || sc.Misses != 0 || sc.Waits != 0 || sc.Evictions != 0 {
 			t.Errorf("%s reports stage-cache traffic %+v, want none", label, sc)
 		}

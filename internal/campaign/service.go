@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"rescue/internal/obs"
@@ -37,140 +36,74 @@ const (
 // errCanceledBeforeExecution is the error of a run canceled while queued.
 var errCanceledBeforeExecution = errors.New("canceled before execution")
 
-// Service is one campaign run on the multi-run server and the state
+// serverRun is one campaign run on the multi-run server and the state
 // behind its /runs/{id} endpoints: /status answers with the per-aspect
 // rollup-so-far, /jobs pages through per-job states, and /result serves
-// the canonical campaign.json once the run is done. A Service starts
-// queued; the server's executor moves it to running and then to done,
-// failed or canceled, or cancels it while still queued. A run finished
-// in an earlier process is restored done from its run directory. The
-// accessors are safe against the in-flight worker pool, so a long
-// campaign can be observed live.
-type Service struct {
+// the canonical campaign.json once the run is done. A run starts queued;
+// an executor moves it to running and then to done, failed or canceled,
+// or Cancel ends it while still queued. A run finished in an earlier
+// process is restored done from its run directory.
+//
+// The fields down to traffic are fixed when the record is built. The
+// rest are guarded by Server.mu, so each lifecycle transition is one
+// critical section of the server's lock, and the endpoints read them
+// under it.
+type serverRun struct {
+	id      int
+	dir     string
 	cfg     Config
 	jobs    []Job
 	workers int
+	// result holds a restored run's campaign.json as read from disk.
+	result []byte
+	// traffic counts the run's own stage-cache lookups; its jobs add to
+	// it atomically.
+	traffic stageTraffic
 
-	mu      sync.Mutex
 	state   RunState
 	results map[int]Result
 	sum     *Summary
-	// result holds a restored run's campaign.json as read from disk.
-	result []byte
-	runErr error
-	clock  obs.Span // started with the run
+	runErr  error
+	clock   obs.Span // started with the run
 	// elapsed freezes the run's wall-clock when it ends.
 	elapsed  time.Duration
 	replayed int // checkpoint-replayed results (not executed here)
-	// cacheBase is the process-wide stage-cache counter snapshot taken
-	// when this run started (nil before); /status reports deltas against
-	// it so a multi-run process never misattributes other runs' cache
-	// traffic. cacheEnd freezes the block when the run ends, so traffic
-	// of runs made after it never reaches its /status either.
-	cacheBase, cacheEnd *StageCacheStatus
+	// cacheEnd freezes the /status stage-cache block when the run ends,
+	// so the shared cache's later gauges never reach it.
+	cacheEnd *StageCacheStatus
+	// ck is the run's open (and flock'd) checkpoint log. It has one
+	// owner at a time: Submit until the run is queued, the queue until an
+	// executor takes the run, then the executor; Cancel or Shutdown takes
+	// it from a queued run. Whoever takes it under the lock closes it
+	// outside.
+	ck     *Checkpoint
+	cancel context.CancelFunc // non-nil while running
+	// userCanceled records an explicit tenant DELETE while running: the
+	// run directory is discarded even if a server drain races the unwind
+	// (s.ctx.Err() alone cannot tell the two apart).
+	userCanceled bool
+	// queueSpan measures admission-to-execution latency.
+	queueSpan obs.Span
 }
 
-// newService validates the matrix and prepares a queued service around
-// it.
-func newService(m Matrix, cfg Config) (*Service, error) {
-	jobs, err := m.Expand()
-	if err != nil {
-		return nil, err
-	}
+// newServerRun builds the queued record of a run over its expanded
+// matrix.
+func newServerRun(id int, dir string, jobs []Job, cfg Config) *serverRun {
 	workers := cfg.Parallelism
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Service{
-		cfg:     cfg,
-		jobs:    jobs,
-		workers: workers,
-		state:   RunQueued,
-		results: make(map[int]Result, len(jobs)),
-	}, nil
+	return &serverRun{id: id, dir: dir, cfg: cfg, jobs: jobs, workers: workers,
+		state: RunQueued, results: make(map[int]Result, len(jobs))}
 }
 
-// restoreService rebuilds the done Service of a run that completed in an
-// earlier process from its campaign.json bytes, which /result then serves
-// as they are. It never runs here, so it has no workers, no stage-cache
-// view and no wall-clock to report.
-func restoreService(m Matrix, raw []byte) (*Service, error) {
-	jobs, err := m.Expand()
-	if err != nil {
-		return nil, err
+// info is the run's listing entry. The caller holds Server.mu.
+func (r *serverRun) info() RunInfo {
+	in := RunInfo{ID: r.id, State: r.state, Jobs: len(r.jobs), Results: len(r.results), Dir: r.dir}
+	if r.runErr != nil {
+		in.Error = r.runErr.Error()
 	}
-	var sum Summary
-	if err := json.Unmarshal(raw, &sum); err != nil {
-		return nil, err
-	}
-	s := &Service{cfg: Config{DisableStageCache: true}, jobs: jobs,
-		state: RunDone, result: raw, results: make(map[int]Result, len(jobs))}
-	seen := make(map[int]bool, len(sum.Results))
-	for _, r := range sum.Results {
-		if err := validateReplayed(r, jobs, seen); err != nil {
-			return nil, err
-		}
-		s.results[r.Job.ID] = r
-	}
-	return s, nil
-}
-
-// start moves a queued service to running.
-func (s *Service) start() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != RunQueued {
-		return fmt.Errorf("campaign: run already %s", s.state)
-	}
-	base := stageCacheSnapshot()
-	s.state, s.cacheBase, s.clock = RunRunning, &base, obs.StartSpan(nil)
-	return nil
-}
-
-// run executes a started service's campaign under its checkpoint: each
-// new result hits the log before the API sees it. It returns the
-// campaign's error.
-func (s *Service) run(ctx context.Context, ck *Checkpoint) error {
-	cfg := s.cfg
-	cfg.OnResult = s.record
-	sum, err := ck.Run(ctx, cfg)
-	s.mu.Lock()
-	s.state, s.sum, s.runErr = runState(err), sum, err
-	s.elapsed = s.clock.Elapsed()
-	s.cacheEnd = stageCacheTraffic(s.cacheBase)
-	s.mu.Unlock()
-	return err
-}
-
-// cancelQueued ends a service that has not started: it reports canceled
-// with errCanceledBeforeExecution, and start refuses it. It returns false
-// once the service has started.
-func (s *Service) cancelQueued() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != RunQueued {
-		return false
-	}
-	s.state, s.runErr = RunCanceled, errCanceledBeforeExecution
-	s.cacheEnd = stageCacheTraffic(nil)
-	return true
-}
-
-// bind surfaces a resumed checkpoint's replayed results through the
-// API while the run waits in the queue.
-func (s *Service) bind(ck *Checkpoint) {
-	for _, r := range ck.Completed() {
-		s.record(r)
-	}
-	s.mu.Lock()
-	s.replayed = len(ck.Completed())
-	s.mu.Unlock()
-}
-
-func (s *Service) record(r Result) {
-	s.mu.Lock()
-	s.results[r.Job.ID] = r
-	s.mu.Unlock()
+	return in
 }
 
 // ServiceStatus is the /status payload: campaign progress plus the
@@ -207,13 +140,13 @@ type ServiceStatus struct {
 }
 
 // StageCacheStatus is the /status view of the stage cache. Hits,
-// Misses, Waits and Evictions are this run's own traffic — deltas of
-// the process-wide counters since the run started (zero until it
-// starts), so two campaigns sharing the process (the multi-run server's
-// whole point) each report only their own dedup rate. InFlight, Entries
-// and Bytes are point-in-time gauges of the shared cache itself. The
-// whole block is frozen when the run ends. The raw cumulative series
-// stay on /metrics.
+// Misses, Waits and Evictions are this run's own traffic, counted where
+// the cache resolves each of the run's lookups (zero until it starts),
+// so two campaigns sharing the process (the multi-run server's whole
+// point) each report only their own dedup rate, even while both
+// execute. InFlight, Entries and Bytes are point-in-time gauges of the
+// shared cache itself. The whole block is frozen when the run ends. The
+// raw cumulative series stay on /metrics.
 type StageCacheStatus struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -224,32 +157,18 @@ type StageCacheStatus struct {
 	Evictions int64 `json:"evictions,omitempty"`
 }
 
-// stageCacheSnapshot samples the cache's process-wide obs series.
-func stageCacheSnapshot() StageCacheStatus {
-	return StageCacheStatus{
-		Hits:      obsStageCacheHits.Value(),
-		Misses:    obsStageCacheMisses.Value(),
-		Waits:     obsStageCacheWaits.Value(),
+// status renders a run's stage-cache block: its own traffic and the
+// shared cache's gauges.
+func (t *stageTraffic) status() *StageCacheStatus {
+	return &StageCacheStatus{
+		Hits:      t.hits.Load(),
+		Misses:    t.misses.Load(),
+		Waits:     t.waits.Load(),
 		InFlight:  obsStageCacheInflight.Value(),
 		Entries:   obsStageCacheEntries.Value(),
 		Bytes:     obsStageCacheBytes.Value(),
-		Evictions: obsStageCacheEvicted.Value(),
+		Evictions: t.evictions.Load(),
 	}
-}
-
-// stageCacheTraffic reports the shared cache's gauges and a run's own
-// traffic since base, the snapshot taken when the run started (none
-// while base is nil: the run has not started).
-func stageCacheTraffic(base *StageCacheStatus) *StageCacheStatus {
-	now := stageCacheSnapshot()
-	st := &StageCacheStatus{InFlight: now.InFlight, Entries: now.Entries, Bytes: now.Bytes}
-	if base != nil {
-		st.Hits = now.Hits - base.Hits
-		st.Misses = now.Misses - base.Misses
-		st.Waits = now.Waits - base.Waits
-		st.Evictions = now.Evictions - base.Evictions
-	}
-	return st
 }
 
 // runState maps a finished campaign's error to its lifecycle state — the
@@ -266,23 +185,24 @@ func runState(err error) RunState {
 	}
 }
 
-// Status aggregates the rollup-so-far. It is what /status serves.
-func (s *Service) Status() ServiceStatus {
+// status aggregates r's rollup-so-far. It is what /runs/{id}/status
+// serves: the run's fields are read under s.mu, the rollups aggregated
+// outside it.
+func (s *Server) status(r *serverRun) ServiceStatus {
 	s.mu.Lock()
-	results := make([]Result, 0, len(s.results))
-	for _, r := range s.results {
-		results = append(results, r)
+	results := make([]Result, 0, len(r.results))
+	for _, res := range r.results {
+		results = append(results, res)
 	}
-	state, runErr, replayed := s.state, s.runErr, s.replayed
-	cacheBase, cacheEnd := s.cacheBase, s.cacheEnd
-	elapsed := s.elapsed
+	state, runErr, replayed, cache := r.state, r.runErr, r.replayed, r.cacheEnd
+	elapsed := r.elapsed
 	if state == RunRunning {
-		elapsed = s.clock.Elapsed()
+		elapsed = r.clock.Elapsed()
 	}
 	s.mu.Unlock()
 	sort.Slice(results, func(i, j int) bool { return results[i].Job.ID < results[j].Job.ID })
 
-	agg := Aggregate(len(s.jobs), s.workers, results)
+	agg := Aggregate(len(r.jobs), r.workers, results)
 	st := ServiceStatus{
 		State:       string(state),
 		Jobs:        agg.Jobs,
@@ -290,7 +210,7 @@ func (s *Service) Status() ServiceStatus {
 		Completed:   agg.Completed,
 		Failed:      agg.Failed,
 		Canceled:    agg.Canceled,
-		Workers:     s.workers,
+		Workers:     r.workers,
 		Replayed:    replayed,
 		ElapsedSec:  elapsed.Seconds(),
 		Quality:     agg.Quality,
@@ -304,13 +224,11 @@ func (s *Service) Status() ServiceStatus {
 	if runErr != nil {
 		st.Error = runErr.Error()
 	}
-	if !s.cfg.DisableStageCache {
-		if cacheEnd != nil {
-			frozen := *cacheEnd
-			st.StageCache = &frozen
-		} else {
-			st.StageCache = stageCacheTraffic(cacheBase)
+	if !r.cfg.DisableStageCache {
+		if cache == nil {
+			cache = r.traffic.status()
 		}
+		st.StageCache = cache
 	}
 	return st
 }
@@ -332,7 +250,7 @@ type JobsPage struct {
 	Jobs   []JobStatus `json:"jobs"`
 }
 
-// Page-limit discipline, shared by every paged endpoint (Service.Jobs,
+// Page-limit discipline, shared by every paged endpoint (Server.jobs,
 // Server.Runs): a non-positive limit means the default page, and no
 // caller — programmatic or HTTP — ever gets more than maxPageLimit rows
 // per call. The clamps live here, not in the HTTP handlers, because the
@@ -358,31 +276,32 @@ func clampPage(offset, limit int) (int, int) {
 	return offset, limit
 }
 
-// Jobs returns the [offset, offset+limit) window of per-job states in
-// job-ID order, clamped per clampPage. It is what /jobs serves.
-func (s *Service) Jobs(offset, limit int) JobsPage {
+// jobs returns r's [offset, offset+limit) window of per-job states in
+// job-ID order, clamped per clampPage. It is what /runs/{id}/jobs
+// serves.
+func (s *Server) jobs(r *serverRun, offset, limit int) JobsPage {
 	offset, limit = clampPage(offset, limit)
-	if offset > len(s.jobs) {
-		offset = len(s.jobs)
+	if offset > len(r.jobs) {
+		offset = len(r.jobs)
 	}
 	end := offset + limit
 	// end < offset catches integer overflow of a huge offset.
-	if end > len(s.jobs) || end < offset {
-		end = len(s.jobs)
+	if end > len(r.jobs) || end < offset {
+		end = len(r.jobs)
 	}
-	page := JobsPage{Total: len(s.jobs), Offset: offset, Jobs: make([]JobStatus, 0, end-offset)}
+	page := JobsPage{Total: len(r.jobs), Offset: offset, Jobs: make([]JobStatus, 0, end-offset)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.jobs[offset:end] {
+	for _, j := range r.jobs[offset:end] {
 		js := JobStatus{ID: j.ID, Name: j.Name(), Status: "pending"}
-		if r, ok := s.results[j.ID]; ok {
+		if res, ok := r.results[j.ID]; ok {
 			switch {
-			case r.Canceled:
+			case res.Canceled:
 				js.Status = "canceled"
-				js.Error = r.Err
-			case r.Err != "":
+				js.Error = res.Err
+			case res.Err != "":
 				js.Status = "failed"
-				js.Error = r.Err
+				js.Error = res.Err
 			default:
 				js.Status = "ok"
 			}
@@ -393,26 +312,15 @@ func (s *Service) Jobs(offset, limit int) JobsPage {
 	return page
 }
 
-// runInfo is the run's listing entry on the multi-run server.
-func (s *Service) runInfo(id int, dir string) RunInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in := RunInfo{ID: id, State: s.state, Jobs: len(s.jobs), Results: len(s.results), Dir: dir}
-	if s.runErr != nil {
-		in.Error = s.runErr.Error()
-	}
-	return in
-}
-
-// writeResult serves the canonical campaign result: the campaign.json
+// writeResult serves r's canonical campaign result: the campaign.json
 // bytes once the run completed, 409 {"state":"queued"} or
 // {"state":"running"} before, 409 {"state":"canceled"} for a canceled run
 // (cancellation is a lifecycle conflict, not a server fault — matching
 // /status's state machine), and 500 {"state":"failed"} only when the
 // campaign itself errored.
-func (s *Service) writeResult(w http.ResponseWriter) {
+func (s *Server) writeResult(w http.ResponseWriter, r *serverRun) {
 	s.mu.Lock()
-	state, sum, result, runErr := s.state, s.sum, s.result, s.runErr
+	state, sum, runErr := r.state, r.sum, r.runErr
 	s.mu.Unlock()
 	switch state {
 	case RunQueued, RunRunning:
@@ -425,6 +333,7 @@ func (s *Service) writeResult(w http.ResponseWriter) {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"state": string(state), "error": runErr.Error()})
 		return
 	}
+	result := r.result
 	if result == nil {
 		js, err := sum.JSON()
 		if err != nil {

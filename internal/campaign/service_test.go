@@ -19,7 +19,7 @@ import (
 )
 
 // The tests below pin one run's endpoints, /runs/{id}/status, /jobs and
-// /result, which the run's Service answers behind the server.
+// /result, which the server answers from the run's record.
 
 func get(t *testing.T, h http.Handler, target string) (int, []byte) {
 	t.Helper()
@@ -88,7 +88,7 @@ func TestServiceLifecycle(t *testing.T) {
 			case <-ctx.Done():
 				return Result{Job: j, Canceled: true, Err: ctx.Err().Error()}
 			}
-			return runJobWith(ctx, j, nil, sharedStageCache)
+			return runJobWith(ctx, j, nil, sharedStageCache, new(stageTraffic))
 		},
 	}})
 	h := s.Handler()
@@ -436,6 +436,30 @@ func TestStatusStageCacheFrozenAtEnd(t *testing.T) {
 	}
 }
 
+// TestStatusStageCacheConcurrentRuns pins the per-run stage-cache block
+// while two runs execute at once: each run's hits, misses and waits add
+// up to its own lookups, one per job stage, however the two runs'
+// lookups interleave. Counting deltas of the process-wide counters gave
+// the long mul8 run the small run's twelve lookups as well.
+func TestStatusStageCacheConcurrentRuns(t *testing.T) {
+	s := newTestServer(t, ServerConfig{MaxActiveRuns: 2, RunConfig: Config{Parallelism: 2}})
+	h := s.Handler()
+	long := submitRun(t, h, Matrix{Circuits: []string{"mul8"}, Scenarios: []Scenario{ScenarioQuality}, Seed: 29})
+	m := testMatrix()
+	m.Seed = 30
+	short := submitRun(t, h, m)
+	for id, lookups := range map[int]int64{long: 1, short: 12} {
+		waitRunState(t, h, id, RunDone)
+		sc := runStatus(t, h, id).StageCache
+		if sc == nil {
+			t.Fatalf("run %d: stage-cache status missing from /status", id)
+		}
+		if got := sc.Hits + sc.Misses + sc.Waits; got != lookups {
+			t.Errorf("run %d reports %d stage-cache lookups (%+v), want its own %d", id, got, *sc, lookups)
+		}
+	}
+}
+
 // TestJobsLimitCaps pins the paging caps on a matrix that expands past
 // both: an explicit limit=0 means the default page (not the whole
 // matrix), and oversized limits clamp to 1000.
@@ -446,13 +470,14 @@ func TestJobsLimitCaps(t *testing.T) {
 		Shards:    1200, ShardThreshold: 1,
 		Patterns: 8,
 	}
-	svc, err := newService(m, Config{})
+	jobs, err := m.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total := len(svc.jobs); total <= 1000 {
+	if total := len(jobs); total <= 1000 {
 		t.Fatalf("matrix expands to %d jobs, need > 1000 to exercise the caps", total)
 	}
+	single := newServerRun(0, "", jobs, Config{})
 	// The run's first job blocks until the server drains, so every job
 	// stays pending.
 	s := newTestServer(t, ServerConfig{RunConfig: blockingRunConfig(nil)})
@@ -469,18 +494,18 @@ func TestJobsLimitCaps(t *testing.T) {
 	if code, _ := get(t, h, prefix+"?offset=-1"); code != http.StatusBadRequest {
 		t.Errorf("GET %s?offset=-1 = %d, want 400", prefix, code)
 	}
-	// The clamps live in Jobs itself, not the handler: programmatic
-	// Jobs(0, 0) must serve the default page, never assemble the whole
-	// expanded matrix under the store mutex.
-	if got := len(svc.Jobs(0, 0).Jobs); got != defaultPageLimit {
-		t.Errorf("Service.Jobs(0, 0) returned %d entries, want the default page of %d", got, defaultPageLimit)
+	// The clamps live in jobs itself, not the handler: programmatic
+	// jobs(r, 0, 0) must serve the default page, never assemble the whole
+	// expanded matrix under the server's lock.
+	if got := len(s.jobs(single, 0, 0).Jobs); got != defaultPageLimit {
+		t.Errorf("Server.jobs(r, 0, 0) returned %d entries, want the default page of %d", got, defaultPageLimit)
 	}
-	if got := len(svc.Jobs(0, 999999).Jobs); got != maxPageLimit {
-		t.Errorf("Service.Jobs(0, 999999) returned %d entries, want the %d cap", got, maxPageLimit)
+	if got := len(s.jobs(single, 0, 999999).Jobs); got != maxPageLimit {
+		t.Errorf("Server.jobs(r, 0, 999999) returned %d entries, want the %d cap", got, maxPageLimit)
 	}
 	// Negative offsets clamp programmatically (the HTTP layer rejects
-	// them with 400 before Jobs ever sees one).
-	if page := svc.Jobs(-5, 10); page.Offset != 0 || len(page.Jobs) != 10 {
-		t.Errorf("Service.Jobs(-5, 10) = offset %d, %d entries; want offset 0, 10 entries", page.Offset, len(page.Jobs))
+	// them with 400 before jobs ever sees one).
+	if page := s.jobs(single, -5, 10); page.Offset != 0 || len(page.Jobs) != 10 {
+		t.Errorf("Server.jobs(r, -5, 10) = offset %d, %d entries; want offset 0, 10 entries", page.Offset, len(page.Jobs))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"rescue/internal/core"
@@ -75,6 +76,11 @@ func newStageCache(maxBytes int64) *stageCache {
 	}
 }
 
+// stageTraffic is one run's own share of the cache's traffic, counted
+// where do resolves each lookup its jobs make: every lookup is exactly
+// one hit, miss or wait, and a miss's insertion may evict older entries.
+type stageTraffic struct{ hits, misses, waits, evictions atomic.Int64 }
+
 // sharedStageCache is the process-wide cache every campaign run shares
 // unless Config.DisableStageCache. Like the circuit-artifact cache it
 // lives for the process lifetime — deliberately: a long-running
@@ -87,18 +93,21 @@ var sharedStageCache = newStageCache(defaultStageCacheBytes)
 // Errors — including cancellation of the leader's job — are delivered
 // to the waiters of that flight but never cached: the entry is removed,
 // so a later caller recomputes. ctx bounds only this caller's wait; the
-// computation itself runs under the leader's own context.
-func (c *stageCache) do(ctx context.Context, key string, compute func() (core.StageResult, error)) (core.StageResult, error) {
+// computation itself runs under the leader's own context. The lookup,
+// and any eviction it causes, counts in t as well as on /metrics.
+func (c *stageCache) do(ctx context.Context, key string, t *stageTraffic, compute func() (core.StageResult, error)) (core.StageResult, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.elem != nil { // completed: a pure hit
 			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
 			obsStageCacheHits.Inc()
+			t.hits.Add(1)
 			return e.res, nil
 		}
 		c.mu.Unlock() // in flight: wait for the leader
 		obsStageCacheWaits.Inc()
+		t.waits.Add(1)
 		select {
 		case <-e.done:
 			return e.res, e.err
@@ -110,6 +119,7 @@ func (c *stageCache) do(ctx context.Context, key string, compute func() (core.St
 	c.entries[key] = e
 	c.mu.Unlock()
 	obsStageCacheMisses.Inc()
+	t.misses.Add(1)
 	obsStageCacheInflight.Add(1)
 	res, err := compute()
 	obsStageCacheInflight.Add(-1)
@@ -124,7 +134,7 @@ func (c *stageCache) do(ctx context.Context, key string, compute func() (core.St
 		c.bytes += e.size
 		obsStageCacheEntries.Add(1)
 		obsStageCacheBytes.Add(e.size)
-		c.evictLocked()
+		c.evictLocked(t)
 	}
 	close(e.done)
 	c.mu.Unlock()
@@ -132,8 +142,9 @@ func (c *stageCache) do(ctx context.Context, key string, compute func() (core.St
 }
 
 // evictLocked drops least-recently-used completed entries until the
-// byte bound holds again, always keeping the newest entry.
-func (c *stageCache) evictLocked() {
+// byte bound holds again, always keeping the newest entry, and counts
+// each eviction in t.
+func (c *stageCache) evictLocked(t *stageTraffic) {
 	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		e := back.Value.(*stageEntry)
@@ -141,6 +152,7 @@ func (c *stageCache) evictLocked() {
 		delete(c.entries, e.key)
 		c.bytes -= e.size
 		obsStageCacheEvicted.Inc()
+		t.evictions.Add(1)
 		obsStageCacheEntries.Add(-1)
 		obsStageCacheBytes.Add(-e.size)
 	}
@@ -213,15 +225,16 @@ func stageCacheKey(j Job, id core.StageID) string {
 
 // jobMemo adapts the shared stage cache to one job's core.StageMemo:
 // every stage RunStages schedules is resolved through the cache under
-// the job's context.
+// the job's context and counted in its run's traffic.
 type jobMemo struct {
-	ctx   context.Context
-	cache *stageCache
-	job   Job
+	ctx     context.Context
+	cache   *stageCache
+	traffic *stageTraffic
+	job     Job
 }
 
 func (m jobMemo) Stage(id core.StageID, compute func() (core.StageResult, error)) (core.StageResult, error) {
-	return m.cache.do(m.ctx, stageCacheKey(m.job, id), compute)
+	return m.cache.do(m.ctx, stageCacheKey(m.job, id), m.traffic, compute)
 }
 
 // orderForCache groups pending jobs that share the cache key of the

@@ -34,18 +34,24 @@ func TestStageCacheSingleflight(t *testing.T) {
 	}
 	const workers = 32
 	var wg sync.WaitGroup
+	var traffic stageTraffic
 	results := make([]core.StageResult, workers)
 	errs := make([]error, workers)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = c.do(context.Background(), "k", compute)
+			results[i], errs[i] = c.do(context.Background(), "k", &traffic, compute)
 		}()
 	}
 	wg.Wait()
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("computation ran %d times under singleflight, want 1", n)
+	}
+	// Every lookup counts once in its run's traffic: one miss, the rest
+	// hits or waits.
+	if m, hw := traffic.misses.Load(), traffic.hits.Load()+traffic.waits.Load(); m != 1 || hw != workers-1 {
+		t.Fatalf("traffic = %d misses, %d hits and waits; want 1, %d", m, hw, workers-1)
 	}
 	for i := range results {
 		if errs[i] != nil {
@@ -71,7 +77,7 @@ func TestStageCacheErrorNotCached(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.do(ctx, "k", func() (core.StageResult, error) {
+		_, err := c.do(ctx, "k", new(stageTraffic), func() (core.StageResult, error) {
 			<-release
 			return core.StageResult{}, boom
 		})
@@ -84,7 +90,7 @@ func TestStageCacheErrorNotCached(t *testing.T) {
 	})
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := c.do(ctx, "k", func() (core.StageResult, error) {
+		_, err := c.do(ctx, "k", new(stageTraffic), func() (core.StageResult, error) {
 			t.Error("waiter must not compute while the leader is in flight")
 			return core.StageResult{}, nil
 		})
@@ -112,10 +118,10 @@ func TestStageCacheErrorNotCached(t *testing.T) {
 		calls++
 		return core.StageResult{Quality: rep}, nil
 	}
-	if res, err := c.do(ctx, "k", compute); err != nil || res.Quality != rep {
+	if res, err := c.do(ctx, "k", new(stageTraffic), compute); err != nil || res.Quality != rep {
 		t.Fatalf("recompute after failure: res=%+v err=%v", res, err)
 	}
-	if res, err := c.do(ctx, "k", compute); err != nil || res.Quality != rep {
+	if res, err := c.do(ctx, "k", new(stageTraffic), compute); err != nil || res.Quality != rep {
 		t.Fatalf("hit after recompute: res=%+v err=%v", res, err)
 	}
 	if calls != 1 {
@@ -132,7 +138,7 @@ func TestStageCacheWaiterCancellation(t *testing.T) {
 	rep := &core.QualityReport{}
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.do(context.Background(), "k", func() (core.StageResult, error) {
+		_, err := c.do(context.Background(), "k", new(stageTraffic), func() (core.StageResult, error) {
 			<-release
 			return core.StageResult{Quality: rep}, nil
 		})
@@ -147,7 +153,7 @@ func TestStageCacheWaiterCancellation(t *testing.T) {
 	w0 := obsStageCacheWaits.Value()
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := c.do(wctx, "k", func() (core.StageResult, error) {
+		_, err := c.do(wctx, "k", new(stageTraffic), func() (core.StageResult, error) {
 			return core.StageResult{}, nil
 		})
 		waiterDone <- err
@@ -161,7 +167,7 @@ func TestStageCacheWaiterCancellation(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader: %v", err)
 	}
-	if res, err := c.do(context.Background(), "k", nil); err != nil || res.Quality != rep {
+	if res, err := c.do(context.Background(), "k", new(stageTraffic), nil); err != nil || res.Quality != rep {
 		t.Fatalf("entry after waiter cancellation: res=%+v err=%v", res, err)
 	}
 }
@@ -172,9 +178,10 @@ func TestStageCacheWaiterCancellation(t *testing.T) {
 func TestStageCacheEvictionBounds(t *testing.T) {
 	c := newStageCache(1) // smaller than any single entry
 	ctx := context.Background()
+	var traffic stageTraffic
 	for _, key := range []string{"a", "b", "c"} {
 		rep := &core.QualityReport{}
-		if _, err := c.do(ctx, key, func() (core.StageResult, error) {
+		if _, err := c.do(ctx, key, &traffic, func() (core.StageResult, error) {
 			return core.StageResult{Quality: rep}, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -192,6 +199,10 @@ func TestStageCacheEvictionBounds(t *testing.T) {
 		if bytes <= 0 {
 			t.Fatalf("after inserting %q: accounted bytes = %d", key, bytes)
 		}
+	}
+	// The insertions that evicted count the evictions in their traffic.
+	if m, e := traffic.misses.Load(), traffic.evictions.Load(); m != 3 || e != 2 {
+		t.Fatalf("traffic = %d misses, %d evictions; want 3, 2", m, e)
 	}
 }
 
