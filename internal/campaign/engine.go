@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rescue/internal/atpg"
@@ -15,9 +16,10 @@ import (
 )
 
 // Campaign engine instrumentation. The queue-depth gauge tracks jobs
-// expanded but not yet dispatched, summed across concurrent runs (each
-// run adds its pending count and decrements per dispatch, returning its
-// remainder on exit); the job histogram records per-job wall-clock.
+// expanded but not yet claimed by a worker, summed across concurrent
+// runs (each run adds its pending count and decrements per claim,
+// returning its remainder on exit); the job histogram records per-job
+// wall-clock.
 var (
 	obsRuns          = obs.NewCounter("campaign_runs_total", "Campaign runs started.")
 	obsJobsStarted   = obs.NewCounter("campaign_jobs_started_total", "Jobs dispatched to campaign workers.")
@@ -87,8 +89,8 @@ type Result struct {
 	Elapsed time.Duration `json:"-"`
 }
 
-// Run expands the matrix and executes every job on a worker pool. The
-// returned Summary aggregates all completed jobs sorted by job ID, so it
+// Run expands the matrix and executes every job on a worker pool whose
+// workers claim the jobs in matrix order. The returned Summary aggregates all completed jobs sorted by job ID, so it
 // is byte-for-byte identical at any parallelism level. On cancellation it
 // returns the partial summary together with the context error; in-flight
 // jobs stop at the next stage boundary and are recorded as cancelled
@@ -96,7 +98,7 @@ type Result struct {
 //
 // The run keeps a budget of spare worker slots (atpg.Slots) that its
 // jobs' quality and safety stages borrow PODEM helpers from. A worker
-// adds its slot only once it finds the job queue drained, and workers a
+// adds its slot only once it finds no job left to claim, and workers a
 // short queue never needs start out lent, so lending never delays a
 // queued job. Which goroutine runs a search never changes its result.
 func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
@@ -136,12 +138,6 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 		if cfg.DisableStageCache {
 			cache = nil
 		}
-		if cache != nil && len(pending) > 1 {
-			// Cache-aware scheduling: jobs sharing a stage key land on
-			// nearby slots, so duplicates resolve as hits or short
-			// singleflight waits instead of cold recomputations later.
-			pending = orderForCache(pending)
-		}
 		traffic := cfg.traffic
 		if traffic == nil {
 			traffic = new(stageTraffic)
@@ -152,46 +148,33 @@ func Run(ctx context.Context, m Matrix, cfg Config) (*Summary, error) {
 	obsJobsReplayed.Add(int64(len(replayed)))
 	obsQueueDepth.Add(int64(len(pending)))
 
-	jobCh := make(chan Job)
+	// Workers claim pending jobs in matrix order. The context is checked
+	// before every claim, so a canceled run starts no further job.
+	var next atomic.Int64
 	resCh := make(chan Result)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
+			for ctx.Err() == nil {
+				i := next.Add(1) - 1
+				if i >= int64(len(pending)) {
+					break
+				}
+				obsQueueDepth.Add(-1)
 				obsJobsStarted.Inc()
-				resCh <- safeRun(ctx, j, run)
+				resCh <- safeRun(ctx, pending[i], run)
 			}
-			// The queue is drained: lend this worker to the jobs
+			// Nothing is left to claim: lend this worker to the jobs
 			// still running.
 			spare.Add(1)
 		}()
 	}
 	go func() {
-		defer close(jobCh)
-		dispatched := 0
-		// Whatever was never dispatched (cancellation) leaves the queue
-		// when the run does.
-		defer func() { obsQueueDepth.Add(int64(dispatched - len(pending))) }()
-		for _, j := range pending {
-			// Checked non-blockingly first: when a worker is ready AND the
-			// context is done, the two-case select below would pick at
-			// random and could keep dispatching after cancellation.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case jobCh <- j:
-				dispatched++
-				obsQueueDepth.Add(-1)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
 		wg.Wait()
+		// Jobs never claimed (cancellation) leave the queue with the run.
+		obsQueueDepth.Add(-max(int64(len(pending))-next.Load(), 0))
 		close(resCh)
 	}()
 

@@ -3,7 +3,6 @@ package campaign
 import (
 	"container/list"
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -235,36 +234,4 @@ type jobMemo struct {
 
 func (m jobMemo) Stage(id core.StageID, compute func() (core.StageResult, error)) (core.StageResult, error) {
 	return m.cache.do(m.ctx, stageCacheKey(m.job, id), m.traffic, compute)
-}
-
-// orderForCache groups pending jobs that share the cache key of the
-// first stage they execute (core.ExecutionOrder) onto adjacent schedule
-// slots: the group's first job computes while the rest arrive after (or
-// while) the entry resolves, turning would-be duplicate computations
-// scattered across the schedule into immediate hits or short
-// singleflight waits. Scheduling order never affects results — the
-// summary sorts by job ID — so this is pure locality; the sort is
-// stable with a job-ID tiebreak and thus itself deterministic.
-func orderForCache(pending []Job) []Job {
-	keys := make([]string, len(pending))
-	for i, j := range pending {
-		if stages, err := j.Scenario.Stages(); err == nil && len(stages) > 0 {
-			keys[i] = stageCacheKey(j, core.ExecutionOrder(stages)[0])
-		}
-	}
-	idx := make([]int, len(pending))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if keys[idx[a]] != keys[idx[b]] {
-			return keys[idx[a]] < keys[idx[b]]
-		}
-		return pending[idx[a]].ID < pending[idx[b]].ID
-	})
-	out := make([]Job, len(pending))
-	for i, k := range idx {
-		out[i] = pending[k]
-	}
-	return out
 }

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,65 +286,9 @@ func TestStageCacheKeyDeclaredInputs(t *testing.T) {
 	}
 }
 
-// TestOrderForCacheDeterminism: cache-aware ordering is a stable
-// grouping — same multiset of jobs, sorted by (first-stage key, ID) —
-// and therefore independent of the input permutation. A job's first
-// stage is the first one core.ExecutionOrder runs.
-func TestOrderForCacheDeterminism(t *testing.T) {
-	m := Matrix{
-		Circuits:     []string{"mul8", "c17"},
-		Environments: EnvironmentNames(),
-		Technologies: []string{"28nm", "65nm"},
-		Scenarios:    []Scenario{ScenarioHolistic, ScenarioQuality},
-		Patterns:     16, Years: 5, Seed: 3,
-	}
-	jobs, err := m.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered := orderForCache(jobs)
-	reversed := make([]Job, len(jobs))
-	for i, j := range jobs {
-		reversed[len(jobs)-1-i] = j
-	}
-	fromReversed := orderForCache(reversed)
-	for i := range ordered {
-		if ordered[i].ID != fromReversed[i].ID {
-			t.Fatalf("ordering depends on input permutation at slot %d", i)
-		}
-	}
-	ids := make([]int, len(ordered))
-	for i, j := range ordered {
-		ids[i] = j.ID
-	}
-	sort.Ints(ids)
-	for i, id := range ids {
-		if id != i {
-			t.Fatalf("ordering lost or duplicated job IDs: %v", ids)
-		}
-	}
-	// Jobs sharing a first-stage key must be adjacent.
-	seen := make(map[string]int)
-	for i, j := range ordered {
-		stages, err := j.Scenario.Stages()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := stageCacheKey(j, core.ExecutionOrder(stages)[0])
-		if last, ok := seen[k]; ok && last != i-1 {
-			t.Fatalf("jobs with key %s scattered (slots %d and %d)", k, last, i)
-		}
-		seen[k] = i
-	}
-}
-
 // seedStageKeysDigest pins every (job, stage) seed and cache key of
 // stageKeysMatrix.
 const seedStageKeysDigest = "e04f689e8fbf6374a0c0675e5034b2778424dff8b412d5d9ea46d3e1d20f3d3c"
-
-// seedCacheScheduleDigest pins the schedule orderForCache builds for
-// stageKeysMatrix.
-const seedCacheScheduleDigest = "cb76bdd14013efba86846625ba0585b11118ee741cd7719479fbd3ada5d27e25"
 
 // stageKeysMatrix crosses the registry with every environment, every
 // technology and every scenario, sharding the circuits with at least
@@ -386,22 +329,6 @@ func TestStageSeedsAndKeysMatchSeedDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != seedStageKeysDigest {
 		t.Errorf("stage seed and key digest = %s, want %s", got, seedStageKeysDigest)
-	}
-}
-
-// TestCacheScheduleMatchesSeedDigest pins the cache-aware schedule of
-// stageKeysMatrix's jobs.
-func TestCacheScheduleMatchesSeedDigest(t *testing.T) {
-	jobs, err := stageKeysMatrix().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	for _, j := range orderForCache(jobs) {
-		fmt.Fprintf(h, "%d ", j.ID)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != seedCacheScheduleDigest {
-		t.Errorf("cache schedule digest = %s, want %s", got, seedCacheScheduleDigest)
 	}
 }
 

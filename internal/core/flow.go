@@ -106,7 +106,7 @@ type Report struct {
 	Years  float64
 	// Stages lists, in the requested order, which stages populated this
 	// report; a full RunFlow records all four. The execution order can
-	// differ (see ExecutionOrder).
+	// differ (see RunStages).
 	Stages      []string `json:",omitempty"`
 	Quality     QualityReport
 	Reliability ReliabilityReport

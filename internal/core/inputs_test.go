@@ -223,10 +223,9 @@ func TestQualityRecallsSafetyVerdicts(t *testing.T) {
 	}
 }
 
-// TestExecutionOrder pins the one policy RunStages and the campaign's
-// cache-aware scheduling share: safety moves to just before quality
-// when both are selected, every other stage keeps its place, and a
-// duplicate runs once.
+// TestExecutionOrder pins the order RunStages executes a request in:
+// safety moves to just before quality when both are selected, every
+// other stage keeps its place, and a duplicate runs once.
 func TestExecutionOrder(t *testing.T) {
 	q, r, sa, se := StageQuality, StageReliability, StageSafety, StageSecurity
 	for _, c := range []struct{ in, want []StageID }{
@@ -237,8 +236,8 @@ func TestExecutionOrder(t *testing.T) {
 		{[]StageID{r, sa, se}, []StageID{r, sa, se}},
 		{[]StageID{se, q, se}, []StageID{se, q}},
 	} {
-		if got := ExecutionOrder(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("ExecutionOrder(%v) = %v, want %v", c.in, got, c.want)
+		if got := executionOrder(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("executionOrder(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -281,7 +281,7 @@ func (st *flowState) runStage(id StageID) (StageResult, error) {
 	return StageResult{}, fmt.Errorf("core: unknown stage %d", id)
 }
 
-// ExecutionOrder returns the distinct stages of a request in the order
+// executionOrder returns the distinct stages of a request in the order
 // RunStages executes them: the requested order, except that safety runs
 // immediately before quality whenever both are selected. Both stages
 // take a PODEM verdict for stuck-ats of the same netlist at the same
@@ -290,7 +290,7 @@ func (st *flowState) runStage(id StageID) (StageResult, error) {
 // with no barrier, so lent workers stay busy through it; the quality
 // stage's test-and-drop rounds, which wait for their slowest search,
 // then recall every verdict they need.
-func ExecutionOrder(stages []StageID) []StageID {
+func executionOrder(stages []StageID) []StageID {
 	both := slices.Contains(stages, StageQuality) && slices.Contains(stages, StageSafety)
 	order := make([]StageID, 0, len(stages))
 	for _, id := range stages {
@@ -307,7 +307,7 @@ func ExecutionOrder(stages []StageID) []StageID {
 
 // RunStages runs the selected Fig. 2 stages over one design and returns
 // the report with exactly those aspects populated (the rest stay zero).
-// Stages execute in ExecutionOrder, so that the quality stage recalls
+// Stages execute in executionOrder, so that the quality stage recalls
 // the safety stage's PODEM verdicts; each stage's result is a pure
 // function of its inputs, so the order changes only how long the run
 // takes. The report lists and applies the stages in the requested
@@ -326,7 +326,7 @@ func RunStages(ctx context.Context, cfg FlowConfig, stages ...StageID) (*Report,
 		}
 	}
 	var outs [numStages]StageResult
-	for _, id := range ExecutionOrder(stages) {
+	for _, id := range executionOrder(stages) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
