@@ -3,6 +3,7 @@ package campaign
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -91,9 +92,11 @@ var sharedStageCache = newStageCache(defaultStageCacheBytes)
 // computation of it, or runs compute as the key's singleflight leader.
 // Errors — including cancellation of the leader's job — are delivered
 // to the waiters of that flight but never cached: the entry is removed,
-// so a later caller recomputes. ctx bounds only this caller's wait; the
-// computation itself runs under the leader's own context. The lookup,
-// and any eviction it causes, counts in t as well as on /metrics.
+// so a later caller recomputes. A panic in compute ends the flight the
+// same way, with an error naming the panic, and then resumes in the
+// leader. ctx bounds only this caller's wait; the computation itself
+// runs under the leader's own context. The lookup, and any eviction it
+// causes, counts in t as well as on /metrics.
 func (c *stageCache) do(ctx context.Context, key string, t *stageTraffic, compute func() (core.StageResult, error)) (core.StageResult, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -120,15 +123,29 @@ func (c *stageCache) do(ctx context.Context, key string, t *stageTraffic, comput
 	obsStageCacheMisses.Inc()
 	t.misses.Add(1)
 	obsStageCacheInflight.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			c.finish(e, t, core.StageResult{}, fmt.Errorf("campaign: stage computation panicked: %v", r))
+			panic(r)
+		}
+	}()
 	res, err := compute()
+	c.finish(e, t, res, err)
+	return res, err
+}
+
+// finish ends e's flight: it publishes the result to the flight's
+// waiters and, on success, caches it.
+func (c *stageCache) finish(e *stageEntry, t *stageTraffic, res core.StageResult, err error) {
 	obsStageCacheInflight.Add(-1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e.res, e.err = res, err
 	if err != nil {
 		// Never memoise failure: the next job with this key retries.
-		delete(c.entries, key)
+		delete(c.entries, e.key)
 	} else {
-		e.size = stageEntrySize(key, res)
+		e.size = stageEntrySize(e.key, res)
 		e.elem = c.lru.PushFront(e)
 		c.bytes += e.size
 		obsStageCacheEntries.Add(1)
@@ -136,8 +153,6 @@ func (c *stageCache) do(ctx context.Context, key string, t *stageTraffic, comput
 		c.evictLocked(t)
 	}
 	close(e.done)
-	c.mu.Unlock()
-	return res, err
 }
 
 // evictLocked drops least-recently-used completed entries until the

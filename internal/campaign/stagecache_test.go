@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +126,64 @@ func TestStageCacheErrorNotCached(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("successful result computed %d times, want 1 (second call must hit)", calls)
+	}
+}
+
+// TestStageCacheLeaderPanic: a leader whose computation panics must end
+// its flight. A waiter blocked on it returns an error naming the panic
+// instead of hanging, the panic still reaches the leader's caller, a
+// later caller runs its own computation, and the in-flight gauge
+// returns to its start value.
+func TestStageCacheLeaderPanic(t *testing.T) {
+	c := newStageCache(1 << 20)
+	// Bounded only so that a wedged key fails the test instead of
+	// hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	g0 := obsStageCacheInflight.Value()
+	w0 := obsStageCacheWaits.Value()
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.do(ctx, "k", new(stageTraffic), func() (core.StageResult, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.entries["k"] != nil
+	})
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, err := c.do(ctx, "k", new(stageTraffic), func() (core.StageResult, error) {
+			t.Error("waiter must not compute while the leader is in flight")
+			return core.StageResult{}, nil
+		})
+		waiterDone <- err
+	}()
+	waitFor(t, func() bool { return obsStageCacheWaits.Value() > w0 })
+	close(release)
+	if p := <-leaderPanic; p != "boom" {
+		t.Fatalf("leader's caller recovered %v, want the computation's panic", p)
+	}
+	if err := <-waiterDone; err == nil || !strings.Contains(err.Error(), "panicked: boom") {
+		t.Fatalf("waiter err = %v, want the leader's panic", err)
+	}
+
+	rep := &core.QualityReport{}
+	calls := 0
+	res, err := c.do(ctx, "k", new(stageTraffic), func() (core.StageResult, error) {
+		calls++
+		return core.StageResult{Quality: rep}, nil
+	})
+	if err != nil || res.Quality != rep || calls != 1 {
+		t.Fatalf("later caller: res=%+v err=%v computations=%d, want its own result", res, err, calls)
+	}
+	if g := obsStageCacheInflight.Value(); g != g0 {
+		t.Fatalf("in-flight gauge = %d after the flights ended, want %d", g, g0)
 	}
 }
 
