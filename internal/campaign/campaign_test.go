@@ -69,6 +69,10 @@ func TestExpandValidation(t *testing.T) {
 		{Circuits: []string{"c17"}, Years: math.NaN()},
 		{Circuits: []string{"c17"}, Years: math.Inf(1)},
 		{Circuits: []string{"c17"}, Years: math.Inf(-1)},
+		{Circuits: []string{"c17", "rca8", "c17"}},
+		{Circuits: []string{"c17"}, Environments: []string{"sea-level", "sea-level"}},
+		{Circuits: []string{"c17"}, Technologies: []string{"28nm", "65nm", "28nm"}},
+		{Circuits: []string{"c17"}, Scenarios: []Scenario{ScenarioSecurity, ScenarioSecurity}},
 	}
 	for i, m := range cases {
 		if _, err := m.Expand(); err == nil {

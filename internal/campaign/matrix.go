@@ -10,8 +10,10 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 
@@ -215,6 +217,12 @@ func (m Matrix) Expand() ([]Job, error) {
 			return nil, err
 		}
 	}
+	// A coordinate listed twice would run its jobs twice and weigh them
+	// twice in every rollup.
+	if err := errors.Join(repeated("circuit", m.Circuits), repeated("environment", envs),
+		repeated("technology", techs), repeated("scenario", scens)); err != nil {
+		return nil, err
+	}
 	threshold := m.ShardThreshold
 	if threshold <= 0 {
 		threshold = DefaultShardThreshold
@@ -223,9 +231,6 @@ func (m Matrix) Expand() ([]Job, error) {
 	// size, computed once per circuit.
 	shardsFor := make(map[string]int, len(m.Circuits))
 	for _, c := range m.Circuits {
-		if _, seen := shardsFor[c]; seen {
-			continue
-		}
 		shards := 1
 		if m.Shards > 1 {
 			if nf := collapsedFaultCount(c); nf >= threshold {
@@ -269,6 +274,16 @@ func (m Matrix) Expand() ([]Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// repeated reports the first value a matrix axis lists twice.
+func repeated[T ~string](axis string, values []T) error {
+	for i, v := range values {
+		if slices.Contains(values[:i], v) {
+			return fmt.Errorf("campaign: %s %q listed twice", axis, v)
+		}
+	}
+	return nil
 }
 
 // flowNetlist builds the job's netlist, converting sequential circuits to
