@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -384,7 +385,34 @@ func TestHolisticScenarioOverRegistry(t *testing.T) {
 	}
 }
 
+// TestRunClaimsJobsInMatrixOrder: workers claim jobs in matrix order,
+// with the stage cache on, and the queue-depth gauge returns to its
+// start value once the run ends.
+func TestRunClaimsJobsInMatrixOrder(t *testing.T) {
+	m := Matrix{
+		Circuits:     []string{"c17", "alu8"},
+		Environments: []string{"sea-level", "GEO"},
+		Scenarios:    []Scenario{ScenarioReliability, ScenarioSafety},
+		Patterns:     64,
+		Years:        5,
+		Seed:         31,
+	}
+	q0 := obsQueueDepth.Value()
+	var ids []int
+	cfg := Config{Parallelism: 1, OnResult: func(r Result) { ids = append(ids, r.Job.ID) }}
+	if _, err := Run(context.Background(), m, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(ids, want) {
+		t.Fatalf("jobs ran in order %v, want matrix order %v", ids, want)
+	}
+	if q := obsQueueDepth.Value(); q != q0 {
+		t.Fatalf("queue depth = %d after the run, want %d", q, q0)
+	}
+}
+
 func TestCancellation(t *testing.T) {
+	q0 := obsQueueDepth.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	var done int32
 	cfg := Config{
@@ -404,6 +432,10 @@ func TestCancellation(t *testing.T) {
 	}
 	if got := len(sum.Results); got >= 12 {
 		t.Errorf("cancellation did not drop queued jobs: %d results", got)
+	}
+	// The jobs never claimed leave the queue with the run.
+	if q := obsQueueDepth.Value(); q != q0 {
+		t.Errorf("queue depth = %d after the canceled run, want %d", q, q0)
 	}
 	// Interrupted jobs are cancelled, not failed.
 	if sum.Failed != 0 {
