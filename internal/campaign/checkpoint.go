@@ -290,10 +290,9 @@ func parseCheckpointLog(data []byte, m Matrix, jobs []Job) ([]Result, int64, err
 	return results, valid, nil
 }
 
-// matrixIdentity renders the matrix in its canonical JSON form — the
-// single definition of "same campaign" shared by the checkpoint header
-// check and the service's checkpoint binding, so the two can never
-// disagree about which logs belong to which matrices.
+// matrixIdentity renders the matrix in its canonical JSON form: the
+// definition of "same campaign" the checkpoint header check compares
+// the log's matrix and the requested one by.
 func matrixIdentity(m Matrix) (string, error) {
 	js, err := json.Marshal(m)
 	if err != nil {

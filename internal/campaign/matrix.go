@@ -307,19 +307,18 @@ func flowNetlist(name string) (*netlist.Netlist, error) {
 
 // circuitArtifact is the shared per-circuit state every job of one
 // circuit reuses: the flow netlist itself (whose artifact and cone
-// caches all sessions over it share), its compiled simulation machine,
-// and the canonical collapsed fault list. Everything in it is immutable
-// once built — jobs slice the fault list read-only, the netlist is
-// levelized and compiled before publication and never mutated by a flow
-// stage (the netlist's own caches are internally synchronised) — so one
-// artifact serves every shard job and repeated scenario of a circuit
-// concurrently instead of each job re-building, re-collapsing and
-// re-compiling from scratch.
+// caches, the compiled simulation machine among them, all sessions over
+// it share) and the canonical collapsed fault list. Everything in it is
+// immutable once built — jobs slice the fault list read-only, the
+// netlist is levelized and compiled before publication and never
+// mutated by a flow stage (the netlist's own caches are internally
+// synchronised) — so one artifact serves every shard job and repeated
+// scenario of a circuit concurrently instead of each job re-building,
+// re-collapsing and re-compiling from scratch.
 type circuitArtifact struct {
-	n        *netlist.Netlist
-	compiled *sim.Compiled
-	faults   fault.List
-	err      error
+	n      *netlist.Netlist
+	faults fault.List
+	err    error
 }
 
 // artifactCache memoises circuitArtifact per circuit name. The values
@@ -350,15 +349,10 @@ func buildCircuitArtifact(name string) *circuitArtifact {
 	// Compile (and thereby levelize) before the netlist is shared: from
 	// here on every goroutine performs read-only structural queries and
 	// mutex-guarded cache hits only.
-	compiled, err := sim.Compile(n)
-	if err != nil {
+	if _, err := sim.Compile(n); err != nil {
 		return &circuitArtifact{err: fmt.Errorf("campaign: compiling %s: %v", name, err)}
 	}
-	return &circuitArtifact{
-		n:        n,
-		compiled: compiled,
-		faults:   fault.Collapse(n, fault.AllStuckAt(n)),
-	}
+	return &circuitArtifact{n: n, faults: fault.Collapse(n, fault.AllStuckAt(n))}
 }
 
 // collapsedFaults returns the circuit's cached canonical fault list.
