@@ -90,11 +90,12 @@ type Result struct {
 }
 
 // Run expands the matrix and executes every job on a worker pool whose
-// workers claim the jobs in matrix order. The returned Summary aggregates all completed jobs sorted by job ID, so it
-// is byte-for-byte identical at any parallelism level. On cancellation it
-// returns the partial summary together with the context error; in-flight
-// jobs stop at the next stage boundary and are recorded as cancelled
-// (not failed), queued jobs are dropped.
+// workers claim the jobs in matrix order. The returned Summary
+// aggregates all completed jobs sorted by job ID, so it is byte-for-byte
+// identical at any parallelism level. On cancellation it returns the
+// partial summary together with the context error; in-flight jobs stop
+// at the next stage boundary and are recorded as cancelled (not
+// failed), unclaimed jobs are dropped.
 //
 // The run keeps a budget of spare worker slots (atpg.Slots) that its
 // jobs' quality and safety stages borrow PODEM helpers from. A worker

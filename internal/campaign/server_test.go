@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -737,42 +738,53 @@ func TestServerRecoverIgnoresNonCanonicalRunDirs(t *testing.T) {
 }
 
 // TestServerRecoverSkipsRefusedMatrix: a run directory whose header
-// carries a matrix Expand now refuses (a negative aging horizon, which
-// older builds admitted) is skipped and counted at recovery, and left
-// on disk.
+// carries a matrix Expand now refuses (a negative aging horizon or a
+// circuit listed twice, both of which older builds admitted) is skipped
+// and counted at recovery, and left on disk.
 func TestServerRecoverSkipsRefusedMatrix(t *testing.T) {
 	base := t.TempDir()
-	dir := filepath.Join(base, runDirName(1))
-	ck, err := NewCheckpoint(dir, Matrix{Circuits: []string{"c17"}, Scenarios: []Scenario{ScenarioQuality}, Years: 5})
-	if err != nil {
-		t.Fatal(err)
+	// Each edit rewrites the header an older build would have written.
+	edits := []*strings.Replacer{
+		strings.NewReplacer(`"years":5`, `"years":-5`),
+		strings.NewReplacer(`"jobs":1`, `"jobs":2`, `"circuits":["c17"]`, `"circuits":["c17","c17"]`),
 	}
-	ck.Close()
-	path := filepath.Join(dir, CheckpointFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := []byte(`"years":5`)
-	if !bytes.Contains(raw, old) {
-		t.Fatalf("header %s does not record the horizon", raw)
-	}
-	if err := os.WriteFile(path, bytes.Replace(raw, old, []byte(`"years":-5`), 1), 0o644); err != nil {
-		t.Fatal(err)
+	var paths []string
+	for i, edit := range edits {
+		dir := filepath.Join(base, runDirName(i+1))
+		ck, err := NewCheckpoint(dir, Matrix{Circuits: []string{"c17"}, Scenarios: []Scenario{ScenarioQuality}, Years: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Close()
+		path := filepath.Join(dir, CheckpointFile)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := edit.Replace(string(raw))
+		if edited == string(raw) {
+			t.Fatalf("edit %d left header %s as it was", i, raw)
+		}
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
 	skipped := obsServerRecoverSkipped.Value()
 	s := newTestServer(t, ServerConfig{BaseDir: base, RunConfig: Config{Parallelism: 1}})
 	if n := s.Recovered(); n != 0 {
 		t.Errorf("recovered %d runs, want 0", n)
 	}
-	if got := obsServerRecoverSkipped.Value() - skipped; got != 1 {
-		t.Errorf("recovery skipped %d run directories, want 1", got)
+	if got := obsServerRecoverSkipped.Value() - skipped; got != int64(len(edits)) {
+		t.Errorf("recovery skipped %d run directories, want %d", got, len(edits))
 	}
 	if list := decode[RunsPage](t, second(get(t, s.Handler(), "/runs"))); list.Total != 0 {
 		t.Errorf("/runs = %+v, want no run", list)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("skipped run directory must stay on disk: %v", err)
+	for _, path := range paths {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("skipped run directory must stay on disk: %v", err)
+		}
 	}
 }
 
